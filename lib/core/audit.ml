@@ -43,27 +43,7 @@ let check_net_connected problem grid id =
   match nodes with
   | [] -> [ Printf.sprintf "net %d: marked routed but owns no cells" id ]
   | seed :: _ ->
-      (* Flood the net's own cells from one of them. *)
-      let seen = Hashtbl.create 64 in
-      let queue = Queue.create () in
-      let visit n =
-        if Grid.occ grid n = id && not (Hashtbl.mem seen n) then begin
-          Hashtbl.replace seen n ();
-          Queue.add n queue
-        end
-      in
-      visit seed;
-      let w = Grid.width grid and h = Grid.height grid in
-      while not (Queue.is_empty queue) do
-        let n = Queue.pop queue in
-        let x = Grid.node_x grid n and y = Grid.node_y grid n in
-        if x + 1 < w then visit (n + 1);
-        if x > 0 then visit (n - 1);
-        if y + 1 < h then visit (n + w);
-        if y > 0 then visit (n - w);
-        if Grid.via_above grid n then visit (Grid.node_above grid n);
-        if Grid.via_below grid n then visit (Grid.node_below grid n)
-      done;
+      let seen = Grid.flood_net grid ~net:id seed in
       let findings = ref [] in
       List.iter
         (fun n ->

@@ -41,7 +41,9 @@ type state = {
   g : Grid.t;
   ws : Maze.Workspace.t;
   protected : Bytes.t;  (* pins of all nets and fixed prewiring *)
-  route_nodes : int list array;  (* per net index: rippable owned nodes *)
+  route_nodes : int list array;
+      (* per net index: rippable owned nodes — every unprotected cell the
+         net owns is listed (the auditor checks it) *)
   rip_count : int array;
   routed : bool array;
   in_queue : bool array;
@@ -339,48 +341,30 @@ let connect st ~net ~sources ~targets =
                 Some (r, victims)
           else None)
 
-(* After a net routes, release any of its wiring not connected to the pin
-   component: pre-existing loose wiring the new route did not reuse would
-   otherwise linger as floating metal.  Protected cells (fixed pre-wiring)
-   are never released. *)
+(* After a net routes, release any of its wiring not connected to its
+   first pin: pre-existing loose wiring the new route did not reuse would
+   otherwise linger as floating metal.  Protected cells (pins, fixed
+   pre-wiring) are never released, and every other cell the net owns is
+   in its route list, so the flood and the candidates cost the net's own
+   cells, never the grid.  Orphans are released in ascending node order,
+   which fixes the dirty journal whatever the list order. *)
 let prune_orphans st id =
-  let g = st.g in
-  let cells = Grid.occupied_nodes g ~net:id in
-  match cells with
+  match (Netlist.Problem.net st.problem id).Netlist.Net.pins with
   | [] -> ()
-  | _ ->
-      let uf = Util.Union_find.create (Grid.node_count g) in
-      List.iter
-        (fun n ->
-          let x = Grid.node_x g n and y = Grid.node_y g n in
-          let layer = Grid.node_layer g n in
-          if Grid.in_bounds g ~x:(x + 1) ~y
-             && Grid.occ_at g ~layer ~x:(x + 1) ~y = id
-          then Util.Union_find.union uf n (n + 1);
-          if Grid.in_bounds g ~x ~y:(y + 1)
-             && Grid.occ_at g ~layer ~x ~y:(y + 1) = id
-          then Util.Union_find.union uf n (n + Grid.width g);
-          if Grid.via_above g n && Grid.occ g (Grid.node_above g n) = id
-          then Util.Union_find.union uf n (Grid.node_above g n);
-          if Grid.via_below g n && Grid.occ g (Grid.node_below g n) = id
-          then Util.Union_find.union uf n (Grid.node_below g n))
-        cells;
-      let net = Netlist.Problem.net st.problem id in
-      let anchor =
-        match net.Netlist.Net.pins with
-        | pin :: _ -> Util.Union_find.find uf (Maze.Route.pin_node g pin)
-        | [] -> (match cells with n :: _ -> Util.Union_find.find uf n | [] -> 0)
+  | first :: _ ->
+      let reached =
+        Grid.flood_net st.g ~net:id (Maze.Route.pin_node st.g first)
       in
-      let orphaned n =
-        Util.Union_find.find uf n <> anchor && not (is_protected st n)
-      in
-      let orphans = List.filter orphaned cells in
-      if orphans <> [] then begin
-        List.iter (Grid.release g) orphans;
-        let i = id - 1 in
-        st.route_nodes.(i) <-
-          List.filter (fun n -> not (List.mem n orphans)) st.route_nodes.(i)
-      end
+      let orphaned n = not (Hashtbl.mem reached n || is_protected st n) in
+      let i = id - 1 in
+      match
+        List.sort_uniq Int.compare (List.filter orphaned st.route_nodes.(i))
+      with
+      | [] -> ()
+      | orphans ->
+          List.iter (Grid.release st.g) orphans;
+          st.route_nodes.(i) <-
+            List.filter (fun n -> not (orphaned n)) st.route_nodes.(i)
 
 (* Route one net completely (Prim-style tree growth with escalation per
    connection).  On failure the net's partial additions are rolled back. *)
@@ -423,20 +407,29 @@ let route_net st id =
 
 (* The auditor: structural problem/grid consistency (via [Audit]) plus the
    engine's own bookkeeping — tracked route nodes must be owned by their
-   net, rip counters must balance the rip budget, and every net marked
-   routed must be one connected component spanning its pins. *)
+   net and every unprotected owned cell must be tracked (together: a
+   net's route list holds every unprotected cell the net owns and no cell
+   it does not, the premise of [prune_orphans]), rip counters must
+   balance the rip budget, and every net marked routed must be one
+   connected component spanning its pins. *)
 let run_audit st ~where =
   let findings = ref (Audit.check_grid st.problem st.g) in
   let add fmt = Printf.ksprintf (fun s -> findings := s :: !findings) fmt in
   let nets = Netlist.Problem.net_count st.problem in
+  let tracked = Bytes.make (Grid.node_count st.g) '\000' in
   for i = 0 to nets - 1 do
     List.iter
       (fun n ->
+        Bytes.set tracked n '\001';
         let v = Grid.occ st.g n in
         if v <> i + 1 then add "net %d: tracked route node %d owned by %d"
             (i + 1) n v)
       st.route_nodes.(i)
   done;
+  Grid.iter_nodes st.g (fun n ->
+      let v = Grid.occ st.g n in
+      if v > 0 && (not (is_protected st n)) && Bytes.get tracked n = '\000'
+      then add "net %d: owned node %d is not tracked" v n);
   let per_net_rips = Array.fold_left ( + ) 0 st.rip_count in
   if per_net_rips <> st.rips then
     add "rip counters disagree: per-net sum %d, total %d" per_net_rips st.rips;

@@ -13,10 +13,6 @@ type stats = {
   field_repairs : int;
 }
 
-let net_cost ~cost g ~net =
-  let m = Outcome.measure_net g ~net in
-  m.Outcome.wirelength + (cost.Maze.Cost.via * m.Outcome.vias)
-
 (* Window inflation of the per-net lower-bound fields.  Purely a
    sharpness/size trade-off: the escape bound keeps any margin sound. *)
 let field_margin = 4
@@ -103,40 +99,14 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
       nodes;
     !wl + (cost.Maze.Cost.via * !vias)
   in
-  (* [Drc.Check.connected_components _ = 1] over the hoisted list: flood
-     along the same adjacency (same-layer planar steps, via links). *)
+  (* [Drc.Check.connected_components _ = 1] over the hoisted list: the
+     list is exactly the net's owned cells, so the net is one piece iff a
+     flood from any of them reaches them all. *)
   let connected net =
     match cells.(net) with
     | [] -> false
     | start :: _ as nodes ->
-        let tbl = Hashtbl.create 64 in
-        List.iter (fun n -> Hashtbl.replace tbl n ()) nodes;
-        let seen = Hashtbl.create 64 in
-        Hashtbl.replace seen start ();
-        let stack = ref [ start ] in
-        let count = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          match !stack with
-          | [] -> continue_ := false
-          | n :: rest ->
-              stack := rest;
-              incr count;
-              let push m =
-                if Hashtbl.mem tbl m && not (Hashtbl.mem seen m) then begin
-                  Hashtbl.replace seen m ();
-                  stack := m :: !stack
-                end
-              in
-              let x = Grid.node_x g n and y = Grid.node_y g n in
-              if x + 1 < gw then push (n + 1);
-              if x > 0 then push (n - 1);
-              if y + 1 < gh then push (n + gw);
-              if y > 0 then push (n - gw);
-              if Grid.via_above g n then push (Grid.node_above g n);
-              if Grid.via_below g n then push (Grid.node_below g n)
-        done;
-        !count = List.length nodes
+        Hashtbl.length (Grid.flood_net g ~net start) = List.length nodes
   in
   let wirelength_before = Outcome.total_wirelength g problem in
   let vias_before = Outcome.total_vias g in

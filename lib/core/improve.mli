@@ -54,6 +54,3 @@ val refine :
     refine calls on the {e same} grid value — rip-up/reroute cycles
     between calls invalidate exactly the nets whose regions were written;
     a cache created for another grid is ignored and rebuilt. *)
-
-val net_cost : cost:Maze.Cost.t -> Grid.t -> net:int -> int
-(** The objective: same-layer wire edges + [cost.via] × vias of the net. *)

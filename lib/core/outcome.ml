@@ -88,9 +88,39 @@ let measure_net g ~net =
       if Grid.occ_at g ~layer ~x ~y = net then incr vias);
   { net_id = net; cells = !cells; wirelength = !wirelength; vias = !vias }
 
+(* [measure_net] for every net at once: one pass over the grid fills
+   per-net tallies.  A via is charged to the owner of its lower cell, as
+   [measure_net] does. *)
 let measure problem g =
-  List.init (Netlist.Problem.net_count problem) (fun i ->
-      measure_net g ~net:(i + 1))
+  let nets = Netlist.Problem.net_count problem in
+  let cells = Array.make (nets + 1) 0
+  and wirelength = Array.make (nets + 1) 0
+  and vias = Array.make (nets + 1) 0 in
+  let w = Grid.width g and h = Grid.height g in
+  for layer = 0 to Grid.layers g - 1 do
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        let n = Grid.node g ~layer ~x ~y in
+        let v = Grid.occ g n in
+        if v >= 1 && v <= nets then begin
+          cells.(v) <- cells.(v) + 1;
+          if x + 1 < w && Grid.occ g (n + 1) = v then
+            wirelength.(v) <- wirelength.(v) + 1;
+          if y + 1 < h && Grid.occ g (n + w) = v then
+            wirelength.(v) <- wirelength.(v) + 1;
+          if Grid.via_above g n then vias.(v) <- vias.(v) + 1
+        end
+      done
+    done
+  done;
+  List.init nets (fun i ->
+      let net = i + 1 in
+      {
+        net_id = net;
+        cells = cells.(net);
+        wirelength = wirelength.(net);
+        vias = vias.(net);
+      })
 
 let total_wirelength g problem =
   List.fold_left (fun acc s -> acc + s.wirelength) 0 (measure problem g)

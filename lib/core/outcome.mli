@@ -84,11 +84,14 @@ val no_guide : guide_stats
 val pp_guide : Format.formatter -> guide_stats -> unit
 
 val measure_net : Grid.t -> net:int -> net_stats
+(** One net's stats, by a scan of the whole grid. *)
 
 val measure : Netlist.Problem.t -> Grid.t -> net_stats list
-(** Stats for every net of the problem, ascending id. *)
+(** [measure_net] for every net of the problem, ascending id, from a
+    single pass over the grid. *)
 
 val total_wirelength : Grid.t -> Netlist.Problem.t -> int
+(** Sum of every net's wirelength: one pass over the grid. *)
 
 val total_vias : Grid.t -> int
 (** All vias on the grid. *)

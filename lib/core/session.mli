@@ -43,6 +43,9 @@ val net_id : t -> string -> int option
 val is_routed : t -> net:int -> bool
 (** Whether the net's cells currently form one connected component. *)
 
+val routed_count : t -> int
+(** Number of nets {!is_routed} holds for, from one pass over the grid. *)
+
 val is_frozen : t -> net:int -> bool
 
 val route : ?budget:Budget.t -> t -> Engine.stats
@@ -86,7 +89,7 @@ val thaw : t -> net:int -> (unit, string) Stdlib.result
 
 val verify : t -> Drc.Check.violation list
 (** Full DRC over the routed nets of the current layout (unrouted nets are
-    excluded from the connectivity check). *)
+    excluded from the connectivity check), in one pass over the grid. *)
 
 val refine : ?max_passes:int -> t -> Improve.stats
 (** Run the post-route refinement pass on the current layout (frozen nets

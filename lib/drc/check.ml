@@ -4,31 +4,40 @@ type violation =
   | Via_mismatch of { x : int; y : int }
   | Wire_on_obstruction of { net : int; layer : int; x : int; y : int }
 
-let connected_components g ~net =
+(* One union-find over every owned cell.  Unions only ever join two cells
+   of one net, so each net's pieces are exactly the roots among its
+   cells. *)
+let component_counts g ~nets =
   let uf = Util.Union_find.create (Grid.node_count g) in
   let w = Grid.width g and h = Grid.height g in
+  let owner n =
+    let v = Grid.occ g n in
+    if v >= 1 && v <= nets then v else 0
+  in
   for layer = 0 to Grid.layers g - 1 do
     for y = 0 to h - 1 do
       for x = 0 to w - 1 do
-        if Grid.occ_at g ~layer ~x ~y = net then begin
-          let n = Grid.node g ~layer ~x ~y in
-          if x + 1 < w && Grid.occ_at g ~layer ~x:(x + 1) ~y = net then
-            Util.Union_find.union uf n (Grid.node g ~layer ~x:(x + 1) ~y);
-          if y + 1 < h && Grid.occ_at g ~layer ~x ~y:(y + 1) = net then
-            Util.Union_find.union uf n (Grid.node g ~layer ~x ~y:(y + 1))
+        let n = Grid.node g ~layer ~x ~y in
+        let v = owner n in
+        if v > 0 then begin
+          if x + 1 < w && Grid.occ g (n + 1) = v then
+            Util.Union_find.union uf n (n + 1);
+          if y + 1 < h && Grid.occ g (n + w) = v then
+            Util.Union_find.union uf n (n + w);
+          if Grid.via_above g n && Grid.occ g (Grid.node_above g n) = v then
+            Util.Union_find.union uf n (Grid.node_above g n)
         end
       done
     done
   done;
-  Grid.iter_via_pairs g (fun ~layer ~x ~y ->
-      if
-        Grid.occ_at g ~layer ~x ~y = net
-        && Grid.occ_at g ~layer:(layer + 1) ~x ~y = net
-      then
-        Util.Union_find.union uf
-          (Grid.node g ~layer ~x ~y)
-          (Grid.node g ~layer:(layer + 1) ~x ~y));
-  Util.Union_find.count_components uf (fun n -> Grid.occ g n = net)
+  let counts = Array.make (nets + 1) 0 in
+  for n = 0 to Grid.node_count g - 1 do
+    let v = owner n in
+    if v > 0 && Util.Union_find.find uf n = n then counts.(v) <- counts.(v) + 1
+  done;
+  counts
+
+let connected_components g ~net = (component_counts g ~nets:net).(net)
 
 let check ?nets problem g =
   let violations = ref [] in
@@ -69,11 +78,14 @@ let check ?nets problem g =
     | Some ids -> ids
     | None -> List.init (Netlist.Problem.net_count problem) (fun i -> i + 1)
   in
+  let counts =
+    component_counts g ~nets:(Netlist.Problem.net_count problem)
+  in
   List.iter
     (fun net ->
       let n = Netlist.Problem.net problem net in
       if Netlist.Net.pin_count n > 0 then begin
-        let components = connected_components g ~net in
+        let components = counts.(net) in
         if components <> 1 then add (Net_disconnected { net; components })
       end)
     net_ids;

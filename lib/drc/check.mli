@@ -27,9 +27,14 @@ val check :
 
 val is_clean : ?nets:int list -> Netlist.Problem.t -> Grid.t -> bool
 
+val component_counts : Grid.t -> nets:int -> int array
+(** [(component_counts g ~nets).(id)], for [1 ≤ id ≤ nets], is the number
+    of connected components of net [id]'s owned cells (planar adjacency
+    per layer; across layers only through vias).  One pass over the grid
+    counts every net; index 0 and owners above [nets] are ignored. *)
+
 val connected_components : Grid.t -> net:int -> int
-(** Number of connected components of the net's owned cells (planar
-    adjacency per layer; across layers only through vias). *)
+(** One net's entry of {!component_counts}. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 

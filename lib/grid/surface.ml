@@ -403,6 +403,36 @@ let occupied_nodes g ~net =
   done;
   !acc
 
+(* Depth-first over the net's own cells, so the cost is the cells
+   reached plus their neighbours, never the grid. *)
+let flood_net g ~net start =
+  let plane = g.w * g.h in
+  let seen = Hashtbl.create 64 in
+  let stack = ref [] in
+  let push n =
+    if g.occ.(n) = net && not (Hashtbl.mem seen n) then begin
+      Hashtbl.replace seen n ();
+      stack := n :: !stack
+    end
+  in
+  push start;
+  let rec walk () =
+    match !stack with
+    | [] -> ()
+    | n :: rest ->
+        stack := rest;
+        let x = n mod g.w and y = n mod plane / g.w in
+        if x + 1 < g.w then push (n + 1);
+        if x > 0 then push (n - 1);
+        if y + 1 < g.h then push (n + g.w);
+        if y > 0 then push (n - g.w);
+        if via_above g n then push (n + plane);
+        if via_below g n then push (n - plane);
+        walk ()
+  in
+  walk ();
+  seen
+
 let fill_ratio g =
   let owned = ref 0 and usable = ref 0 in
   Array.iter

@@ -239,5 +239,11 @@ val occupied_nodes : t -> net:int -> int list
 (** All nodes owned by the net (O(cells); for tests and the verifier — the
     router tracks its own route lists incrementally). *)
 
+val flood_net : t -> net:int -> int -> (int, unit) Hashtbl.t
+(** [flood_net g ~net start] is the set of nodes in the connected piece
+    of [net]'s cells that contains [start] (planar steps within a layer,
+    vias between layers); empty when [start] is not owned by [net].
+    Costs the cells reached, not the grid. *)
+
 val fill_ratio : t -> float
 (** Fraction of non-obstacle cells that are owned by some net. *)

@@ -38,7 +38,9 @@ type state = {
   mutable stack : (int * bool array) option;  (* layers, per-layer h-pref *)
   mutable obstructions : Problem.obstruction list;
   mutable nets : (string * Net.pin list) list; (* reversed; pins reversed *)
-  mutable classes : (string * Net.cls) list;
+  net_ids : (string, int) Hashtbl.t;  (* net name -> 1-based id *)
+  mutable classes : string list;  (* class lines' net names, reversed *)
+  class_of : (string, Net.cls) Hashtbl.t;
   mutable prewires : (string * bool * (int * int * int) list) list;
   mutable insts : pinst list;
   mutable context : [ `Top | `Net | `Prewire | `Inst ];
@@ -129,8 +131,9 @@ let handle st lineno line_text =
         }
         :: st.obstructions
   | [ { text = "net"; _ }; name ] ->
-      if List.mem_assoc name.text st.nets then
+      if Hashtbl.mem st.net_ids name.text then
         fail lineno name.col "duplicate net %S" name.text;
+      Hashtbl.replace st.net_ids name.text (Hashtbl.length st.net_ids + 1);
       st.nets <- (name.text, []) :: st.nets;
       st.context <- `Net
   | { text = "pin"; col } :: rest -> begin
@@ -169,9 +172,10 @@ let handle st lineno line_text =
       match Net.cls_of_string cls.text with
       | None -> fail lineno cls.col "expected signal|clock|power, got %S" cls.text
       | Some c ->
-          if List.mem_assoc name.text st.classes then
+          if Hashtbl.mem st.class_of name.text then
             fail lineno name.col "duplicate class for net %S" name.text;
-          st.classes <- (name.text, c) :: st.classes
+          Hashtbl.replace st.class_of name.text c;
+          st.classes <- name.text :: st.classes
     end
   | { text = "inst"; col } :: name :: w :: h :: fixity :: rest ->
       let fixed =
@@ -223,7 +227,9 @@ let of_string ?(src = "<string>") text =
       stack = None;
       obstructions = [];
       nets = [];
+      net_ids = Hashtbl.create 64;
       classes = [];
+      class_of = Hashtbl.create 16;
       prewires = [];
       insts = [];
       context = `Top;
@@ -237,10 +243,9 @@ let of_string ?(src = "<string>") text =
     | None ->
         Result.Error { src; line = 0; col = 0; msg = "missing problem line" }
     | Some h ->
-        let named_nets = List.rev st.nets in
         List.iter
-          (fun (name, _) ->
-            if not (List.mem_assoc name named_nets) then
+          (fun name ->
+            if not (Hashtbl.mem st.net_ids name) then
               fail 0 0 "class references unknown net %S" name)
           st.classes;
         let nets =
@@ -248,17 +253,15 @@ let of_string ?(src = "<string>") text =
             (fun i (name, pins) ->
               let cls =
                 Option.value ~default:Net.Signal
-                  (List.assoc_opt name st.classes)
+                  (Hashtbl.find_opt st.class_of name)
               in
               Net.make ~cls ~id:(i + 1) ~name (List.rev pins))
-            named_nets
+            (List.rev st.nets)
         in
         let id_of_name ~what name =
-          let rec loop i = function
-            | [] -> fail 0 0 "%s references unknown net %S" what name
-            | (n, _) :: rest -> if n = name then i else loop (i + 1) rest
-          in
-          loop 1 named_nets
+          match Hashtbl.find_opt st.net_ids name with
+          | Some id -> id
+          | None -> fail 0 0 "%s references unknown net %S" what name
         in
         let prewires =
           List.rev_map

@@ -56,11 +56,12 @@ let validate p =
     if obstructs p.obstructions ~layer ~x ~y then
       fail "Problem %s: %s of net %d sits on an obstruction at (%d,%d)L%d"
         p.name what net_id x y layer;
-    match Hashtbl.find_opt cell_owner (layer, x, y) with
+    let node = (((layer * p.height) + y) * p.width) + x in
+    match Hashtbl.find_opt cell_owner node with
     | Some other when other <> net_id ->
         fail "Problem %s: nets %d and %d share cell (%d,%d)L%d" p.name other
           net_id x y layer
-    | Some _ | None -> Hashtbl.replace cell_owner (layer, x, y) net_id
+    | Some _ | None -> Hashtbl.replace cell_owner node net_id
   in
   Array.iter
     (fun (n : Net.t) ->

@@ -468,17 +468,12 @@ let snapshot t =
   let row name =
     let e = Hashtbl.find t.sessions name in
     let problem = Router.Session.problem e.session in
-    let nets = Netlist.Problem.net_count problem in
-    let routed = ref 0 in
-    for net = 1 to nets do
-      if Router.Session.is_routed e.session ~net then incr routed
-    done;
     ( name,
       J.Obj
         [
           ("gen", J.Int e.gen);
-          ("nets", J.Int nets);
-          ("routed", J.Int !routed);
+          ("nets", J.Int (Netlist.Problem.net_count problem));
+          ("routed", J.Int (Router.Session.routed_count e.session));
         ] )
   in
   J.Obj (List.map row (names t))

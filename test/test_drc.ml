@@ -174,6 +174,98 @@ let test_connected_components_counts () =
   Testkit.check_int "diagonal not connected" 3
     (Drc.Check.connected_components g ~net:1)
 
+(* The per-net reference the one-pass checker must agree with: the
+   checker as it was when it built one grid-sized union-find per net. *)
+let reference_components g ~net =
+  let uf = Util.Union_find.create (Grid.node_count g) in
+  let w = Grid.width g and h = Grid.height g in
+  for layer = 0 to Grid.layers g - 1 do
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        if Grid.occ_at g ~layer ~x ~y = net then begin
+          let n = Grid.node g ~layer ~x ~y in
+          if x + 1 < w && Grid.occ_at g ~layer ~x:(x + 1) ~y = net then
+            Util.Union_find.union uf n (Grid.node g ~layer ~x:(x + 1) ~y);
+          if y + 1 < h && Grid.occ_at g ~layer ~x ~y:(y + 1) = net then
+            Util.Union_find.union uf n (Grid.node g ~layer ~x ~y:(y + 1))
+        end
+      done
+    done
+  done;
+  Grid.iter_via_pairs g (fun ~layer ~x ~y ->
+      if
+        Grid.occ_at g ~layer ~x ~y = net
+        && Grid.occ_at g ~layer:(layer + 1) ~x ~y = net
+      then
+        Util.Union_find.union uf
+          (Grid.node g ~layer ~x ~y)
+          (Grid.node g ~layer:(layer + 1) ~x ~y));
+  Util.Union_find.count_components uf (fun n -> Grid.occ g n = net)
+
+let reference_check ?nets problem g =
+  let violations = ref [] in
+  let add v = violations := v :: !violations in
+  List.iter
+    (fun (net, (pin : Netlist.Net.pin)) ->
+      if Grid.occ_at g ~layer:pin.layer ~x:pin.x ~y:pin.y <> net then
+        add (Drc.Check.Pin_not_owned { net; pin }))
+    (Netlist.Problem.pin_cells problem);
+  List.iter
+    (fun (o : Netlist.Problem.obstruction) ->
+      Geom.Rect.iter o.obs_rect (fun x y ->
+          if Grid.in_bounds g ~x ~y then
+            List.iter
+              (fun layer ->
+                let v = Grid.occ_at g ~layer ~x ~y in
+                if v > 0 then
+                  add (Drc.Check.Wire_on_obstruction { net = v; layer; x; y }))
+              (match o.obs_layer with
+              | None -> List.init (Grid.layers g) Fun.id
+              | Some l -> [ l ])))
+    problem.Netlist.Problem.obstructions;
+  Grid.iter_via_pairs g (fun ~layer ~x ~y ->
+      let a = Grid.occ_at g ~layer ~x ~y
+      and b = Grid.occ_at g ~layer:(layer + 1) ~x ~y in
+      if a <= 0 || a <> b then add (Drc.Check.Via_mismatch { x; y }));
+  List.iter
+    (fun net ->
+      if Netlist.Net.pin_count (Netlist.Problem.net problem net) > 0 then begin
+        let components = reference_components g ~net in
+        if components <> 1 then
+          add (Drc.Check.Net_disconnected { net; components })
+      end)
+    (match nets with
+    | Some ids -> ids
+    | None -> List.init (Netlist.Problem.net_count problem) (fun i -> i + 1));
+  List.rev !violations
+
+(* The grid API cannot express a via between cells of two nets (placing
+   one raises, and freeing either cell clears it), so random layouts
+   cover the rest: split nets, stacks with and without vias, stacks of
+   two nets, nets without pins or cells, unowned pins, and an owner id
+   past the problem's nets. *)
+let prop_one_pass_check_matches_reference =
+  Testkit.qcheck ~count:300 "one-pass check = per-net union-find reference"
+    QCheck2.Gen.(pair int (int_range 0 3))
+    (fun (seed, filter) ->
+      let p, g = Testkit.random_layout seed in
+      let nets =
+        (* every net, or every [filter]-th one *)
+        if filter = 0 then None
+        else
+          Some
+            (List.filter
+               (fun id -> id mod filter = 0)
+               (List.init (Netlist.Problem.net_count p) (fun i -> i + 1)))
+      in
+      let counts =
+        Drc.Check.component_counts g ~nets:(Netlist.Problem.net_count p)
+      in
+      Drc.Check.check ?nets p g = reference_check ?nets p g
+      && List.for_all
+           (fun net -> counts.(net) = reference_components g ~net)
+           (List.init (Netlist.Problem.net_count p) (fun i -> i + 1)))
+
 let test_pp_violation_output () =
   let s =
     Format.asprintf "%a" Drc.Check.pp_violation
@@ -201,5 +293,6 @@ let () =
           Alcotest.test_case "nets filter" `Quick test_nets_filter;
           Alcotest.test_case "component counts" `Quick test_connected_components_counts;
           Alcotest.test_case "violation printing" `Quick test_pp_violation_output;
+          prop_one_pass_check_matches_reference;
         ] );
     ]

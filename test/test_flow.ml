@@ -12,16 +12,6 @@
    - the global router's capacity model is self-consistent and the class
      audit agrees with the overflow count. *)
 
-let load name =
-  (* cwd is test/ under [dune runtest], the project root under [dune exec] *)
-  let file = name ^ ".problem" in
-  let candidates =
-    [ Filename.concat "../instances" file; Filename.concat "instances" file ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some path -> Netlist.Parse.load_exn path
-  | None -> Alcotest.failf "instance %s not found" file
-
 let macro_instances = [ "macro_48x40"; "macro_64x52"; "macro_128x104" ]
 
 let gen_macro seed =
@@ -127,7 +117,7 @@ let check_groute_consistent name (gr : Groute.t) =
 (* The committed instances ship unplaced; pin the placement seed so the
    groute assertions see the same realization every run. *)
 let realize_placed name =
-  match Place.place ~seed:Router.Config.default.Router.Config.seed (load name) with
+  match Place.place ~seed:Router.Config.default.Router.Config.seed (Testkit.instance name) with
   | Ok (placed, _) -> Netlist.Problem.realize placed
   | Error msg -> Alcotest.failf "%s: placer failed: %s" name msg
 
@@ -151,7 +141,7 @@ let test_groute_audit_clean () =
 let flow_config jobs = { Router.Config.default with Router.Config.jobs }
 
 let check_flow_instance name =
-  let problem = load name in
+  let problem = Testkit.instance name in
   let f =
     match Flow.run ~config:(flow_config 1) problem with
     | Ok f -> f

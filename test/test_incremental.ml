@@ -225,18 +225,8 @@ let fast_config =
 let core_stats_equal (a : Router.Engine.stats) (b : Router.Engine.stats) =
   { a with Router.Engine.par = b.Router.Engine.par } = b
 
-let load name =
-  (* cwd is test/ under [dune runtest], the project root under [dune exec] *)
-  let file = name ^ ".problem" in
-  let candidates =
-    [ Filename.concat "../instances" file; Filename.concat "instances" file ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some path -> Netlist.Parse.load_exn path
-  | None -> Alcotest.failf "instance %s not found" file
-
 let check_instance name =
-  let problem = load name in
+  let problem = Testkit.instance name in
   let on =
     Router.Engine.route
       ~config:{ fast_config with Router.Config.incremental = true }

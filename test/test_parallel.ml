@@ -62,25 +62,15 @@ let prop_parallel_equals_sequential_windowed =
 
 (* --- committed instances (the acceptance check) --- *)
 
-let load name =
-  (* cwd is test/ under [dune runtest], the project root under [dune exec] *)
-  let file = name ^ ".problem" in
-  let candidates =
-    [ Filename.concat "../instances" file; Filename.concat "instances" file ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some path -> Netlist.Parse.load_exn path
-  | None -> Alcotest.failf "instance %s not found" file
-
 let test_committed_small () =
   List.iter
-    (fun name -> ignore (check_jobs_invariant name fast_config (load name)))
+    (fun name -> ignore (check_jobs_invariant name fast_config (Testkit.instance name)))
     [ "switchbox_12x10"; "switchbox_32x26"; "chip_128x96" ]
 
 let test_committed_large () =
   List.iter
     (fun name ->
-      let r = check_jobs_invariant name fast_config (load name) in
+      let r = check_jobs_invariant name fast_config (Testkit.instance name) in
       (* big enough to actually exercise waves, not just agree trivially *)
       Testkit.check_true (name ^ ": committed speculative routes")
         (r.Router.Engine.stats.Router.Engine.par.Router.Outcome.committed > 0))
@@ -161,7 +151,7 @@ let test_pool_exception_policy () =
 let test_parallel_with_budget_is_clean () =
   (* Budget trip timing may differ between jobs values; the result must
      still be a DRC-clean best-so-far layout. *)
-  let problem = load "switchbox_32x26" in
+  let problem = Testkit.instance "switchbox_32x26" in
   let budget = Router.Budget.create ~max_expanded:20_000 () in
   let r =
     Router.Engine.route
@@ -172,7 +162,7 @@ let test_parallel_with_budget_is_clean () =
     (Testkit.drc_routed problem r = [])
 
 let test_parallel_restarts_invariant () =
-  let problem = load "switchbox_12x10" in
+  let problem = Testkit.instance "switchbox_12x10" in
   let config = { Router.Config.default with Router.Config.restarts = 3 } in
   ignore (check_jobs_invariant "restarts=3" config problem)
 

@@ -631,6 +631,52 @@ let test_outcome_measure () =
   Testkit.check_int "total wl" 5 (Router.Outcome.total_wirelength g p);
   Testkit.check_int "measure list" 1 (List.length (Router.Outcome.measure p g))
 
+let prop_measure_matches_measure_net =
+  Testkit.qcheck ~count:300 "one-pass measure = measure_net per net"
+    QCheck2.Gen.int (fun seed ->
+      let p, g = Testkit.random_layout seed in
+      Router.Outcome.measure p g
+      = List.init (Netlist.Problem.net_count p) (fun i ->
+            Router.Outcome.measure_net g ~net:(i + 1)))
+
+(* The default engine's effort and result on two committed instances, as
+   [searches; expanded; rips; shoves; wirelength; vias]: bookkeeping
+   changes must leave the routing trajectory exactly where it was. *)
+let test_engine_stats_pinned name expected () =
+  let s = (Router.Engine.route (Testkit.instance name)).Router.Engine.stats in
+  Alcotest.(check (list int))
+    name expected
+    Router.Engine.
+      [
+        s.searches;
+        s.expanded;
+        s.rips;
+        s.shoves;
+        s.total_wirelength;
+        s.total_vias;
+      ]
+
+(* Per-net bookkeeping must cost the net, not the grid: a route
+   allocates a few major-heap words per grid node (grid-sized state made
+   once per attempt), not one grid-sized structure per routed net. *)
+let test_engine_major_allocation () =
+  let p = Testkit.instance "chip_96x64" in
+  let nodes =
+    p.Netlist.Problem.width * p.Netlist.Problem.height
+    * p.Netlist.Problem.layers
+  in
+  let major () =
+    Gc.minor ();
+    let _, _, words = Gc.counters () in
+    words
+  in
+  let before = major () in
+  let r = Router.Engine.route p in
+  let per_node = (major () -. before) /. float_of_int nodes in
+  Testkit.check_true "routed" r.Router.Engine.completed;
+  if per_node >= 24.0 then
+    Alcotest.failf "major-heap words per grid node: %.1f (limit 24)" per_node
+
 (* --- sessions --- *)
 
 let session_problem () =
@@ -648,9 +694,13 @@ let ok_or_fail = function
 let test_session_route_and_verify () =
   let s = Router.Session.create (session_problem ()) in
   Testkit.check_false "initially unrouted" (Router.Session.is_routed s ~net:1);
+  Testkit.check_int "none routed yet" 0 (Router.Session.routed_count s);
+  Testkit.check_true "unrouted opens are not violations"
+    (Router.Session.verify s = []);
   let stats = Router.Session.route s in
   Testkit.check_int "all routed" 3 stats.Router.Engine.routed_nets;
   Testkit.check_true "routed flag" (Router.Session.is_routed s ~net:1);
+  Testkit.check_int "routed count" 3 (Router.Session.routed_count s);
   Testkit.check_true "verify clean" (Router.Session.verify s = [])
 
 let test_session_route_is_incremental () =
@@ -834,6 +884,13 @@ let () =
           Alcotest.test_case "fixed prewire" `Quick test_engine_fixed_prewire_untouched;
           Alcotest.test_case "loose prewire" `Quick test_engine_loose_prewire_rippable;
           Alcotest.test_case "orphan prewire pruned" `Quick test_engine_prunes_orphan_prewire;
+          Alcotest.test_case "stats pinned chip_96x64" `Quick
+            (test_engine_stats_pinned "chip_96x64" [ 104; 85139; 24; 5; 1257; 66 ]);
+          Alcotest.test_case "stats pinned switchbox_64x52" `Slow
+            (test_engine_stats_pinned "switchbox_64x52"
+               [ 847; 3011430; 271; 15; 4391; 154 ]);
+          Alcotest.test_case "major allocation per node" `Quick
+            test_engine_major_allocation;
           Alcotest.test_case "L-shaped region" `Quick test_engine_routes_l_shaped_region;
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic;
           Alcotest.test_case "cost cache transparent" `Quick
@@ -848,6 +905,7 @@ let () =
         [
           Alcotest.test_case "config describe" `Quick test_config_describe;
           Alcotest.test_case "measure" `Quick test_outcome_measure;
+          prop_measure_matches_measure_net;
         ] );
       ( "report",
         [

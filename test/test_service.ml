@@ -247,21 +247,11 @@ let session_of server name =
   | Some e -> Service.Registry.session e
   | None -> Alcotest.failf "session %s disappeared" name
 
-let load_instance name =
-  (* cwd is test/ under [dune runtest], the project root under [dune exec] *)
-  let file = name ^ ".problem" in
-  let candidates =
-    [ Filename.concat "../instances" file; Filename.concat "instances" file ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some path -> Netlist.Parse.load_exn path
-  | None -> Alcotest.failf "instance %s not found" file
-
 (* The acceptance criterion: open → route → verify over the service must
    give the byte-identical layout and the same DRC verdict as the batch
    engine call it wraps, on every committed instance. *)
 let check_trace_equivalence name =
-  let problem = load_instance name in
+  let problem = Testkit.instance name in
   let batch = Router.Engine.route ~config:fast_config problem in
   let batch_ascii = Viz.Ascii.render batch.Router.Engine.grid in
   let batch_clean = Drc.Check.check problem batch.Router.Engine.grid = [] in
@@ -796,7 +786,7 @@ let test_generation_counts_commits () =
    groute is a read-only stats query, flow installs the routed layout —
    and the installed grid equals a direct Flow.run on the same problem. *)
 let test_flow_ops () =
-  let problem = load_instance "macro_48x40" in
+  let problem = Testkit.instance "macro_48x40" in
   let s = server () in
   ignore (one_reply s (open_line ~session:"f" problem));
   (* groute before placement must refuse, not crash. *)
