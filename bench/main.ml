@@ -865,28 +865,19 @@ let micro_kernels () =
   in
   let cost = Maze.Cost.default in
   let heap = Maze.Search.Binary_heap and buckets = Maze.Search.Buckets in
+  let search ?heuristic ?window kernel ~passable ~sources ~targets =
+    Maze.Search.run ~kernel ?heuristic ?window g ws ~cost ~passable ~sources
+      ~targets ()
+  in
   let variants =
     [
-      ( "dijkstra / heap / full grid (baseline)",
-        fun ~passable ~sources ~targets ->
-          Maze.Search.run ~kernel:heap g ws ~cost ~passable ~sources ~targets
-            () );
-      ( "dijkstra / buckets / full grid",
-        fun ~passable ~sources ~targets ->
-          Maze.Search.run ~kernel:buckets g ws ~cost ~passable ~sources
-            ~targets () );
-      ( "astar / heap / full grid",
-        fun ~passable ~sources ~targets ->
-          Maze.Search.run_astar ~kernel:heap g ws ~cost ~passable ~sources
-            ~targets () );
-      ( "astar / buckets / full grid",
-        fun ~passable ~sources ~targets ->
-          Maze.Search.run_astar ~kernel:buckets g ws ~cost ~passable ~sources
-            ~targets () );
+      ("dijkstra / heap / full grid (baseline)", search heap);
+      ("dijkstra / buckets / full grid", search buckets);
+      ("astar / heap / full grid", search ~heuristic:Maze.Search.L1 heap);
+      ("astar / buckets / full grid", search ~heuristic:Maze.Search.L1 buckets);
       ( "astar / buckets / window margin 4",
-        fun ~passable ~sources ~targets ->
-          Maze.Search.run_astar ~kernel:buckets ~window:4 g ws ~cost ~passable
-            ~sources ~targets () );
+        search ~heuristic:Maze.Search.L1 ~window:(Maze.Search.Margin 4)
+          buckets );
       (* The lower-bound-field A*: the heuristic is the exact cost-to-
          target, so expansion collapses to the optimal corridor.  The
          per-search field build (a full-grid backward Dijkstra) is timed
@@ -898,8 +889,8 @@ let micro_kernels () =
             Maze.Lowerbound.build g ~cost ~passable ~targets
               ~around:(sources @ targets) ~margin:(max w h)
           in
-          Maze.Search.run_astar_lb ~kernel:buckets g ws ~lb:f ~cost ~passable
-            ~sources ~targets () );
+          search ~heuristic:(Maze.Search.Field f) buckets ~passable ~sources
+            ~targets );
     ]
   in
   let table =
@@ -979,8 +970,8 @@ let micro () =
   in
   let astar_bench () =
     ignore
-      (Maze.Search.run_astar g ws ~cost:Maze.Cost.default ~passable
-         ~sources:[ corner_a ] ~targets:[ corner_b ] ())
+      (Maze.Search.run ~heuristic:Maze.Search.L1 g ws ~cost:Maze.Cost.default
+         ~passable ~sources:[ corner_a ] ~targets:[ corner_b ] ())
   in
   let lee_bench () =
     ignore
@@ -1956,8 +1947,8 @@ let analyze_bench () =
   let all_identical = ref true in
   let predicted = ref [] and actual = ref [] in
   let now () = Unix.gettimeofday () in
-  let row ~name ~problem ~(a : Analyze.t) ~analyze_ms ~actual_ovf
-      ~(route : Router.Engine.t option) ~identical =
+  let row ?flow_ms ~name ~problem ~(a : Analyze.t) ~analyze_ms ~actual_ovf
+      ~(route : Router.Engine.t option) ~identical () =
     let nets = Netlist.Problem.net_count problem in
     let layers = problem.Netlist.Problem.layers in
     predicted := (1.0 -. a.Analyze.verdict.Analyze.score) :: !predicted;
@@ -1997,12 +1988,15 @@ let analyze_bench () =
       Printf.sprintf
         "    {\"instance\": \"%s\", \"nets\": %d, \"layers\": %d, \
          \"score\": %.4f, \"predicted_overflow\": %.4f, \
-         \"actual_overflow\": %.4f, \"analyze_ms\": %.3f, \
+         \"actual_overflow\": %.4f, \"analyze_ms\": %.3f,%s \
          \"analyze_cost\": %d, \"route_expanded\": %d, \
          \"cost_pct\": %.3f, \"routed\": %d, \"failed\": %d, \
          \"deadline_tripped\": %b, \"identical\": %b}"
         name nets layers a.Analyze.verdict.Analyze.score
         a.Analyze.verdict.Analyze.predicted_overflow actual_ovf analyze_ms
+        (match flow_ms with
+        | Some ms -> Printf.sprintf " \"flow_ms\": %.3f," ms
+        | None -> "")
         a.Analyze.cost expanded cost_pct routed failed degraded identical
       :: !json_rows
   in
@@ -2032,7 +2026,7 @@ let analyze_bench () =
           else Grid.equal r1.Router.Engine.grid (route ~jobs:2).Router.Engine.grid
         in
         row ~name ~problem ~a ~analyze_ms ~actual_ovf ~route:(Some r1)
-          ~identical
+          ~identical ()
       end)
     placed;
   List.iter
@@ -2053,7 +2047,7 @@ let analyze_bench () =
             Printf.eprintf "analyze bench: %s: %s\n" name msg;
             exit 1
         | Ok f ->
-            let analyze_ms = 1000.0 *. (now () -. t0) in
+            let flow_ms = 1000.0 *. (now () -. t0) in
             let a =
               match f.Flow.stats.Flow.triage with
               | Some a -> a
@@ -2061,11 +2055,17 @@ let analyze_bench () =
                   Printf.eprintf "analyze bench: %s: no triage verdict\n" name;
                   exit 1
             in
+            (* The predictor alone, on the problem the flow triaged: the
+               flow's own time (place, triage, groute, route) is
+               [flow_ms]. *)
+            let t0 = now () in
+            ignore (Analyze.run f.Flow.realized : Analyze.t);
+            let analyze_ms = 1000.0 *. (now () -. t0) in
             let actual_ovf =
               groute_overflow_fraction f.Flow.stats.Flow.groute
             in
-            row ~name ~problem:f.Flow.realized ~a ~analyze_ms ~actual_ovf
-              ~route:(Some f.Flow.result) ~identical:true
+            row ~flow_ms ~name ~problem:f.Flow.realized ~a ~analyze_ms
+              ~actual_ovf ~route:(Some f.Flow.result) ~identical:true ()
       end)
     flows;
   Util.Table.print table;

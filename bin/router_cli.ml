@@ -240,9 +240,11 @@ let route_cmd =
     | Ok problem ->
         Format.printf "%a@." Netlist.Problem.pp problem;
         Format.printf "config: %s@." (Router.Config.describe config);
-        let t0 = Unix.gettimeofday () in
+        let t0 = Monotonic_clock.now () in
         let result = Router.Engine.route ~config problem in
-        let elapsed = Unix.gettimeofday () -. t0 in
+        let elapsed =
+          Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+        in
         Format.printf "completed: %b  (%.3fs)@." result.Router.Engine.completed
           elapsed;
         Format.printf "%a@." Router.Engine.pp_stats result.Router.Engine.stats;

@@ -57,6 +57,9 @@ type state = {
   cache : cache_entry option array;
   guides : Geom.Rect.t option array;
       (* per net index: global-route guide window; empty array = unguided *)
+  heuristic : Maze.Search.heuristic;
+  window : Maze.Search.window;  (* the configured, unguided search window *)
+  tally : Maze.Search.guide_tally;  (* guide hits and fallbacks *)
   mutable rips_left : int;
   mutable rips : int;
   mutable shoves : int;
@@ -73,8 +76,6 @@ type state = {
   mutable wasted_expanded : int;
   mutable cache_hits : int;
   mutable cache_stale : int;
-  mutable guide_hits : int;
-  mutable guide_fallbacks : int;
 }
 
 let is_protected st n = Bytes.get st.protected n <> '\000'
@@ -134,6 +135,12 @@ let make_state config problem ~budget ~chaos ~guides =
     hard = Array.make nets false;
     cache = Array.make nets None;
     guides;
+    heuristic = (if config.Config.use_astar then Maze.Search.L1 else Zero);
+    window =
+      (match config.Config.window_margin with
+      | Some m -> Maze.Search.Margin m
+      | None -> Full);
+    tally = { Maze.Search.hits = 0; fallbacks = 0 };
     rips_left = config.Config.rip_budget_factor * max 1 nets;
     rips = 0;
     shoves = 0;
@@ -150,8 +157,6 @@ let make_state config problem ~budget ~chaos ~guides =
     wasted_expanded = 0;
     cache_hits = 0;
     cache_stale = 0;
-    guide_hits = 0;
-    guide_fallbacks = 0;
   }
 
 let enqueue st id =
@@ -175,16 +180,21 @@ let passable_penalized st ~net n =
   else
     Some (st.config.Config.ripup_penalty * (1 + st.rip_count.(v - 1)))
 
+(* The standard-mode search window of a net: a probe of its global-route
+   guide, tallied into [tally], when it has one; the configured window
+   otherwise. *)
+let standard_window st ~tally net =
+  match if Array.length st.guides = 0 then None else st.guides.(net - 1) with
+  | Some rect -> Maze.Search.Guide { rect; tally }
+  | None -> st.window
+
 (* A search under a tripped budget is skipped outright; a live budget is
-   threaded into the search core as a cooperative stop hook.  The budget's
+   threaded into the search as a cooperative stop hook.  The budget's
    expansion ledger also charges failed and aborted searches (via the
    hook's high-water mark, so within one polling interval of exact),
    whereas the engine's own stats keep their historical meaning of
    "expansions of successful searches". *)
-let guide_for st net =
-  if Array.length st.guides = 0 then None else st.guides.(net - 1)
-
-let run_search st ~phase ~net ?guide ~passable ~sources ~targets () =
+let run_search st ~phase ~net ~window ~passable ~sources ~targets () =
   if Budget.check st.budget <> None then None
   else if Chaos.fail_search st.chaos then begin
     st.searches <- st.searches + 1;
@@ -193,8 +203,6 @@ let run_search st ~phase ~net ?guide ~passable ~sources ~targets () =
   end
   else begin
     st.searches <- st.searches + 1;
-    let kernel = st.config.Config.kernel
-    and window = st.config.Config.window_margin in
     let high_water = ref 0 in
     let stop =
       match Budget.stop_hook st.budget with
@@ -205,37 +213,12 @@ let run_search st ~phase ~net ?guide ~passable ~sources ~targets () =
               high_water := in_flight;
               f in_flight)
     in
-    let search =
-      match guide with
-      | Some rect ->
-          (* Guided standard-phase search: certified probe or unwindowed
-             fallback ([Maze.Route.guided_search]); the tally transfer
-             keeps hit/fallback counters jobs-invariant because the
-             speculative commit path replays the same per-connection
-             tallies. *)
-          fun g ws ~cost ~passable ~sources ~targets () ->
-            let tally = Maze.Route.no_tally () in
-            let r =
-              Maze.Route.guided_search
-                ~use_astar:st.config.Config.use_astar ~kernel ~guide:rect
-                ?stop ~memo:st.config.Config.incremental ~tally g ws ~cost
-                ~passable ~sources ~targets ()
-            in
-            st.guide_hits <- st.guide_hits + tally.Maze.Route.ghits;
-            st.guide_fallbacks <-
-              st.guide_fallbacks + tally.Maze.Route.gfallbacks;
-            r
-      | None ->
-          if st.config.Config.use_astar then
-            (* The heuristic-transform memo is value-exact, so gating it on
-               [incremental] only changes speed, never results. *)
-            Maze.Search.run_astar ~kernel ?window ?stop
-              ~memo:st.config.Config.incremental
-          else Maze.Search.run ~kernel ?window ?stop
-    in
+    (* The heuristic-transform memo is value-exact, so gating it on
+       [incremental] only changes speed, never results. *)
     let result =
-      search st.g st.ws ~cost:st.config.Config.cost ~passable ~sources
-        ~targets ()
+      Maze.Search.run ~kernel:st.config.Config.kernel ~heuristic:st.heuristic
+        ~window ?stop ~memo:st.config.Config.incremental st.g st.ws
+        ~cost:st.config.Config.cost ~passable ~sources ~targets ()
     in
     Budget.note_search st.budget;
     (match result with
@@ -277,7 +260,7 @@ let foreign_owners st ~net path =
    cell sideways, report whether anything moved. *)
 let weak_pass st ~net ~sources ~targets =
   match
-    run_search st ~phase:Weak ~net
+    run_search st ~phase:Weak ~net ~window:st.window
       ~passable:(passable_penalized st ~net)
       ~sources ~targets ()
   with
@@ -307,7 +290,7 @@ let weak_pass st ~net ~sources ~targets =
 let connect st ~net ~sources ~targets =
   let standard () =
     run_search st ~phase:Maze ~net
-      ?guide:(guide_for st net)
+      ~window:(standard_window st ~tally:st.tally net)
       ~passable:(passable_block st ~net)
       ~sources ~targets ()
   in
@@ -331,7 +314,7 @@ let connect st ~net ~sources ~targets =
       | None ->
           if st.config.Config.enable_strong && st.rips_left > 0 then
             match
-              run_search st ~phase:Strong ~net
+              run_search st ~phase:Strong ~net ~window:st.window
                 ~passable:(passable_penalized st ~net)
                 ~sources ~targets ()
             with
@@ -513,8 +496,8 @@ let attempt_net st id =
    The plan's guide tally is replayed for the same reason. *)
 let commit_spec st id segs tally =
   let i = id - 1 in
-  st.guide_hits <- st.guide_hits + tally.Maze.Route.ghits;
-  st.guide_fallbacks <- st.guide_fallbacks + tally.Maze.Route.gfallbacks;
+  st.tally.hits <- st.tally.hits + tally.Maze.Search.hits;
+  st.tally.fallbacks <- st.tally.fallbacks + tally.Maze.Search.fallbacks;
   let session = ref [] in
   List.iter
     (fun (path, e) ->
@@ -655,13 +638,11 @@ let speculate st ~stop ws id =
         in_flight > cap
         || match stop with Some f -> f in_flight | None -> false)
   in
-  let tally = Maze.Route.no_tally () in
+  let tally = { Maze.Search.hits = 0; fallbacks = 0 } in
   let plan =
-    Maze.Route.plan_net ~use_astar:st.config.Config.use_astar
-      ~kernel:st.config.Config.kernel ?window:st.config.Config.window_margin
-      ?stop ~memo:st.config.Config.incremental
-      ?guide:(guide_for st id) ~tally st.g ws
-      ~cost:st.config.Config.cost
+    Maze.Route.plan_net ~kernel:st.config.Config.kernel
+      ~heuristic:st.heuristic ~window:(standard_window st ~tally id) ?stop
+      ~memo:st.config.Config.incremental st.g ws ~cost:st.config.Config.cost
       ~passable:(passable_block st ~net:id)
       net
   in
@@ -792,8 +773,8 @@ let route_once config problem order_ids ~budget ~chaos ~pool ~guides =
             Array.fold_left
               (fun acc g -> if g = None then acc else acc + 1)
               0 st.guides;
-          hits = st.guide_hits;
-          fallbacks = st.guide_fallbacks;
+          hits = st.tally.Maze.Search.hits;
+          fallbacks = st.tally.Maze.Search.fallbacks;
         };
     }
   in

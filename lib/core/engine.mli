@@ -88,10 +88,11 @@ val route :
 
     [guides] (per net index, [None] entries unguided) restricts each
     guided net's standard-phase searches to its guide rectangle via the
-    certified probe of {!Maze.Search.run_guided}: a certified probe is
-    pop-order identical to the full search, an uncertified one falls back
-    to the full window — so the layout is byte-identical to the same run
-    without guides, guided or not, at every jobs value.  Requires
+    certified probe of {!Maze.Search.run}'s {!Maze.Search.Guide} window: a
+    certified probe is pop-order identical to the full search, an
+    uncertified one falls back to the full window — so the layout is
+    byte-identical to the same run without guides, guided or not, at
+    every jobs value.  Requires
     [config.kernel = Buckets] and [config.window_margin = None] (raises
     [Invalid_argument] otherwise); escalation searches are never guided. *)
 

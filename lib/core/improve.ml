@@ -17,17 +17,6 @@ type stats = {
    sharpness/size trade-off: the escape bound keeps any margin sound. *)
 let field_margin = 4
 
-(* The refine planner: windowed A* over the bucket queue.  Cost-exact
-   versus a full-grid search (the window widens and retries on failure),
-   while keeping each visit's read region — and with it the recorded
-   certificate — local, so a write elsewhere does not invalidate it. *)
-let plan_use_astar = true
-
-let plan_kernel = Maze.Search.Buckets
-
-let plan_window = 4
-
-
 let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
     ?cache problem g =
   let nets_total = Netlist.Problem.net_count problem in
@@ -309,9 +298,15 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
       else begin
         Maze.Workspace.clear_touched ws;
         incr planned;
+        (* The planner is windowed A* over the bucket queue: cost-exact
+           versus a full-grid search (the window widens and retries until
+           its result is provably optimal), while keeping each visit's
+           read region — and with it the recorded certificate — local, so
+           a write elsewhere does not invalidate it. *)
         match
-          Maze.Route.plan_net ~use_astar:plan_use_astar ~kernel:plan_kernel
-            ~window:plan_window ~memo:incremental g ws ~cost ~passable netdef
+          Maze.Route.plan_net ~kernel:Maze.Search.Buckets
+            ~heuristic:Maze.Search.L1 ~window:(Maze.Search.Margin 4)
+            ~memo:incremental g ws ~cost ~passable netdef
         with
         | None ->
             record_cert ();

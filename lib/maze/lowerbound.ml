@@ -18,8 +18,9 @@
    Admissibility is the whole contract: the field never over-estimates
    the in-window distance, so it serves both as an A* heuristic for a
    window-restricted search and — combined with the window-escape bound
-   of [Search.with_window] — as a global lower bound on any route cost,
-   which is how [Core.Improve] skips provably-unimprovable nets. *)
+   of [Search.run]'s [Margin] window — as a global lower bound on any
+   route cost, which is how [Core.Improve] skips provably-unimprovable
+   nets. *)
 
 let inf_cost = max_int / 256
 
@@ -62,7 +63,7 @@ let value t g n =
    B(m) <- min(B(m), step(m->n) + penalty(n) + B(n)).  Backward edges
    mirror the forward search exactly: four planar steps on [n]'s layer
    plus the via steps from the adjacent layers; the entry penalty of the
-   stepped-into node is charged, matching [Search.core]'s relax. *)
+   stepped-into node is charged, matching the relax of [Search.run]. *)
 let relax_into t g ~passable ~layer ~x ~y d =
   match passable (Grid.node g ~layer ~x ~y) with
   | None -> ()
@@ -186,10 +187,10 @@ let bound t g ~source =
   else begin
     (* Any source-to-target path that leaves the window strays at least
        [margin + 1] planar steps beyond the pin bounding box and back
-       (the [Search.with_window] optimality argument), so it costs at
-       least wire × (L1 + 2(margin+1)); a path staying inside the window
-       costs at least the field value.  The min of the two is a sound
-       global lower bound. *)
+       (the optimality argument of [Search.run]'s [Margin] window), so it
+       costs at least wire × (L1 + 2(margin+1)); a path staying inside the
+       window costs at least the field value.  The min of the two is a
+       sound global lower bound. *)
     let escape = t.cost.Cost.wire * (min_l1 + (2 * (t.margin + 1))) in
     let inside =
       if in_win t ~x:sx ~y:sy then

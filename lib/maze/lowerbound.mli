@@ -14,7 +14,7 @@
     over-estimates, which makes it simultaneously
 
     - a tighter-than-L1 admissible A* heuristic for window-restricted
-      searches ({!Search.run_astar_lb}), and
+      searches ({!Search.run} with the {!Search.Field} heuristic), and
     - combined with the window-escape bound, a sound global lower bound
       on any route cost ({!bound}) — the skip oracle of [Core.Improve]. *)
 

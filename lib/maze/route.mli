@@ -1,11 +1,11 @@
 (** Net-level routing: connect all pins of a net into one tree.
 
-    [route_net] is the plain (non-destructive) sequential router used both as
-    the inner step of the full rip-up router and, standalone, as the
-    "one-shot maze router" baseline of the experiments.  Pins are joined
-    Prim-style: each search connects the grown tree to its nearest
-    still-unconnected pin, which yields reasonable Steiner trees without a
-    separate topology phase. *)
+    Pins are joined Prim-style: each {!Search.run} connects the grown tree
+    to its nearest still-unconnected pin, which yields reasonable Steiner
+    trees without a separate topology phase.  [plan_net] runs those
+    searches read-only (the speculative engine, refine's planner);
+    [route_net] plans and then occupies the planned paths (the workload
+    generators' witness routes, test and bench harnesses). *)
 
 type failure = {
   failed_net : int;
@@ -33,69 +33,36 @@ val release_nodes : Grid.t -> int list -> unit
 
 val pin_node : Grid.t -> Netlist.Net.pin -> int
 
-(** Hit/fallback counters of guided connections, accumulated by
-    {!plan_net} (and the engine's sequential twin) so speculative commits
-    can replay exactly the counters a sequential run would produce. *)
-type guide_tally = { mutable ghits : int; mutable gfallbacks : int }
-
-val no_tally : unit -> guide_tally
-
-val guided_search :
-  use_astar:bool ->
-  kernel:Search.kernel ->
-  guide:Geom.Rect.t ->
-  ?stop:(int -> bool) ->
-  memo:bool ->
-  tally:guide_tally ->
-  Grid.t ->
-  Workspace.t ->
-  cost:Cost.t ->
-  passable:(int -> int option) ->
-  sources:int list ->
-  targets:int list ->
-  unit ->
-  Search.result option
-(** One standard-phase connection search under a guide rectangle: a
-    certified probe ({!Search.run_guided}) stands in for the full search
-    — pop-order identical, byte-identical path — and counts a hit; an
-    uncertified probe re-runs unwindowed with the probe's expansions
-    folded in as waste and counts a fallback.  A certified in-window
-    exhaustion (no rejected escape) returns [None] without a re-run: the
-    full search provably fails identically.  The byte-identity contract
-    requires the {!Search.Buckets} kernel. *)
-
 val plan_net :
-  ?use_astar:bool ->
   ?kernel:Search.kernel ->
-  ?window:int ->
+  ?heuristic:Search.heuristic ->
+  ?window:Search.window ->
   ?stop:(int -> bool) ->
   ?memo:bool ->
-  ?guide:Geom.Rect.t ->
-  ?tally:guide_tally ->
   Grid.t ->
   Workspace.t ->
   cost:Cost.t ->
   passable:(int -> int option) ->
   Netlist.Net.t ->
   (Grid.Path.t * int) list option
-(** Read-only twin of a standard (non-escalating) net route: runs the same
-    Prim-style connection searches against the current grid but never
-    occupies anything.  Returns the connection paths in order, each with
-    its expansion count (including discarded windowed probes), or [None]
-    if some connection fails or is aborted by [stop].  Because free and
-    self-owned cells are indistinguishable to the standard passability,
-    the searches — and thus the paths — are exactly those a mutating run
-    from the same grid state would produce.  The speculative parallel
-    engine runs this on worker domains and commits the recorded paths
-    later.  [guide] switches every connection to the guided
-    probe/fallback protocol of {!guided_search} (ignoring [window]),
-    accumulating into [tally]. *)
+(** Read-only twin of a standard (non-escalating) net route: runs the
+    Prim-style connection searches of {!route_net} against the current
+    grid but never occupies anything.  Returns the connection paths in
+    order, each with its expansion count (including discarded windowed
+    and guide probes), or [None] if some connection fails or is aborted
+    by [stop].  When [passable] prices free and self-owned cells alike
+    (as {!passable_default} does), the searches — and thus the paths —
+    are exactly those a mutating run from the same grid state would
+    produce.  The speculative parallel engine runs this on worker domains
+    and commits the recorded paths later.  The search parameters are
+    forwarded to every {!Search.run}; a {!Search.Guide} window tallies
+    every connection's probe. *)
 
 val route_net :
   ?passable:(int -> int option) ->
-  ?use_astar:bool ->
   ?kernel:Search.kernel ->
-  ?window:int ->
+  ?heuristic:Search.heuristic ->
+  ?window:Search.window ->
   ?stop:(int -> bool) ->
   ?memo:bool ->
   Grid.t ->
@@ -103,10 +70,11 @@ val route_net :
   cost:Cost.t ->
   Netlist.Net.t ->
   (success, failure) Stdlib.result
-(** Connect all pins of the net on the grid.  On success the grid is
-    updated; on failure the grid is restored to its prior state.  Nets with
-    fewer than two pins succeed trivially.  [passable] defaults to
-    {!passable_default} (it must never price foreign cells if the result is
-    to be committed directly).  [kernel], [window], [stop] and [memo] are
-    forwarded to the underlying {!Search} runs; an aborted search counts as
-    a failed connection, and the partial net is released as usual. *)
+(** Connect all pins of the net on the grid: {!plan_net}, then occupy the
+    planned paths.  On success the grid is updated; on failure (a
+    connection found no path, or [stop] aborted it) the grid is left
+    untouched.  Nets with fewer than two pins succeed trivially.
+    [passable] defaults to {!passable_default}; it must price free and
+    self-owned cells alike (planning does not occupy between
+    connections), and must never price foreign cells if the result is to
+    be committed directly. *)

@@ -4,6 +4,15 @@ type kernel = Binary_heap | Buckets
 
 let kernel_name = function Binary_heap -> "heap" | Buckets -> "buckets"
 
+type heuristic = Zero | L1 | Field of Lowerbound.t
+
+type guide_tally = { mutable hits : int; mutable fallbacks : int }
+
+type window =
+  | Full
+  | Margin of int
+  | Guide of { rect : Geom.Rect.t; tally : guide_tally }
+
 (* Inclusive search window in planar coordinates. *)
 type win = { x0 : int; y0 : int; x1 : int; y1 : int }
 
@@ -17,24 +26,33 @@ let backtrace ws target =
   in
   loop target []
 
-(* Core loop shared by Dijkstra ([heuristic] constant 0) and A*.  The
-   frontier holds [g + h] priorities; [dist] holds settled/tentative [g].
-   Both kernels drive the same loop through monomorphic int closures, so
-   their relative cost is purely the queue discipline: the binary heap pays
-   O(log n) per operation, the bucket queue O(1) (edge costs are small
-   bounded ints — the ideal Dial case; the A* heuristic is consistent, so
-   popped priorities stay monotone and the bucket span stays small).
-   Returns the expansion count even on failure so windowed retries can
-   account for wasted effort.
+(* The [Zero] heuristic: plain Dijkstra. *)
+let zero _ = 0
 
-   [stop] is the cooperative cancellation hook: polled every 64 expansions
-   with the in-flight expansion count, and when it answers [true] the
-   search aborts, reporting the abort distinctly from exhaustion so a
-   windowed caller gives up instead of widening and retrying. *)
+(* The one expansion loop behind [run].  The frontier holds [g + h]
+   priorities; [dist] holds settled/tentative [g].  Both kernels drive the
+   same loop through monomorphic int closures, so their relative cost is
+   purely the queue discipline: the binary heap pays O(log n) per
+   operation, the bucket queue O(1) (edge costs are small bounded ints —
+   the ideal Dial case; the A* heuristic is consistent, so popped
+   priorities stay monotone and the bucket span stays small).
+
+   [win] restricts the search: relaxations into nodes outside it are
+   rejected, and with [escape] each rejected relaxation is priced as the
+   frontier key [g + step + penalty + escape n] it would have had in the
+   full search, the minimum returned as [f_min_out] ([max_int] when
+   nothing was priced).
+
+   Returns the expansion count even on failure so windowed retries can
+   account for wasted effort.  [stop] is the cooperative cancellation
+   hook: polled every 64 expansions with the in-flight expansion count,
+   and when it answers [true] the search aborts, reporting the abort
+   distinctly from exhaustion so a windowed caller gives up instead of
+   widening and retrying. *)
 let stop_interval = 64
 
-let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win ~stop
-    () =
+let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
+    ~escape ~stop =
   Workspace.begin_search ws;
   let push, pop, has_more =
     match kernel with
@@ -64,14 +82,6 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win ~stop
           ~prefers_h:(Grid.prefers_horizontal g ~layer:l)
           ~horizontal:false)
   in
-  let windowed = win.x0 > 0 || win.y0 > 0 || win.x1 < w - 1 || win.y1 < h - 1 in
-  let passable =
-    if not windowed then passable
-    else fun n ->
-      let x = Grid.node_x g n and y = Grid.node_y g n in
-      if x < win.x0 || x > win.x1 || y < win.y0 || y > win.y1 then None
-      else passable n
-  in
   List.iter (fun t -> Workspace.mark ws t) targets;
   List.iter
     (fun s ->
@@ -84,6 +94,7 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win ~stop
   let expanded = ref 0 in
   let found = ref None in
   let aborted = ref false in
+  let f_min_out = ref max_int in
   (* Per-layer bbox of expanded nodes, merged into the workspace's
      touched accumulator at loop exit (so failed and aborted searches are
      covered too).  Small per-layer arrays keep the hot loop
@@ -95,16 +106,34 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win ~stop
     | None -> fun _ -> false
     | Some f -> fun n -> n land (stop_interval - 1) = 0 && f n
   in
+  (* One relax, called directly: a full-grid search skips the window
+     test on a loop-invariant flag and never prices an escape. *)
+  let full = win.x0 = 0 && win.y0 = 0 && win.x1 = w - 1 && win.y1 = h - 1 in
+  let in_window n =
+    let x = Grid.node_x g n and y = Grid.node_y g n in
+    x >= win.x0 && x <= win.x1 && y >= win.y0 && y <= win.y1
+  in
   let relax from gscore n extra =
-    match passable n with
-    | None -> ()
-    | Some penalty ->
-        let nd = gscore + extra + penalty in
-        if nd < Workspace.dist ws n then begin
-          Workspace.set_dist ws n nd;
-          Workspace.set_parent ws n from;
-          push (nd + heuristic n) n
-        end
+    if full || in_window n then begin
+      match passable n with
+      | None -> ()
+      | Some penalty ->
+          let nd = gscore + extra + penalty in
+          if nd < Workspace.dist ws n then begin
+            Workspace.set_dist ws n nd;
+            Workspace.set_parent ws n from;
+            push (nd + heuristic n) n
+          end
+    end
+    else
+      match escape with
+      | None -> ()
+      | Some h_out -> (
+          match passable n with
+          | None -> ()
+          | Some penalty ->
+              let key = gscore + extra + penalty + h_out n in
+              if key < !f_min_out then f_min_out := key)
   in
   while !found = None && (not !aborted) && has_more () do
     let prio, n = pop () in
@@ -141,7 +170,7 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win ~stop
       Workspace.note_touched ws ~layer:l ~x0:tx0.(l) ~y0:ty0.(l) ~x1:tx1.(l)
         ~y1:ty1.(l)
   done;
-  (!found, !expanded, !aborted)
+  (!found, !expanded, !aborted, !f_min_out)
 
 (* Bounding box of the endpoint sets, in planar coordinates. *)
 let bbox g nodes =
@@ -152,11 +181,11 @@ let bbox g nodes =
     (max_int, max_int, min_int, min_int)
     nodes
 
-(* Run [attempt] restricted to the endpoints' bounding box grown by
-   [margin] cells, widening geometrically and retrying until the window
-   covers the whole grid — the standard detailed-routing pruning: almost
-   every connection fits its bbox plus a small margin, and the rare detour
-   pays one cheap failed probe.
+(* The [Margin] policy: run [attempt] restricted to the endpoints'
+   bounding box grown by [margin] cells, widening geometrically and
+   retrying until the window covers the whole grid — the standard
+   detailed-routing pruning: almost every connection fits its bbox plus a
+   small margin, and the rare detour pays one cheap failed probe.
 
    The windowed result is kept only when it is provably globally optimal:
    any path that leaves the window must stray at least [margin + 1] planar
@@ -167,65 +196,112 @@ let bbox g nodes =
    failure.  Windowed searches therefore return exactly the unwindowed
    cost, and the expansion count of discarded probes is charged to the
    final result so effort metrics stay honest. *)
-let with_window g ~window ~wire ~sources ~targets attempt =
+let widen g ~margin ~wire ~sources ~targets attempt =
   let full = full_win g in
-  let first (r, _, _) = r in
-  match window with
-  | None -> first (attempt full)
-  | Some margin ->
-      if sources = [] || targets = [] then first (attempt full)
-      else begin
-        let bx0, by0, bx1, by1 = bbox g (List.rev_append sources targets) in
-        let min_l1 =
+  if sources = [] || targets = [] then
+    let r, _, _, _ = attempt full in
+    r
+  else begin
+    let bx0, by0, bx1, by1 = bbox g (List.rev_append sources targets) in
+    let min_l1 =
+      List.fold_left
+        (fun acc s ->
+          let sx = Grid.node_x g s and sy = Grid.node_y g s in
           List.fold_left
-            (fun acc s ->
-              let sx = Grid.node_x g s and sy = Grid.node_y g s in
-              List.fold_left
-                (fun acc t ->
-                  min acc
-                    (abs (sx - Grid.node_x g t) + abs (sy - Grid.node_y g t)))
-                acc targets)
-            max_int sources
-        in
-        let clip m =
-          {
-            x0 = max 0 (bx0 - m);
-            y0 = max 0 (by0 - m);
-            x1 = min full.x1 (bx1 + m);
-            y1 = min full.y1 (by1 + m);
-          }
-        in
-        let rec loop m wasted =
-          let win = clip m in
-          let optimal r =
-            win = full
-            || r.total_cost <= wire * (min_l1 + (2 * (m + 1)))
-          in
-          match attempt win with
-          | Some r, _, _ when optimal r ->
-              Some { r with expanded = r.expanded + wasted }
-          | Some r, _, _ -> loop ((2 * m) + 4) (wasted + r.expanded)
-          (* Aborted probe: the budget tripped mid-search — give up
-             instead of widening, the caller is unwinding anyway. *)
-          | None, _, true -> None
-          | None, expanded, false ->
-              if win = full then None
-              else loop ((2 * m) + 4) (wasted + expanded)
-        in
-        loop (max 0 margin) 0
-      end
+            (fun acc t ->
+              min acc (abs (sx - Grid.node_x g t) + abs (sy - Grid.node_y g t)))
+            acc targets)
+        max_int sources
+    in
+    let clip m =
+      {
+        x0 = max 0 (bx0 - m);
+        y0 = max 0 (by0 - m);
+        x1 = min full.x1 (bx1 + m);
+        y1 = min full.y1 (by1 + m);
+      }
+    in
+    let rec loop m wasted =
+      let win = clip m in
+      let optimal r =
+        win = full || r.total_cost <= wire * (min_l1 + (2 * (m + 1)))
+      in
+      match attempt win with
+      | Some r, _, _, _ when optimal r ->
+          Some { r with expanded = r.expanded + wasted }
+      | Some r, _, _, _ -> loop ((2 * m) + 4) (wasted + r.expanded)
+      (* Aborted probe: the budget tripped mid-search — give up instead
+         of widening, the caller is unwinding anyway. *)
+      | None, _, true, _ -> None
+      | None, expanded, false, _ ->
+          if win = full then None else loop ((2 * m) + 4) (wasted + expanded)
+    in
+    loop (max 0 margin) 0
+  end
 
-let run ?(kernel = Binary_heap) ?window ?stop g ws ~cost ~passable ~sources
-    ~targets () =
-  with_window g ~window ~wire:cost.Cost.wire ~sources ~targets (fun win ->
-      core g ws ~kernel ~cost ~passable ~sources ~targets
-        ~heuristic:(fun _ -> 0)
-        ~win ~stop ())
+(* The [Guide] policy: one probe of the guide window (hulled with the
+   endpoints and clipped to the grid), certified {e pop-order identical}
+   to the full search — not merely equal in cost, byte-identical in path.
 
-(* Precompute the A* heuristic — L1 distance to the nearest target, times
-   the cheapest planar step — as a flat int array over the window with a
-   two-pass distance transform: O(window) total, independent of the target
-   count, replacing the former per-relax fold over the target list.
+   The certificate: every relaxation the window rejects is a frontier
+   entry the full search would have considered; its key would have been
+   [g + step + penalty + h].  The probe prices each such entry ([escape])
+   and keeps the minimum, [f_min_out].  If the target pops at cost [c*]
+   with [f_min_out > c*] (strictly), then in the full search every
+   out-of-window entry sits in a priority bucket strictly above [c*]: the
+   full run pops the exact same node sequence and terminates at the same
+   target pop, with the same parents — the same path, the same expansion
+   count.  The strict inequality matters because the Dial bucket queue
+   ([Buckets]) is LIFO within one bucket: an out-of-window entry sharing
+   bucket [c*] could pop first.  The argument relies on bucket content
+   identity and therefore holds for the [Buckets] kernel only — a binary
+   heap's tie-breaking depends on the shape of the whole heap, which the
+   extra out-of-window entries perturb.  An exhausted probe without one
+   rejected escape is certified too: every reachable passable node lies
+   in-window, so the full search fails identically.  A hulled window
+   covering the grid (or a degenerate endpoint set) makes the probe the
+   full search itself, trivially certified.
+
+   A certified probe counts a hit and stands in for the full search.  An
+   uncertified one counts a fallback: the full search runs, with the
+   probe's expansions charged as waste.  An aborted probe counts neither
+   and gives up. *)
+let guided g ~rect ~tally ~sources ~targets attempt =
+  let full = full_win g in
+  let win =
+    if sources = [] || targets = [] then full
+    else
+      let bx0, by0, bx1, by1 = bbox g (List.rev_append sources targets) in
+      {
+        x0 = max 0 (min bx0 rect.Geom.Rect.x0);
+        y0 = max 0 (min by0 rect.Geom.Rect.y0);
+        x1 = min full.x1 (max bx1 rect.Geom.Rect.x1);
+        y1 = min full.y1 (max by1 rect.Geom.Rect.y1);
+      }
+  in
+  let found, expanded, aborted, f_min_out = attempt win in
+  let certified =
+    match found with
+    | Some r -> f_min_out > r.total_cost
+    | None -> f_min_out = max_int
+  in
+  if aborted then None
+  else if certified then begin
+    tally.hits <- tally.hits + 1;
+    found
+  end
+  else begin
+    tally.fallbacks <- tally.fallbacks + 1;
+    match attempt full with
+    | Some r, _, _, _ -> Some { r with expanded = r.expanded + expanded }
+    | None, _, _, _ -> None
+  end
+
+(* The [L1] heuristic: L1 distance to the nearest target, times the
+   cheapest planar step, precomputed as a flat int array over the window
+   with a two-pass distance transform: O(window) total, independent of the
+   target count.  A two-pass chamfer over any rectangle containing all
+   targets is exact, so the values are window-independent.
 
    The transform is a pure function of (planar targets, window, wire): it
    never reads grid occupancy.  With [memo] the workspace's stored key is
@@ -234,7 +310,7 @@ let run ?(kernel = Binary_heap) ?window ?stop g ws ~cost ~passable ~sources
    target set) or a retry sweep skip the O(window) rebuild.  The key is
    always (re)stamped on compute, so memoized and unmemoized callers can
    interleave safely. *)
-let build_heuristic ?(memo = false) g ws ~wire ~targets ~win =
+let build_heuristic ~memo g ws ~wire ~targets ~win =
   let w = Grid.width g in
   let hf = Workspace.hfield ws in
   let tplanar = List.map (fun t -> Grid.planar g t) targets in
@@ -270,253 +346,55 @@ let build_heuristic ?(memo = false) g ws ~wire ~targets ~win =
   end;
   fun n -> wire * hf.(Grid.planar g n)
 
-let run_astar ?(kernel = Binary_heap) ?window ?stop ?(memo = false) g ws
-    ~cost ~passable ~sources ~targets () =
+(* The [L1] heuristic of a node outside the transform's window, where the
+   field was never written: computed directly against the targets. *)
+let l1_direct g ~wire ~targets =
+  let tplanar =
+    List.map (fun t -> (Grid.node_x g t, Grid.node_y g t)) targets
+  in
+  fun n ->
+    let x = Grid.node_x g n and y = Grid.node_y g n in
+    wire
+    * List.fold_left
+        (fun acc (tx, ty) -> min acc (abs (x - tx) + abs (y - ty)))
+        max_int tplanar
+
+let run ?(kernel = Binary_heap) ?(heuristic = Zero) ?(window = Full) ?stop
+    ?(memo = false) g ws ~cost ~passable ~sources ~targets () =
   let wire = cost.Cost.wire in
-  with_window g ~window ~wire ~sources ~targets (fun win ->
-      let heuristic = build_heuristic ~memo g ws ~wire ~targets ~win in
-      core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
-        ~stop ())
-
-(* A* with a precomputed lower-bound field as the heuristic.  The field
-   is admissible for searches restricted to its window (it never
-   over-estimates the in-window cost-to-target), so the search runs
-   window-restricted with no widening: the returned cost is the exact
-   windowed optimum — equal to the global optimum whenever the window
-   covers the whole grid (how the exactness tests drive it).  Nodes the
-   field proves cannot reach a target inside the window are pruned
-   outright.  A repaired (stale-low) field is still admissible, merely
-   less sharp; the core tolerates the resulting inconsistency by
-   re-expansion. *)
-let run_astar_lb ?(kernel = Binary_heap) ?stop g ws ~lb ~cost ~passable
-    ~sources ~targets () =
-  let r = Lowerbound.window lb in
-  let win =
-    { x0 = r.Geom.Rect.x0; y0 = r.Geom.Rect.y0;
-      x1 = r.Geom.Rect.x1; y1 = r.Geom.Rect.y1 }
+  (* What the heuristic contributes: in-window priorities for an attempt
+     window, the pricing of rejected escapes, and — for a field — the
+     pruning of nodes it proves cannot reach a target (everything outside
+     its window among them), sources included. *)
+  let at_window, escape, passable, sources =
+    match heuristic with
+    | Zero -> ((fun _ -> zero), (fun () -> zero), passable, sources)
+    | L1 ->
+        ( (fun win -> build_heuristic ~memo g ws ~wire ~targets ~win),
+          (fun () -> l1_direct g ~wire ~targets),
+          passable,
+          sources )
+    | Field lb ->
+        let h n = Lowerbound.value lb g n in
+        let reaches n = h n < Lowerbound.inf_cost in
+        ( (fun _ -> h),
+          (fun () -> h),
+          (fun n -> if reaches n then passable n else None),
+          List.filter reaches sources )
   in
-  let heuristic n = Lowerbound.value lb g n in
-  let passable n =
-    if Lowerbound.value lb g n >= Lowerbound.inf_cost then None
-    else passable n
+  let attempt ~escape win =
+    core g ws ~kernel ~cost ~passable ~sources ~targets
+      ~heuristic:(at_window win) ~win ~escape ~stop
   in
-  let sources =
-    List.filter (fun s -> Lowerbound.value lb g s < Lowerbound.inf_cost) sources
-  in
-  if sources = [] then None
-  else
-    let found, _, _ =
-      core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
-        ~stop ()
-    in
-    found
-
-(* --- guided search ---------------------------------------------------
-
-   A guide is a rectangle a global router believes the net's route stays
-   inside.  [run_guided] searches only the guide window (hulled with the
-   endpoints, which must be coverable) and certifies whether the result
-   is {e pop-order identical} to what the unwindowed search would have
-   produced — not merely equal in cost, byte-identical in path.
-
-   The certificate: every relaxation the window rejects is a frontier
-   entry the full search would have considered; its key would have been
-   [g + step + penalty + h].  We track the minimum such would-be key,
-   [f_min_out].  If the target pops at cost [c*] with [f_min_out > c*]
-   (strictly), then in the full search every out-of-window entry sits in
-   a priority bucket strictly above [c*]: the full run pops the exact
-   same node sequence and terminates at the same target pop, with the
-   same parents — the same path, the same expansion count.  The strict
-   inequality matters because the Dial bucket queue ({!Buckets}) is LIFO
-   within one bucket: an out-of-window entry sharing bucket [c*] could
-   pop first.  The argument relies on bucket content identity and
-   therefore holds for the [Buckets] kernel only — a binary heap's
-   tie-breaking depends on the shape of the whole heap, which the extra
-   out-of-window entries perturb.  Callers wanting the byte-identity
-   contract must route with [Buckets] (the flow pipeline forces it).
-
-   The in-window heuristic is the same exact-L1 transform the full
-   search uses (a two-pass chamfer over any rectangle containing all
-   targets is exact, so the values are window-independent); rejected
-   nodes fall outside the transform's window and get their L1 computed
-   directly against the planar target list. *)
-
-type guided = {
-  g_result : result option;
-  g_expanded : int;
-  g_aborted : bool;
-  g_certified : bool;
-}
-
-(* [core] with the window test moved inside the relaxation so rejected
-   escapes can be priced.  [h_out] prices the heuristic of nodes outside
-   the window (where the hfield was never written). *)
-let core_escape g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic
-    ~h_out ~win ~stop () =
-  Workspace.begin_search ws;
-  let push, pop, has_more =
-    match kernel with
-    | Binary_heap ->
-        let q = Workspace.heap ws in
-        ( (fun p n -> Util.Pqueue.push q p n),
-          (fun () -> Util.Pqueue.pop q),
-          fun () -> not (Util.Pqueue.is_empty q) )
-    | Buckets ->
-        let q = Workspace.buckets ws in
-        ( (fun p n -> Util.Bucketq.push q p n),
-          (fun () -> Util.Bucketq.pop q),
-          fun () -> not (Util.Bucketq.is_empty q) )
-  in
-  let w = Grid.width g and h = Grid.height g in
-  let nl = Grid.layers g in
-  let pc = Grid.planar_cells g in
-  let hcost =
-    Array.init nl (fun l ->
-        Cost.step_cost cost
-          ~prefers_h:(Grid.prefers_horizontal g ~layer:l)
-          ~horizontal:true)
-  and vcost =
-    Array.init nl (fun l ->
-        Cost.step_cost cost
-          ~prefers_h:(Grid.prefers_horizontal g ~layer:l)
-          ~horizontal:false)
-  in
-  List.iter (fun t -> Workspace.mark ws t) targets;
-  List.iter
-    (fun s ->
-      if Workspace.dist ws s > 0 then begin
-        Workspace.set_dist ws s 0;
-        Workspace.set_parent ws s (-1);
-        push (heuristic s) s
-      end)
-    sources;
-  let expanded = ref 0 in
-  let found = ref None in
-  let aborted = ref false in
-  let f_min_out = ref max_int in
-  let tx0 = Array.make nl max_int and ty0 = Array.make nl max_int in
-  let tx1 = Array.make nl min_int and ty1 = Array.make nl min_int in
-  let should_stop =
-    match stop with
-    | None -> fun _ -> false
-    | Some f -> fun n -> n land (stop_interval - 1) = 0 && f n
-  in
-  let relax from gscore n extra =
-    match passable n with
-    | None -> ()
-    | Some penalty ->
-        let x = Grid.node_x g n and y = Grid.node_y g n in
-        if x < win.x0 || x > win.x1 || y < win.y0 || y > win.y1 then begin
-          let key = gscore + extra + penalty + h_out n in
-          if key < !f_min_out then f_min_out := key
-        end
-        else begin
-          let nd = gscore + extra + penalty in
-          if nd < Workspace.dist ws n then begin
-            Workspace.set_dist ws n nd;
-            Workspace.set_parent ws n from;
-            push (nd + heuristic n) n
-          end
-        end
-  in
-  while !found = None && (not !aborted) && has_more () do
-    let prio, n = pop () in
-    let gscore = Workspace.dist ws n in
-    if prio - heuristic n <= gscore then begin
-      incr expanded;
-      let layer = Grid.node_layer g n in
-      let x = Grid.node_x g n and y = Grid.node_y g n in
-      if x < tx0.(layer) then tx0.(layer) <- x;
-      if x > tx1.(layer) then tx1.(layer) <- x;
-      if y < ty0.(layer) then ty0.(layer) <- y;
-      if y > ty1.(layer) then ty1.(layer) <- y;
-      if should_stop !expanded then aborted := true
-      else if Workspace.marked ws n then
-        found :=
-          Some { path = backtrace ws n; total_cost = gscore; expanded = !expanded }
-      else begin
-        let horizontal_cost = hcost.(layer) in
-        let vertical_cost = vcost.(layer) in
-        if x + 1 < w then relax n gscore (n + 1) horizontal_cost;
-        if x > 0 then relax n gscore (n - 1) horizontal_cost;
-        if y + 1 < h then relax n gscore (n + w) vertical_cost;
-        if y > 0 then relax n gscore (n - w) vertical_cost;
-        if layer + 1 < nl then relax n gscore (n + pc) cost.Cost.via;
-        if layer > 0 then relax n gscore (n - pc) cost.Cost.via
-      end
-    end
-  done;
-  for l = 0 to nl - 1 do
-    if tx1.(l) >= tx0.(l) then
-      Workspace.note_touched ws ~layer:l ~x0:tx0.(l) ~y0:ty0.(l) ~x1:tx1.(l)
-        ~y1:ty1.(l)
-  done;
-  (!found, !expanded, !aborted, !f_min_out)
-
-let run_guided ?(kernel = Binary_heap) ?(astar = false) ?stop ?(memo = false)
-    ~guide g ws ~cost ~passable ~sources ~targets () =
-  let wire = cost.Cost.wire in
-  let full = full_win g in
-  let run_full ~certified =
-    let heuristic =
-      if astar then build_heuristic ~memo g ws ~wire ~targets ~win:full
-      else fun _ -> 0
-    in
-    let found, expanded, aborted =
-      core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic
-        ~win:full ~stop ()
-    in
-    { g_result = found; g_expanded = expanded; g_aborted = aborted;
-      g_certified = certified }
-  in
-  if sources = [] || targets = [] then run_full ~certified:true
-  else begin
-    let bx0, by0, bx1, by1 = bbox g (List.rev_append sources targets) in
-    let win =
-      {
-        x0 = max 0 (min bx0 guide.Geom.Rect.x0);
-        y0 = max 0 (min by0 guide.Geom.Rect.y0);
-        x1 = min full.x1 (max bx1 guide.Geom.Rect.x1);
-        y1 = min full.y1 (max by1 guide.Geom.Rect.y1);
-      }
-    in
-    if win = full then run_full ~certified:true
-    else begin
-      let heuristic =
-        if astar then build_heuristic ~memo g ws ~wire ~targets ~win
-        else fun _ -> 0
-      in
-      let h_out =
-        if not astar then fun _ -> 0
-        else begin
-          let tplanar =
-            List.map (fun t -> (Grid.node_x g t, Grid.node_y g t)) targets
-          in
-          fun n ->
-            let x = Grid.node_x g n and y = Grid.node_y g n in
-            wire
-            * List.fold_left
-                (fun acc (tx, ty) -> min acc (abs (x - tx) + abs (y - ty)))
-                max_int tplanar
-        end
-      in
-      let found, expanded, aborted, f_min_out =
-        core_escape g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic
-          ~h_out ~win ~stop ()
-      in
-      let certified =
-        match found with
-        | Some r -> f_min_out > r.total_cost
-        | None ->
-            (* Exhausted the window without one rejected escape: every
-               reachable passable node lies in-window, so the full search
-               explores the same set and fails identically. *)
-            (not aborted) && f_min_out = max_int
-      in
-      { g_result = found; g_expanded = expanded; g_aborted = aborted;
-        g_certified = certified }
-    end
-  end
+  match window with
+  | Full ->
+      let r, _, _, _ = attempt ~escape:None (full_win g) in
+      r
+  | Margin margin ->
+      widen g ~margin ~wire ~sources ~targets (attempt ~escape:None)
+  | Guide { rect; tally } ->
+      guided g ~rect ~tally ~sources ~targets
+        (attempt ~escape:(Some (escape ())))
 
 (* Plain BFS wave expansion; dist doubles as the visited set. *)
 let run_lee g ws ~passable ~sources ~targets () =

@@ -1,35 +1,36 @@
-(** Weighted maze search (Dijkstra / A-star) over the routing grid.
+(** Weighted maze search over the routing grid: one search, {!run}.
 
     The search explores the 6-neighbourhood of each node (four planar steps
-    plus a via step to the other layer) and returns a cheapest path from any
-    source to any target under the {!Cost.t} model plus a caller-supplied
-    per-node entry penalty.
+    plus a via step to each adjacent layer) and returns a cheapest path from
+    any source to any target under the {!Cost.t} model plus a
+    caller-supplied per-node entry penalty.  Dijkstra, A*, window-restricted
+    and guide-probed searches are all the same expansion loop; they differ
+    in three parameters:
+
+    - [kernel], the frontier: the classical binary heap, or a Dial bucket
+      queue ({!Util.Bucketq}) that exploits the small bounded integer edge
+      costs for O(1) queue operations.  Both kernels return equal-cost
+      (though possibly different) paths.
+    - [heuristic], the lower bound on the remaining cost that orders the
+      frontier: {!Zero} (Dijkstra), {!L1} or a {!Lowerbound} field.
+    - [window], the part of the grid searched: the {!Full} grid, a
+      {!Margin} around the endpoints that widens until its result is
+      provably optimal, or a {!Guide} probe certified against the full
+      search.
 
     The [passable] callback prices entering a node: [Some 0] for an
     ordinary free (or self-owned) cell, [Some k] for a cell the caller is
     willing to cross at surcharge [k] (the rip-up scheduler prices foreign
     nets this way), and [None] for an impassable cell (obstacle, foreign
     pin, fixed wiring).  Sources must themselves be passable or owned.
-
-    Two orthogonal accelerations are available on the weighted searches:
-
-    - [kernel] selects the frontier data structure: the classical binary
-      heap, or a Dial bucket queue ({!Util.Bucketq}) that exploits the
-      small bounded integer edge costs for O(1) queue operations.  Both
-      kernels return equal-cost (though possibly different) paths.
-    - [window] restricts the search to the bounding box of the endpoints
-      grown by the given margin.  A failed windowed search widens the
-      margin geometrically and retries, falling back to the full grid, so
-      the result is exactly as complete as an unwindowed search — blocked
-      detours merely cost an extra probe — while typical connections touch
-      a small fraction of a large region. *)
+    [passable] must be pure: the search may call it in any order. *)
 
 type result = {
   path : Grid.Path.t;  (** source-to-target node sequence, both inclusive *)
   total_cost : int;
   expanded : int;
       (** nodes settled — the search-effort metric; includes the wasted
-          expansions of failed windowed probes *)
+          expansions of discarded windowed and guide probes *)
 }
 
 type kernel =
@@ -41,10 +42,61 @@ type kernel =
 val kernel_name : kernel -> string
 (** ["heap"] or ["buckets"] — the CLI/bench spelling. *)
 
+type heuristic =
+  | Zero  (** no heuristic: plain Dijkstra *)
+  | L1
+      (** A*: L1 distance to the nearest target times the wire cost —
+          admissible and consistent, so it returns Dijkstra's cost with
+          fewer expansions when the target set is compact.  It is
+          precomputed into a flat planar array by a two-pass distance
+          transform over the search window (O(window), independent of the
+          target count), so the per-relax cost is one array read. *)
+  | Field of Lowerbound.t
+      (** A* steered by a lower-bound field: the exact (or repaired, i.e.
+          stale-low but still admissible) in-window cost-to-target under
+          the full cost model, so expansion concentrates on the optimal
+          corridor.  Nodes the field proves unable to reach a target —
+          every node outside its window among them — are pruned, so with
+          the {!Full} window the returned cost is the exact optimum within
+          the field's window (the global optimum when the field was built
+          with a window covering the grid).  [passable] and [cost] must
+          match what the field was built with. *)
+
+type guide_tally = { mutable hits : int; mutable fallbacks : int }
+(** Certified probes and full-search fallbacks of {!Guide} searches. *)
+
+type window =
+  | Full  (** the whole grid *)
+  | Margin of int
+      (** the endpoints' bounding box grown by this margin.  A windowed
+          result is kept only when its cost provably cannot be beaten
+          outside the window; otherwise (and on failure) the margin widens
+          geometrically and the search retries, falling back to the full
+          grid.  The result is exactly as optimal and as complete as a
+          full search — blocked detours merely cost an extra probe — while
+          typical connections touch a small fraction of a large region. *)
+  | Guide of { rect : Geom.Rect.t; tally : guide_tally }
+      (** A global router's prediction that the connection stays inside
+          [rect].  One probe searches [rect] hulled with the endpoints and
+          clipped to the grid, and prices every relaxation the window
+          rejects with the frontier key it would have had in the full
+          search.  The probe is certified {e pop-order identical} to the
+          full search — same path, same expansion count — when the target
+          popped strictly below the cheapest rejected key, or when the
+          window exhausted with nothing rejected.  A certified probe stands
+          in for the full search and counts a hit; otherwise the full
+          search runs, with the probe's expansions charged as waste, and
+          counts a fallback.  An aborted probe counts neither.  The
+          argument relies on bucket content identity, so the byte-identity
+          contract holds for the {!Buckets} kernel only — binary-heap
+          tie-breaking is perturbed by the extra entries. *)
+
 val run :
   ?kernel:kernel ->
-  ?window:int ->
+  ?heuristic:heuristic ->
+  ?window:window ->
   ?stop:(int -> bool) ->
+  ?memo:bool ->
   Grid.t ->
   Workspace.t ->
   cost:Cost.t ->
@@ -54,109 +106,22 @@ val run :
   unit ->
   result option
 (** Cheapest path from the source set to the target set; [None] when no
-    target is reachable.  Uses plain Dijkstra (complete and optimal under
-    non-negative costs).  [kernel] defaults to [Binary_heap]; [window]
-    (off by default) is the initial bbox margin of the search window.
+    target is reachable.  Defaults: [Binary_heap], [Zero], [Full] — plain
+    Dijkstra over the whole grid, complete and optimal under non-negative
+    costs.  A full-grid search skips the window test and never prices an
+    escape.
 
     [stop] is a cooperative cancellation hook, polled every few dozen
     expansions with the in-flight expansion count; answering [true]
-    aborts the search, which then returns [None] without widening any
-    search window (an aborted probe must not trigger retries). *)
+    aborts the search, which then returns [None] without widening or
+    re-running anything (an aborted probe must not trigger retries).
 
-val run_astar :
-  ?kernel:kernel ->
-  ?window:int ->
-  ?stop:(int -> bool) ->
-  ?memo:bool ->
-  Grid.t ->
-  Workspace.t ->
-  cost:Cost.t ->
-  passable:(int -> int option) ->
-  sources:int list ->
-  targets:int list ->
-  unit ->
-  result option
-(** Same result as {!run} with fewer expansions when the target set is
-    compact.  The heuristic — L1 distance to the nearest target times the
-    wire cost — is admissible and consistent; it is precomputed into a flat
-    planar array by a two-pass distance transform (O(window), independent
-    of the target count), so the per-relax cost is one array read.
-
-    [memo] (default [false]) reuses the workspace's stored transform when
-    the (targets, window, wire) key is unchanged — the transform never
-    reads grid occupancy, so the reuse is value-exact and results are
-    byte-identical with the flag on or off.  Escalation loops and retry
-    sweeps re-search the same target set repeatedly and profit most. *)
-
-val run_astar_lb :
-  ?kernel:kernel ->
-  ?stop:(int -> bool) ->
-  Grid.t ->
-  Workspace.t ->
-  lb:Lowerbound.t ->
-  cost:Cost.t ->
-  passable:(int -> int option) ->
-  sources:int list ->
-  targets:int list ->
-  unit ->
-  result option
-(** A* steered by a {!Lowerbound} field instead of the L1 transform: the
-    heuristic is the exact (or repaired, i.e. stale-low but still
-    admissible) in-window cost-to-target under the full cost model, so
-    expansion concentrates on the optimal corridor.  The search is
-    restricted to the field's window with no widening — the returned cost
-    is the exact windowed optimum, which equals the global optimum when
-    the field was built with a window covering the grid.  Nodes the field
-    proves unable to reach a target within the window are pruned.
-    [passable] and [cost] must match what the field was built with. *)
-
-(** {2 Guided search}
-
-    A guide is a planar rectangle a global router predicts the connection
-    stays inside.  {!run_guided} probes only the guide window (hulled
-    with the endpoints and clipped to the grid) and certifies whether the
-    probe is {e pop-order identical} to the unwindowed search — same
-    path, same expansion count, not merely the same cost.  It tracks the
-    minimum would-be frontier key over every relaxation the window
-    rejected; the probe is certified when the target popped strictly
-    below that minimum, because every out-of-window entry would then sit
-    in a strictly later priority bucket of the full run.  The argument
-    relies on bucket content identity, so the byte-identity contract
-    holds for the {!Buckets} kernel only — binary-heap tie-breaking is
-    perturbed by the extra entries.  Uncertified probes (missed, or found
-    but not provably first) must be discarded and re-run unwindowed by
-    the caller, charging the probe's expansions as waste. *)
-
-type guided = {
-  g_result : result option;  (** the probe's find; only meaningful when
-                                 [g_certified] (or the window was full) *)
-  g_expanded : int;  (** probe expansions, also on failure *)
-  g_aborted : bool;  (** the [stop] hook tripped — do not retry *)
-  g_certified : bool;
-      (** pop-order identical to the unwindowed search (always true when
-          the hulled window already covers the grid) *)
-}
-
-val run_guided :
-  ?kernel:kernel ->
-  ?astar:bool ->
-  ?stop:(int -> bool) ->
-  ?memo:bool ->
-  guide:Geom.Rect.t ->
-  Grid.t ->
-  Workspace.t ->
-  cost:Cost.t ->
-  passable:(int -> int option) ->
-  sources:int list ->
-  targets:int list ->
-  unit ->
-  guided
-(** One guided probe; never widens.  [astar] selects the exact-L1
-    heuristic of {!run_astar} (the transform over any window containing
-    the targets is window-independent, so in-window priorities match the
-    full run's); rejected out-of-window nodes get their L1 computed
-    directly.  Degenerate endpoint sets or a window covering the whole
-    grid fall through to the ordinary full search, trivially certified. *)
+    [memo] (default [false]) lets the {!L1} heuristic reuse the
+    workspace's stored transform when the (targets, window, wire) key is
+    unchanged — the transform never reads grid occupancy, so the reuse is
+    value-exact and results are byte-identical with the flag on or off.
+    Escalation loops and retry sweeps re-search the same target set
+    repeatedly and profit most. *)
 
 val run_lee :
   Grid.t ->

@@ -52,7 +52,7 @@ val buckets : t -> Util.Bucketq.t
 val hfield : t -> int array
 (** Planar scratch array ([width × height]) holding the precomputed
     A* heuristic field (L1 distance to the nearest target); owned and
-    rebuilt by {!Search.run_astar}. *)
+    rebuilt by {!Search.run} under the {!Search.L1} heuristic. *)
 
 val hfield_memo_hit :
   t -> wire:int -> win:int * int * int * int -> targets:int list -> bool
@@ -69,7 +69,7 @@ val hfield_memo_store :
 
 (** {1 Touched-region accumulator}
 
-    {!Search.core} records the per-layer bounding box of every node it
+    {!Search.run} records the per-layer bounding box of every node it
     expands (successful, failed and aborted searches alike).  Unlike the
     generation stamps this accumulator is {e not} cleared by
     {!begin_search}: a net attempt spans several searches (windowed

@@ -66,6 +66,18 @@ let int_of line (t : tok) =
   | Some v -> v
   | None -> fail line t.col "expected an integer, got %S" t.text
 
+let max_nodes = 1 lsl 22
+
+(* The grid of a problem must stay within [max_nodes] nodes.  Each
+   dimension is checked as soon as it is read, against the product of
+   the ones already known (2 layers until a [layers] line says
+   otherwise), so no product can overflow and nothing is allocated for an
+   oversized count.  Non-positive dimensions are left to
+   [Problem.make]. *)
+let check_nodes line (t : tok) ~known n =
+  if n > 0 && n > max_nodes / known then
+    fail line t.col "grid exceeds %d nodes (width x height x layers)" max_nodes
+
 let tokens line_text =
   let n = String.length line_text in
   let rec scan i acc =
@@ -90,18 +102,30 @@ let handle st lineno line_text =
   | word :: _ when word.text.[0] = '#' -> ()
   | [ { text = "problem"; col }; name; kind; w; h ] ->
       if st.header <> None then fail lineno col "duplicate problem line";
-      st.header <-
-        Some
-          {
-            hname = name.text;
-            hkind = kind_of_string lineno kind;
-            hwidth = int_of lineno w;
-            hheight = int_of lineno h;
-          }
+      let header =
+        {
+          hname = name.text;
+          hkind = kind_of_string lineno kind;
+          hwidth = int_of lineno w;
+          hheight = int_of lineno h;
+        }
+      in
+      let layers =
+        match st.stack with Some (n, _) -> n | None -> Grid.default_layers
+      in
+      check_nodes lineno w ~known:layers header.hwidth;
+      check_nodes lineno h ~known:(layers * max 1 header.hwidth) header.hheight;
+      st.header <- Some header
   | { text = "layers"; col } :: count :: dirs ->
       if st.stack <> None then fail lineno col "duplicate layers line";
       let n = int_of lineno count in
       if n < 2 then fail lineno count.col "layers must be >= 2, got %d" n;
+      let planar =
+        match st.header with
+        | Some h when h.hwidth > 0 && h.hheight > 0 -> h.hwidth * h.hheight
+        | _ -> 1
+      in
+      check_nodes lineno count ~known:planar n;
       let prefs =
         match dirs with
         | [] -> Grid.default_dirs n

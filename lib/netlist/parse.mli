@@ -39,6 +39,12 @@ exception Error of int * string
 (** Raised only by the [_exn] entry points: 1-based line number (0 when
     unknown) and rendered message (which includes the source name). *)
 
+val max_nodes : int
+(** The grid size cap: width × height × layers of a parsed problem is at
+    most this many nodes (2{^22}).  An oversized dimension or layer count
+    is a parse error at its token, reported before anything is allocated
+    for it. *)
+
 val of_string : ?src:string -> string -> (Problem.t, error) result
 (** Parse a problem description.  Syntax errors carry their position;
     semantic validation failures ({!Problem.make}, {!Net.make}) are

@@ -713,9 +713,11 @@ let exec_open t shard (req : Proto.request) op =
           error_reply ~rid Proto.Session_cap
             (Printf.sprintf "session cap reached (%d); close one first" n))
 
-(* Execute one request on its shard.  The caller holds [shard.lock]. *)
+(* Execute one request on its shard.  The caller holds [shard.lock].  The
+   latency comes from the monotonic clock, so a wall-clock step cannot
+   record a negative or inflated time. *)
 let execute t shard (req : Proto.request) =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let reply, ok_flag =
     match
       match req.Proto.op with
@@ -733,7 +735,7 @@ let execute t shard (req : Proto.request) =
             (Printexc.to_string exn),
           false )
   in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
   shard.exec_count <- shard.exec_count + 1;
   shard.exec_sum_s <- shard.exec_sum_s +. dt;
   Metrics.record shard.metrics ~kind:(Proto.op_name req.Proto.op) ~ok:ok_flag

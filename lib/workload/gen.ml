@@ -414,8 +414,8 @@ let chip_scale ?(name = "chip-scale") ?(macro_cols = 7) ?(macro_rows = 5)
         in
         let net = Netlist.Net.make ~id ~name:(Printf.sprintf "n%d" id) pins in
         (match
-           Maze.Route.route_net ~passable ~window g ws
-             ~cost:Maze.Cost.default net
+           Maze.Route.route_net ~passable ~window:(Maze.Search.Margin window) g
+             ws ~cost:Maze.Cost.default net
          with
         | Ok _ -> kept := (id, pins) :: !kept
         | Error _ ->

@@ -48,7 +48,7 @@ let prop_lowerbound_exact =
 (* --- the lb-steered A* returns the same costs --- *)
 
 let prop_astar_lb_cost_identity =
-  Testkit.qcheck ~count:100 "run_astar_lb cost = plain Dijkstra cost"
+  Testkit.qcheck ~count:100 "Field A* cost = plain Dijkstra cost"
     QCheck2.Gen.(
       triple (int_range 0 100_000) (int_range 0 159) (int_range 0 159))
     (fun (seed, a, b) ->
@@ -58,7 +58,8 @@ let prop_astar_lb_cost_identity =
         let ws = Maze.Workspace.create g in
         let f = build_full g ~targets:[ b ] ~around:[ a; b ] in
         let lb =
-          Maze.Search.run_astar_lb g ws ~lb:f ~cost:Maze.Cost.default
+          Maze.Search.run ~heuristic:(Maze.Search.Field f) g ws
+            ~cost:Maze.Cost.default
             ~passable:(free_passable g) ~sources:[ a ] ~targets:[ b ] ()
         in
         let plain =

@@ -211,7 +211,7 @@ let prop_astar_matches_dijkstra =
             ~passable:(free_passable g) ~sources:[ a ] ~targets:[ b ] ()
         in
         let ast =
-          Maze.Search.run_astar g ws ~cost:Maze.Cost.default
+          Maze.Search.run ~heuristic:Maze.Search.L1 g ws ~cost:Maze.Cost.default
             ~passable:(free_passable g) ~sources:[ a ] ~targets:[ b ] ()
         in
         match (dij, ast) with
@@ -254,11 +254,9 @@ let prop_buckets_match_heap =
       if (not (Grid.is_free g a)) || not (Grid.is_free g b) then true
       else begin
         let with_kernel kernel astar =
-          let f =
-            if astar then Maze.Search.run_astar ~memo:false
-            else Maze.Search.run
-          in
-          f ~kernel g ws ~cost:Maze.Cost.default ~passable:(free_passable g)
+          let heuristic = if astar then Maze.Search.L1 else Maze.Search.Zero in
+          Maze.Search.run ~kernel ~heuristic ~memo:false g ws
+            ~cost:Maze.Cost.default ~passable:(free_passable g)
             ~sources:[ a ] ~targets:[ b ] ()
         in
         let agree x y =
@@ -285,11 +283,13 @@ let prop_windowed_matches_full =
       if (not (Grid.is_free g a)) || not (Grid.is_free g b) then true
       else begin
         let full =
-          Maze.Search.run_astar g ws ~cost:Maze.Cost.default
-            ~passable:(free_passable g) ~sources:[ a ] ~targets:[ b ] ()
+          Maze.Search.run ~heuristic:Maze.Search.L1 g ws
+            ~cost:Maze.Cost.default ~passable:(free_passable g)
+            ~sources:[ a ] ~targets:[ b ] ()
         in
         let windowed =
-          Maze.Search.run_astar ~window:margin g ws ~cost:Maze.Cost.default
+          Maze.Search.run ~heuristic:Maze.Search.L1
+            ~window:(Maze.Search.Margin margin) g ws ~cost:Maze.Cost.default
             ~passable:(free_passable g) ~sources:[ a ] ~targets:[ b ] ()
         in
         match (full, windowed) with
@@ -310,7 +310,7 @@ let test_window_widens_on_failure () =
   done;
   let a = Grid.node g ~layer:0 ~x:0 ~y:0 and b = Grid.node g ~layer:0 ~x:8 ~y:0 in
   match
-    Maze.Search.run ~window:0 g ws ~cost:Maze.Cost.uniform
+    Maze.Search.run ~window:(Maze.Search.Margin 0) g ws ~cost:Maze.Cost.uniform
       ~passable:(free_passable g) ~sources:[ a ] ~targets:[ b ] ()
   with
   | Some r ->
@@ -326,7 +326,8 @@ let test_window_unreachable_returns_none () =
   done;
   let a = Grid.node g ~layer:0 ~x:0 ~y:2 and b = Grid.node g ~layer:0 ~x:8 ~y:2 in
   Testkit.check_true "windowed search reports unreachable"
-    (Maze.Search.run ~window:1 g ws ~cost:Maze.Cost.uniform
+    (Maze.Search.run ~window:(Maze.Search.Margin 1) g ws
+       ~cost:Maze.Cost.uniform
        ~passable:(free_passable g) ~sources:[ a ] ~targets:[ b ] ()
     = None)
 

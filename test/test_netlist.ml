@@ -256,6 +256,32 @@ let test_parse_errors () =
   | _ -> Alcotest.fail "expected Parse.Error"
   | exception Netlist.Parse.Error (1, _) -> ()
 
+(* An oversized grid is a located parse error, not an allocation
+   failure: each dimension is blamed at its token as soon as the product
+   of the dimensions known so far passes the cap, without overflow. *)
+let test_parse_grid_cap () =
+  let expect_cap ~line ~col text =
+    match Netlist.Parse.of_string text with
+    | Ok _ -> Alcotest.failf "expected a grid-size error for %S" text
+    | Error e ->
+        Testkit.check_int "error line" line e.Netlist.Parse.line;
+        Testkit.check_int "error column" col e.Netlist.Parse.col;
+        Testkit.check_true "names the cap"
+          (Testkit.contains e.Netlist.Parse.msg
+             (string_of_int Netlist.Parse.max_nodes))
+  in
+  expect_cap ~line:1 ~col:25 "problem p region 100000 100000\n";
+  expect_cap ~line:2 ~col:8 "problem p region 10 10\nlayers 300000000\n";
+  expect_cap ~line:1 ~col:18
+    (Printf.sprintf "problem p region %d 10\n" max_int);
+  expect_cap ~line:1 ~col:8 "layers 300000000\nproblem p region 10 10\n";
+  expect_cap ~line:2 ~col:23 "layers 4\nproblem p region 2048 2048\n";
+  expect_cap ~line:2 ~col:8 "problem p region 2048 1024\nlayers 3\n";
+  (* Exactly at the cap is fine. *)
+  match Netlist.Parse.of_string "problem p region 2048 1024\n" with
+  | Ok p -> Testkit.check_int "width" 2048 p.Netlist.Problem.width
+  | Error e -> Alcotest.fail (Netlist.Parse.error_to_string e)
+
 let test_parse_comments_and_blanks () =
   let p =
     Netlist.Parse.of_string_exn
@@ -407,6 +433,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_parse_roundtrip;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "grid size cap" `Quick test_parse_grid_cap;
           Alcotest.test_case "error source names" `Quick
             test_parse_error_source_names;
           Alcotest.test_case "comments/blanks" `Quick

@@ -556,6 +556,26 @@ let test_refine_improves_known_detour () =
   Testkit.check_true "improved" (s.Router.Improve.wirelength_after < before);
   Testkit.check_true "clean" (Drc.Check.is_clean p g)
 
+(* Refine's trajectory after the default route of a committed chip:
+   the planner's searches must stay where they were. *)
+let test_refine_stats_pinned () =
+  let p = Testkit.instance "chip_96x64" in
+  let r = Router.Engine.route p in
+  let s = Router.Improve.refine p r.Router.Engine.grid in
+  Alcotest.(check (list int))
+    "wl before/after, vias before/after, planned, improved, passes"
+    [ 1257; 1137; 66; 54; 36; 6; 3 ]
+    Router.Improve.
+      [
+        s.wirelength_before;
+        s.wirelength_after;
+        s.vias_before;
+        s.vias_after;
+        s.planned;
+        s.improved_nets;
+        s.passes;
+      ]
+
 let test_engine_routes_l_shaped_region () =
   let outline = Geom.Outline.l_shape ~width:14 ~height:10 ~notch_w:6 ~notch_h:4 in
   let p =
@@ -639,22 +659,50 @@ let prop_measure_matches_measure_net =
       = List.init (Netlist.Problem.net_count p) (fun i ->
             Router.Outcome.measure_net g ~net:(i + 1)))
 
-(* The default engine's effort and result on two committed instances, as
-   [searches; expanded; rips; shoves; wirelength; vias]: bookkeeping
-   changes must leave the routing trajectory exactly where it was. *)
-let test_engine_stats_pinned name expected () =
-  let s = (Router.Engine.route (Testkit.instance name)).Router.Engine.stats in
-  Alcotest.(check (list int))
-    name expected
-    Router.Engine.
-      [
-        s.searches;
-        s.expanded;
-        s.rips;
-        s.shoves;
-        s.total_wirelength;
-        s.total_vias;
-      ]
+(* The engine's effort and result on committed instances, as
+   [searches; expanded; rips; shoves; wirelength; vias], for the default
+   config and for every frontier × heuristic × window combination the
+   CLI and the benches use: search and bookkeeping changes must leave
+   each routing trajectory exactly where it was. *)
+let stats_list (s : Router.Engine.stats) =
+  Router.Engine.
+    [
+      s.searches;
+      s.expanded;
+      s.rips;
+      s.shoves;
+      s.total_wirelength;
+      s.total_vias;
+    ]
+
+let test_engine_stats_pinned ?(config = Router.Config.default) name expected
+    () =
+  let r = Router.Engine.route ~config (Testkit.instance name) in
+  Alcotest.(check (list int)) name expected (stats_list r.Router.Engine.stats)
+
+let pinned_config ?(astar = false) ?window kernel =
+  {
+    Router.Config.default with
+    Router.Config.use_astar = astar;
+    kernel;
+    window_margin = window;
+  }
+
+(* The flow forces A* on the bucket frontier under global-route guides:
+   its trajectory, guide hits and certified fallbacks are pinned too. *)
+let test_flow_stats_pinned () =
+  match
+    Flow.run ~config:Router.Config.default (Testkit.instance "macro_128x104")
+  with
+  | Error msg -> Alcotest.failf "flow failed: %s" msg
+  | Ok f ->
+      let s = f.Flow.result.Router.Engine.stats in
+      Alcotest.(check (list int))
+        "macro_128x104" [ 174; 645799; 21; 9; 2961; 169 ] (stats_list s);
+      Testkit.check_int "guide hits" 62
+        s.Router.Engine.guide.Router.Outcome.hits;
+      Testkit.check_int "guide fallbacks" 69
+        s.Router.Engine.guide.Router.Outcome.fallbacks
 
 (* Per-net bookkeeping must cost the net, not the grid: a route
    allocates a few major-heap words per grid node (grid-sized state made
@@ -889,6 +937,30 @@ let () =
           Alcotest.test_case "stats pinned switchbox_64x52" `Slow
             (test_engine_stats_pinned "switchbox_64x52"
                [ 847; 3011430; 271; 15; 4391; 154 ]);
+          Alcotest.test_case "stats pinned chip_96x64 astar buckets" `Quick
+            (test_engine_stats_pinned
+               ~config:(pinned_config ~astar:true Maze.Search.Buckets)
+               "chip_96x64" [ 104; 44367; 24; 5; 1257; 68 ]);
+          Alcotest.test_case "stats pinned chip_96x64 astar heap" `Quick
+            (test_engine_stats_pinned
+               ~config:(pinned_config ~astar:true Maze.Search.Binary_heap)
+               "chip_96x64" [ 104; 45904; 24; 5; 1257; 68 ]);
+          Alcotest.test_case "stats pinned chip_96x64 astar buckets window 4"
+            `Quick
+            (test_engine_stats_pinned
+               ~config:
+                 (pinned_config ~astar:true ~window:4 Maze.Search.Buckets)
+               "chip_96x64" [ 104; 125274; 24; 5; 1257; 68 ]);
+          Alcotest.test_case "stats pinned chip_96x64 buckets window 4" `Quick
+            (test_engine_stats_pinned
+               ~config:(pinned_config ~window:4 Maze.Search.Buckets)
+               "chip_96x64" [ 104; 186589; 24; 5; 1257; 66 ]);
+          Alcotest.test_case "stats pinned chip_96x64 heap window 4" `Quick
+            (test_engine_stats_pinned
+               ~config:(pinned_config ~window:4 Maze.Search.Binary_heap)
+               "chip_96x64" [ 104; 187010; 24; 5; 1257; 66 ]);
+          Alcotest.test_case "stats pinned flow macro_128x104" `Slow
+            test_flow_stats_pinned;
           Alcotest.test_case "major allocation per node" `Quick
             test_engine_major_allocation;
           Alcotest.test_case "L-shaped region" `Quick test_engine_routes_l_shaped_region;
@@ -957,5 +1029,7 @@ let () =
           Alcotest.test_case "skips fixed prewires" `Quick test_refine_skips_fixed_prewire_nets;
           Alcotest.test_case "improves known detour" `Quick test_refine_improves_known_detour;
           Alcotest.test_case "idempotent" `Quick test_refine_idempotent;
+          Alcotest.test_case "stats pinned chip_96x64" `Quick
+            test_refine_stats_pinned;
         ] );
     ]

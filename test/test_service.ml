@@ -732,6 +732,24 @@ let test_unknown_session_and_close () =
   Testkit.check_true "close unknown"
     (error_code_of_reply r = Some "unknown_session")
 
+(* A problem too large to instantiate is the client's error, reported
+   as such — not an internal failure of the server. *)
+let test_oversized_open_is_bad_request () =
+  let s = server () in
+  let line =
+    J.to_string
+      (J.Obj
+         [
+           ("op", J.String "open");
+           ("session", J.String "big");
+           ( "problem",
+             J.String (Printf.sprintf "problem big region %d 10\n" max_int) );
+         ])
+  in
+  let r = one_reply s line in
+  Testkit.check_true "bad_request"
+    (error_code_of_reply r = Some "bad_request")
+
 let test_session_cap_reply () =
   let s =
     Service.Server.create
@@ -898,6 +916,8 @@ let () =
           Alcotest.test_case "unknown session" `Quick
             test_unknown_session_and_close;
           Alcotest.test_case "session cap" `Quick test_session_cap_reply;
+          Alcotest.test_case "oversized open" `Quick
+            test_oversized_open_is_bad_request;
           Alcotest.test_case "shutdown refuses" `Quick
             test_shutdown_refuses_new_requests;
           Alcotest.test_case "generation counts commits" `Quick
