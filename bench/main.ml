@@ -1435,19 +1435,10 @@ let service_bench () =
       }
     in
     let server = Service.Server.create ~config:sconfig () in
-    let parallel = shards > 1 in
-    let workers =
-      if parallel then
-        Some (Service.Server.start_workers server ~emit:(fun _ _ -> ()))
-      else None
-    in
+    let workers = Service.Server.start_workers server ~emit:(fun _ _ -> ()) in
     let submitted = ref 0 and attempts = ref 0 in
     (* Shed-never-hang, measured: on a shed, let the backlog drain a
        little and retry the same line until admitted. *)
-    let give_way () =
-      if parallel then Unix.sleepf 0.0005
-      else ignore (Service.Server.drain_one server)
-    in
     let submit_line line =
       incr submitted;
       let rec go () =
@@ -1455,40 +1446,28 @@ let service_bench () =
         match Service.Server.submit server ~client:0 line with
         | None -> ()
         | Some reply when is_shed reply ->
-            give_way ();
+            Unix.sleepf 0.0005;
             go ()
         | Some reply -> failwith ("unexpected immediate reply: " ^ reply)
       in
       go ()
     in
-    let settle () =
-      if parallel then Service.Server.quiesce server
-      else
-        let rec go () =
-          match Service.Server.drain_one server with
-          | Some _ -> go ()
-          | None -> ()
-        in
-        go ()
-    in
     let t0 = Unix.gettimeofday () in
     List.iter submit_line opens;
-    settle ();
+    Service.Server.quiesce server;
     for round = 1 to rounds do
       List.iter submit_line (round_burst round);
-      settle ()
+      Service.Server.quiesce server
     done;
-    (match workers with
-    | Some w -> Service.Server.stop_workers server w
-    | None -> ());
+    Service.Server.stop_workers server workers;
     let wall_s = Unix.gettimeofday () -. t0 in
     (* Read the counters before the (untimed) render probes below. *)
     let m = Service.Server.metrics server in
     let snapshot = Service.Metrics.snapshot m in
     let executed = Service.Metrics.requests m in
     let shed = Service.Metrics.shed_count m in
-    (* Workers joined: the synchronous API is safe again; the layouts
-       must be byte-identical at every sweep point. *)
+    (* Workers joined: [handle_line] is safe again; the layouts must be
+       byte-identical at every sweep point. *)
     let layouts =
       List.init clients (fun c ->
           let line =

@@ -784,7 +784,7 @@ let serve_cmd =
              one per core).  Each session is pinned to one shard by a \
              stable hash of its name, so per-session determinism and \
              reply order are unchanged; different sessions execute in \
-             parallel.  1 = the fully synchronous engine.")
+             parallel, and their replies may interleave.")
   in
   let run config socket queue_cap slo max_sessions idle_ticks data_dir
       snapshot_every no_fsync shards =

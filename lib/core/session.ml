@@ -196,6 +196,8 @@ let add_net st ~name pins =
   else begin
     let free (p : Netlist.Net.pin) =
       Grid.in_bounds st.grid ~x:p.Netlist.Net.x ~y:p.Netlist.Net.y
+      && p.Netlist.Net.layer >= 0
+      && p.Netlist.Net.layer < Grid.layers st.grid
       && Grid.is_free st.grid
            (Grid.node st.grid ~layer:p.Netlist.Net.layer ~x:p.Netlist.Net.x
               ~y:p.Netlist.Net.y)

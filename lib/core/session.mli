@@ -66,8 +66,8 @@ val try_route : ?budget:Budget.t -> t -> (Engine.stats, Budget.reason) result
     [Infeasible] results commit as in {!route}. *)
 
 val add_net : t -> name:string -> Netlist.Net.pin list -> (int, string) Stdlib.result
-(** Add a net (unrouted).  Its pins must be in bounds, off obstructions and
-    on currently free cells.  Returns the new net's id.  Existing wiring is
+(** Add a net (unrouted).  Its pins must be in bounds (layer included),
+    off obstructions and on currently free cells.  Returns the new net's id.  Existing wiring is
     preserved.  Rejected while the problem carries an unrealized
     placement section: net-list surgery renumbers ids and would dangle
     instance-pin references — place and realize first (see

@@ -1,19 +1,32 @@
 module J = Util.Json
 
-(* Power-of-two microsecond buckets: bucket [i] counts latencies in
-   [2^i, 2^(i+1)) µs.  Bucket 0 also absorbs sub-microsecond samples;
-   the last bucket absorbs everything from ~17.9 minutes up. *)
-let buckets = 31
+(* Log-linear microsecond buckets.  Bucket 0 holds sub-microsecond
+   samples; each octave [2^o, 2^(o+1)) µs for o < [octaves] is split into
+   [per_octave] equal buckets, each 1/8 of the octave wide; the last
+   bucket absorbs everything from 2^30 µs (~17.9 minutes) up. *)
+let per_octave = 8
+let octaves = 30
+let buckets = 2 + (octaves * per_octave)
 
 let bucket_of_latency s =
-  let us = int_of_float (s *. 1e6) in
-  if us <= 1 then 0
+  let us = s *. 1e6 in
+  if not (us >= 1.0) then 0
   else
-    let rec log2 n acc = if n <= 1 then acc else log2 (n lsr 1) (acc + 1) in
-    min (buckets - 1) (log2 us 0)
+    (* us = m * 2^e with m in [0.5, 1): octave e - 1, offset 2m - 1. *)
+    let m, e = Float.frexp us in
+    if e > octaves then buckets - 1
+    else
+      1 + ((e - 1) * per_octave)
+      + int_of_float (((2.0 *. m) -. 1.0) *. float_of_int per_octave)
 
 (* Upper bound of bucket [i], in milliseconds. *)
-let bucket_upper_ms i = Float.ldexp 1.0 (i + 1) /. 1000.0
+let bucket_upper_ms i =
+  if i = 0 then 0.001
+  else if i = buckets - 1 then Float.infinity
+  else
+    let octave = (i - 1) / per_octave and k = (i - 1) mod per_octave in
+    Float.ldexp (1.0 +. (float_of_int (k + 1) /. float_of_int per_octave)) octave
+    /. 1000.0
 
 type kind_stats = {
   mutable count : int;
@@ -112,24 +125,19 @@ let shed_count t = t.sheds
 
 let requests t = t.total
 
-(* Upper bound of the bucket holding the q-quantile sample. *)
+(* Upper bound of the bucket holding the q-quantile sample, clamped to
+   the largest sample seen. *)
 let quantile_ms ks q =
   if ks.count = 0 then 0.0
   else begin
     let target =
       max 1 (int_of_float (Float.round (q *. float_of_int ks.count)))
     in
-    let seen = ref 0 and result = ref (bucket_upper_ms (buckets - 1)) in
-    (try
-       for i = 0 to buckets - 1 do
-         seen := !seen + ks.hist.(i);
-         if !seen >= target then begin
-           result := bucket_upper_ms i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !result
+    let rec find i seen =
+      let seen = seen + ks.hist.(i) in
+      if seen >= target || i = buckets - 1 then i else find (i + 1) seen
+    in
+    Float.min (bucket_upper_ms (find 0 0)) (ks.max_s *. 1000.0)
   end
 
 (* Pre-seeded kinds that never saw a request are invisible in snapshots

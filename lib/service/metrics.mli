@@ -4,10 +4,11 @@
     request records its kind, outcome and wall-clock latency; admission
     control records sheds; the session layer records budget trips,
     injected faults and idle evictions.  Latencies go into per-kind
-    histograms with power-of-two microsecond buckets, from which
-    {!snapshot} reports p50/p95/p99 (as the upper bound of the quantile's
-    bucket — cheap, monotone, and accurate to a factor of two, which is
-    all a service dashboard needs).
+    histograms with log-linear microsecond buckets — each octave split
+    into eight, from 1 µs up to ~18 minutes — from which {!snapshot}
+    reports p50/p95/p99 as the upper bound of the quantile's bucket,
+    clamped to the kind's maximum: monotone, never above [max_ms], and
+    at most 1/8 above the true sample quantile.
 
     Everything here is plain mutation with {b per-field single-writer
     ownership} — no locks, no atomics.  On the sharded server each shard

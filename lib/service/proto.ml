@@ -193,6 +193,11 @@ let parse line =
       | req -> Ok req
       | exception Reject (code, msg) -> Error (code, msg))
 
+let request_id line =
+  match J.of_string line with
+  | Ok json -> Option.value ~default:0 (Option.bind (J.member "id" json) J.to_int_opt)
+  | Error _ -> 0
+
 (* --- op re-encoding: the WAL record format ---
 
    [op_to_json] emits exactly the request-shaped object [op_of] decodes,

@@ -92,6 +92,11 @@ val parse : string -> (request, error_code * string) result
 (** Decode one request line.  Errors come back as the code to put in the
     structured reply plus a human-readable message. *)
 
+val request_id : string -> int
+(** The integer [id] of a request line, for replies to lines that are
+    refused before they become a {!request} (parse errors, shutdown);
+    0 when the line is not a JSON object or has no integer [id]. *)
+
 val op_to_json : op -> Util.Json.t
 (** Re-encode an op as the request-shaped object {!parse} accepts (the
     [op] field plus its parameters, no [id]/[session]) — the payload of

@@ -32,12 +32,12 @@ let default_config =
 type item = { client : int; request : Proto.request }
 
 (* One shard: a registry partition, a bounded queue and a metrics store,
-   owned by one executor at a time.  In parallel mode the executor is a
-   persistent worker domain; in synchronous mode ([drain_one]) it is the
-   calling domain.  [qmutex]/[qcond] guard the queue (acceptor submits,
-   executor pops); [lock] serialises execution against the cross-shard
-   reads of a [stats] request.  The [exec_*] means feed shed hints and
-   are written by the executor only; [inflight] flips under [qmutex]. *)
+   owned by one executor at a time: its persistent worker domain, or the
+   caller of [drain] while no workers run.  [qmutex]/[qcond] guard the
+   queue (acceptor submits, executor pops); [lock] serialises execution
+   against the cross-shard reads of a [stats] request.  The [exec_*]
+   means feed shed hints and are written by the executor only;
+   [inflight] flips under [qmutex]. *)
 type shard = {
   index : int;
   registry : Registry.t;
@@ -61,11 +61,9 @@ type t = {
      global admission cap. *)
   queued : int Atomic.t;
   shutdown : bool Atomic.t;
-  (* Parallel mode: tells the worker domains to exit once their queue is
-     empty (graceful drain). *)
+  (* Tells the worker domains to exit once their queue is empty
+     (graceful drain). *)
   draining : bool Atomic.t;
-  (* Synchronous mode: [drain_one]'s rotation over shards. *)
-  mutable cursor : int;
 }
 
 (* Stable session→shard affinity: FNV-1a over the session name.  Not
@@ -132,7 +130,6 @@ let create ?(config = default_config) () =
     queued = Atomic.make 0;
     shutdown = Atomic.make false;
     draining = Atomic.make false;
-    cursor = 0;
   }
 
 let shard_count t = Array.length t.shards
@@ -216,15 +213,37 @@ let resolve_target ~rid entry = function
             (Printf.sprintf "no net named %S" name))
 
 (* Session mutations surface injected faults as [Error msg] with a
-   recognisable prefix; give them their own error code so clients (and
-   the chaos tests) can tell a fault-aborted request from a rejected
-   one.  Either way the session has already rolled back. *)
-let mutation_error ~rid shard msg =
-  if chaos_message msg then begin
-    Metrics.fault shard.metrics;
-    error_reply ~rid Proto.Fault_injected msg
-  end
+   recognisable prefix; re-raise them so [execute]'s one fault handler
+   gives them their own error code, and clients (and the chaos tests)
+   can tell a fault-aborted request from a rejected one.  Either way the
+   session has already rolled back. *)
+let mutation_error ~rid msg =
+  if chaos_message msg then raise (Router.Chaos.Injected_fault msg)
   else error_reply ~rid Proto.Net_error msg
+
+let budget_tripped ~rid shard msg =
+  if chaos_message msg then raise (Router.Chaos.Injected_fault msg);
+  Metrics.budget_trip shard.metrics;
+  error_reply ~rid Proto.Budget_tripped msg
+
+(* A request's wall-clock budget: its own [slo_ms], else the server's
+   default, else none. *)
+let slo_budget t slo_ms =
+  Option.map
+    (fun ms -> Router.Budget.create ~deadline:(float_of_int ms /. 1000.0) ())
+    (match slo_ms with Some _ -> slo_ms | None -> t.config.default_slo_ms)
+
+(* The session's problem with its placement realized, for the read-only
+   whole-problem views ([groute], [analyze]). *)
+let realized_problem ~rid entry =
+  let problem = Router.Session.problem (Registry.session entry) in
+  if Netlist.Problem.has_insts problem && not (Netlist.Problem.placed problem)
+  then
+    error_reply ~rid Proto.Net_error
+      "the placement section has unplaced instances; place first";
+  match Netlist.Problem.realize problem with
+  | exception Invalid_argument msg -> mutation_error ~rid msg
+  | realized -> realized
 
 let engine_stats_json (s : Router.Engine.stats) =
   let status = if s.Router.Engine.failed_nets = [] then "complete" else "infeasible" in
@@ -416,30 +435,13 @@ let exec t shard (req : Proto.request) =
   | Proto.Route { slo_ms } ->
       with_session shard req @@ fun _ entry ->
       deduped ~rid entry @@ fun () ->
-      let session = Registry.session entry in
-      let budget =
-        match (slo_ms, t.config.default_slo_ms) with
-        | Some ms, _ | None, Some ms ->
-            Some (Router.Budget.create ~deadline:(float_of_int ms /. 1000.0) ())
-        | None, None -> None
-      in
-      (match Router.Session.try_route ?budget session with
+      let budget = slo_budget t slo_ms in
+      (match Router.Session.try_route ?budget (Registry.session entry) with
       | Ok stats ->
           Registry.commit shard.registry entry ~rid req.Proto.op;
           ok ~gen:(Registry.generation entry) (engine_stats_json stats)
       | Error reason ->
-          let msg = Router.Budget.reason_to_string reason in
-          if chaos_message msg then begin
-            Metrics.fault shard.metrics;
-            error_reply ~rid Proto.Fault_injected msg
-          end
-          else begin
-            Metrics.budget_trip shard.metrics;
-            error_reply ~rid Proto.Budget_tripped msg
-          end
-      | exception Router.Chaos.Injected_fault msg ->
-          Metrics.fault shard.metrics;
-          error_reply ~rid Proto.Fault_injected msg)
+          budget_tripped ~rid shard (Router.Budget.reason_to_string reason))
   | Proto.Add_net { name; pins } -> (
       with_session shard req @@ fun _ entry ->
       deduped ~rid entry @@ fun () ->
@@ -447,7 +449,7 @@ let exec t shard (req : Proto.request) =
       | Ok id ->
           Registry.commit shard.registry entry ~rid req.Proto.op;
           ok ~gen:(Registry.generation entry) (J.Obj [ ("net", J.Int id) ])
-      | Error msg -> mutation_error ~rid shard msg)
+      | Error msg -> mutation_error ~rid msg)
   | Proto.Remove_net target | Proto.Rip target
   | Proto.Freeze target | Proto.Thaw target -> (
       with_session shard req @@ fun _ entry ->
@@ -465,36 +467,32 @@ let exec t shard (req : Proto.request) =
       | Ok () ->
           Registry.commit shard.registry entry ~rid req.Proto.op;
           ok ~gen:(Registry.generation entry) (J.Obj [ ("done", J.Bool true) ])
-      | Error msg -> mutation_error ~rid shard msg)
-  | Proto.Refine { max_passes } -> (
+      | Error msg -> mutation_error ~rid msg)
+  | Proto.Refine { max_passes } ->
       with_session shard req @@ fun _ entry ->
       deduped ~rid entry @@ fun () ->
-      match Router.Session.refine ?max_passes (Registry.session entry) with
-      | s ->
-          Registry.commit shard.registry entry ~rid req.Proto.op;
-          Metrics.refine_cache shard.metrics
-            ~skips:(s.Router.Improve.skipped_cert + s.Router.Improve.skipped_bound)
-            ~stale:s.Router.Improve.cache_stale
-            ~repairs:s.Router.Improve.field_repairs;
-          ok ~gen:(Registry.generation entry)
-            (J.Obj
-               [
-                 ("passes", J.Int s.Router.Improve.passes);
-                 ("improved_nets", J.Int s.Router.Improve.improved_nets);
-                 ("wirelength_before", J.Int s.Router.Improve.wirelength_before);
-                 ("wirelength_after", J.Int s.Router.Improve.wirelength_after);
-                 ("vias_before", J.Int s.Router.Improve.vias_before);
-                 ("vias_after", J.Int s.Router.Improve.vias_after);
-                 ("planned", J.Int s.Router.Improve.planned);
-                 ("skipped_cert", J.Int s.Router.Improve.skipped_cert);
-                 ("skipped_bound", J.Int s.Router.Improve.skipped_bound);
-                 ("cache_stale", J.Int s.Router.Improve.cache_stale);
-                 ("field_builds", J.Int s.Router.Improve.field_builds);
-                 ("field_repairs", J.Int s.Router.Improve.field_repairs);
-               ])
-      | exception Router.Chaos.Injected_fault msg ->
-          Metrics.fault shard.metrics;
-          error_reply ~rid Proto.Fault_injected msg)
+      let s = Router.Session.refine ?max_passes (Registry.session entry) in
+      Registry.commit shard.registry entry ~rid req.Proto.op;
+      Metrics.refine_cache shard.metrics
+        ~skips:(s.Router.Improve.skipped_cert + s.Router.Improve.skipped_bound)
+        ~stale:s.Router.Improve.cache_stale
+        ~repairs:s.Router.Improve.field_repairs;
+      ok ~gen:(Registry.generation entry)
+        (J.Obj
+           [
+             ("passes", J.Int s.Router.Improve.passes);
+             ("improved_nets", J.Int s.Router.Improve.improved_nets);
+             ("wirelength_before", J.Int s.Router.Improve.wirelength_before);
+             ("wirelength_after", J.Int s.Router.Improve.wirelength_after);
+             ("vias_before", J.Int s.Router.Improve.vias_before);
+             ("vias_after", J.Int s.Router.Improve.vias_after);
+             ("planned", J.Int s.Router.Improve.planned);
+             ("skipped_cert", J.Int s.Router.Improve.skipped_cert);
+             ("skipped_bound", J.Int s.Router.Improve.skipped_bound);
+             ("cache_stale", J.Int s.Router.Improve.cache_stale);
+             ("field_builds", J.Int s.Router.Improve.field_builds);
+             ("field_repairs", J.Int s.Router.Improve.field_repairs);
+           ])
   | Proto.Place { seed } -> (
       with_session shard req @@ fun _ entry ->
       deduped ~rid entry @@ fun () ->
@@ -512,61 +510,33 @@ let exec t shard (req : Proto.request) =
           | None -> t.config.router.Router.Config.seed
         in
         match Place.place ~seed problem with
-        | Error msg -> mutation_error ~rid shard msg
-        | exception Router.Chaos.Injected_fault msg ->
-            Metrics.fault shard.metrics;
-            error_reply ~rid Proto.Fault_injected msg
+        | Error msg -> mutation_error ~rid msg
         | Ok (placed, pstats) -> (
             match Netlist.Problem.realize placed with
-            | exception Invalid_argument msg -> mutation_error ~rid shard msg
+            | exception Invalid_argument msg -> mutation_error ~rid msg
             | realized -> (
                 match
                   Router.Session.install session ~problem:realized
                     ~grid:(Netlist.Problem.instantiate realized)
                 with
-                | Error msg -> mutation_error ~rid shard msg
-                | exception Router.Chaos.Injected_fault msg ->
-                    Metrics.fault shard.metrics;
-                    error_reply ~rid Proto.Fault_injected msg
+                | Error msg -> mutation_error ~rid msg
                 | Ok () ->
                     Registry.commit shard.registry entry ~rid
                       (Proto.Place { seed = Some seed });
                     ok ~gen:(Registry.generation entry)
                       (place_stats_json pstats)))
       end)
-  | Proto.Groute { tile } -> (
+  | Proto.Groute { tile } ->
       with_session shard req @@ fun _ entry ->
-      let session = Registry.session entry in
-      let problem = Router.Session.problem session in
-      if Netlist.Problem.has_insts problem
-         && not (Netlist.Problem.placed problem)
-      then
-        error_reply ~rid Proto.Net_error
-          "the placement section has unplaced instances; place first"
-      else
-        match Netlist.Problem.realize problem with
-        | exception Invalid_argument msg -> mutation_error ~rid shard msg
-        | realized ->
-            ok ~gen:(Registry.generation entry)
-              (groute_json (Groute.run ?tile realized)))
-  | Proto.Analyze { tile } -> (
+      ok ~gen:(Registry.generation entry)
+        (groute_json (Groute.run ?tile (realized_problem ~rid entry)))
+  | Proto.Analyze { tile } ->
       (* Read-only like [groute]: nothing to commit, nothing journalled.
          Admission force-admits it, so this must stay cheap — it is
          (closed-form supply/demand over the tile graph, no routing). *)
       with_session shard req @@ fun _ entry ->
-      let session = Registry.session entry in
-      let problem = Router.Session.problem session in
-      if Netlist.Problem.has_insts problem
-         && not (Netlist.Problem.placed problem)
-      then
-        error_reply ~rid Proto.Net_error
-          "the placement section has unplaced instances; place first"
-      else
-        match Netlist.Problem.realize problem with
-        | exception Invalid_argument msg -> mutation_error ~rid shard msg
-        | realized ->
-            ok ~gen:(Registry.generation entry)
-              (Analyze.to_json (Analyze.run ?tile realized)))
+      ok ~gen:(Registry.generation entry)
+        (Analyze.to_json (Analyze.run ?tile (realized_problem ~rid entry)))
   | Proto.Flow_run { seed; tile; slo_ms } -> (
       with_session shard req @@ fun _ entry ->
       deduped ~rid entry @@ fun () ->
@@ -575,20 +545,12 @@ let exec t shard (req : Proto.request) =
       let seed =
         match seed with Some s -> s | None -> config.Router.Config.seed
       in
-      let budget =
-        match (slo_ms, t.config.default_slo_ms) with
-        | Some ms, _ | None, Some ms ->
-            Some (Router.Budget.create ~deadline:(float_of_int ms /. 1000.0) ())
-        | None, None -> None
-      in
+      let budget = slo_budget t slo_ms in
       match
         Flow.run ~config ?budget ~seed ?tile (Router.Session.problem session)
       with
-      | Error msg -> mutation_error ~rid shard msg
-      | exception Invalid_argument msg -> mutation_error ~rid shard msg
-      | exception Router.Chaos.Injected_fault msg ->
-          Metrics.fault shard.metrics;
-          error_reply ~rid Proto.Fault_injected msg
+      | Error msg -> mutation_error ~rid msg
+      | exception Invalid_argument msg -> mutation_error ~rid msg
       | Ok f ->
           let place_degraded =
             match f.Flow.stats.Flow.place with
@@ -600,21 +562,15 @@ let exec t shard (req : Proto.request) =
             | Router.Outcome.Degraded _ -> true
             | _ -> false
           in
-          if place_degraded || route_degraded then begin
+          if place_degraded || route_degraded then
             (* SLO blown: like [route], leave the session untouched. *)
-            Metrics.budget_trip shard.metrics;
-            error_reply ~rid Proto.Budget_tripped
-              "flow budget tripped; session unchanged"
-          end
+            budget_tripped ~rid shard "flow budget tripped; session unchanged"
           else
             match
               Router.Session.install session ~problem:f.Flow.realized
                 ~grid:f.Flow.result.Router.Engine.grid
             with
-            | Error msg -> mutation_error ~rid shard msg
-            | exception Router.Chaos.Injected_fault msg ->
-                Metrics.fault shard.metrics;
-                error_reply ~rid Proto.Fault_injected msg
+            | Error msg -> mutation_error ~rid msg
             | Ok () ->
                 let g = f.Flow.result.Router.Engine.stats.Router.Engine.guide in
                 Metrics.flow_guides shard.metrics
@@ -726,6 +682,9 @@ let execute t shard (req : Proto.request) =
     with
     | reply -> (reply, true)
     | exception Reply reply -> (reply, false)
+    | exception Router.Chaos.Injected_fault msg ->
+        Metrics.fault shard.metrics;
+        (Proto.error_line ~rid:req.Proto.rid Proto.Fault_injected msg, false)
     | exception (Router.Chaos.Killed _ as e) ->
         (* A simulated process death must not degrade into an [internal]
            reply: let it unwind the whole server, like the real thing. *)
@@ -744,23 +703,18 @@ let execute t shard (req : Proto.request) =
     (List.length (Registry.tick shard.registry));
   reply
 
-let locked_execute t shard req =
-  Mutex.lock shard.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock shard.lock)
-    (fun () -> execute t shard req)
-
 (* --- admission --- *)
 
 let submit t ~client line =
   if Atomic.get t.shutdown then
     Some
-      (Proto.error_line ~rid:0 Proto.Shutting_down "server is shutting down")
+      (Proto.error_line ~rid:(Proto.request_id line) Proto.Shutting_down
+         "server is shutting down")
   else
     match Proto.parse line with
     | Error (code, msg) ->
         Metrics.record t.acceptor ~kind:"invalid" ~ok:false ~latency_s:0.0;
-        Some (Proto.error_line ~rid:0 code msg)
+        Some (Proto.error_line ~rid:(Proto.request_id line) code msg)
     | Ok request ->
         let shard = shard_for t request in
         let key = Option.value ~default:"" request.Proto.session in
@@ -769,8 +723,8 @@ let submit t ~client line =
            they are force-admitted past both the global cap and the
            shard's slice, so a shard saturated with mutations still
            answers [analyze]/[stats]/[verify] probes.  They still count
-           in [queued] while in flight (the drain path decrements
-           uniformly), which only makes mutation admission stricter. *)
+           in [queued] until popped ([next] decrements uniformly),
+           which only makes mutation admission stricter. *)
         let force = Proto.read_only request.Proto.op in
         let admitted =
           (force || Atomic.get t.queued < t.config.queue_cap)
@@ -795,89 +749,66 @@ let submit t ~client line =
                (Printf.sprintf "queue full (%d queued)" (Atomic.get t.queued)))
         end
 
-(* Synchronous drain: pop-and-execute on the calling domain, rotating
-   over shards (and, inside each shard, round-robin over sessions).
-   This is the deterministic single-domain path tests and [handle_line]
-   use; the transports run the same shards on persistent worker domains
-   instead ([start_workers]). *)
-let drain_one t =
-  let n = Array.length t.shards in
-  let rec scan k =
-    if k >= n then None
-    else begin
-      let shard = t.shards.((t.cursor + k) mod n) in
-      Mutex.lock shard.qmutex;
-      let popped = Sched.pop shard.queue in
-      Mutex.unlock shard.qmutex;
-      match popped with
-      | Some (_key, { client; request }) ->
-          Atomic.decr t.queued;
-          t.cursor <- (t.cursor + k + 1) mod n;
-          Some (client, locked_execute t shard request)
-      | None -> scan (k + 1)
-    end
+let request_shutdown t = Atomic.set t.shutdown true
+
+(* --- the execution path ---
+
+   One pop-and-run step serves both executors: a shard's worker domain
+   (blocking) and [drain] on the calling domain (non-blocking).  The pop
+   and the in-flight mark share one [qmutex] critical section, so
+   [pending] never reads a popped request as idle. *)
+
+(* Pop the shard's next request and mark the shard in flight.  With
+   [block], wait for one until [draining] is set — so a drain completes
+   every admitted request; without, [None] means the queue is empty. *)
+let next t shard ~block =
+  Mutex.lock shard.qmutex;
+  let rec pop () =
+    match Sched.pop shard.queue with
+    | Some (_key, item) ->
+        shard.inflight <- true;
+        Some item
+    | None when block && not (Atomic.get t.draining) ->
+        Condition.wait shard.qcond shard.qmutex;
+        pop ()
+    | None -> None
   in
-  scan 0
+  let popped = pop () in
+  Mutex.unlock shard.qmutex;
+  if Option.is_some popped then Atomic.decr t.queued;
+  popped
+
+let run t shard ~emit { client; request } =
+  emit client (Mutex.protect shard.lock (fun () -> execute t shard request));
+  Mutex.lock shard.qmutex;
+  shard.inflight <- false;
+  Mutex.unlock shard.qmutex
+
+let rec serve_shard t shard ~block ~emit =
+  match next t shard ~block with
+  | None -> ()
+  | Some item ->
+      run t shard ~emit item;
+      serve_shard t shard ~block ~emit
+
+let drain t =
+  let replies = ref [] in
+  let emit client reply = replies := (client, reply) :: !replies in
+  Array.iter (fun shard -> serve_shard t shard ~block:false ~emit) t.shards;
+  List.rev !replies
 
 let handle_line t line =
   let immediate = submit t ~client:0 line in
-  let drained = ref [] in
-  let rec drain () =
-    match drain_one t with
-    | Some (_, reply) ->
-        drained := reply :: !drained;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  (match immediate with Some r -> [ r ] | None -> []) @ List.rev !drained
-
-let request_shutdown t = Atomic.set t.shutdown true
-
-(* --- the worker pool (parallel mode) --- *)
+  Option.to_list immediate @ List.map snd (drain t)
 
 type workers = { group : Util.Parallel.Shards.t }
-
-(* One persistent domain per shard: block on the shard's queue, execute,
-   hand the reply to [emit] (which must be thread-safe), repeat; exit
-   once [draining] is set and the queue is empty — so a drain completes
-   every admitted request.  [inflight] is the worker's "between pop and
-   reply" marker, letting [pending] distinguish idle from mid-request. *)
-let worker_loop t ~emit i =
-  let shard = t.shards.(i) in
-  let rec loop () =
-    Mutex.lock shard.qmutex;
-    let rec next () =
-      match Sched.pop shard.queue with
-      | Some _ as popped -> popped
-      | None ->
-          if Atomic.get t.draining then None
-          else begin
-            Condition.wait shard.qcond shard.qmutex;
-            next ()
-          end
-    in
-    match next () with
-    | None -> Mutex.unlock shard.qmutex
-    | Some (_key, { client; request }) ->
-        shard.inflight <- true;
-        Mutex.unlock shard.qmutex;
-        Atomic.decr t.queued;
-        let reply = locked_execute t shard request in
-        emit client reply;
-        Mutex.lock shard.qmutex;
-        shard.inflight <- false;
-        Mutex.unlock shard.qmutex;
-        loop ()
-  in
-  loop ()
 
 let start_workers t ~emit =
   Atomic.set t.draining false;
   {
     group =
-      Util.Parallel.Shards.create ~n:(Array.length t.shards)
-        ~run:(worker_loop t ~emit);
+      Util.Parallel.Shards.create ~n:(Array.length t.shards) ~run:(fun i ->
+          serve_shard t t.shards.(i) ~block:true ~emit);
   }
 
 let quiesce t =
@@ -896,81 +827,50 @@ let stop_workers t w =
   Util.Parallel.Shards.join w.group;
   Atomic.set t.draining false
 
-(* End-of-life housekeeping shared by the transports: park every live
-   session in a final snapshot (so a restart replays nothing), then
-   report.  Runs after the queues have drained and the workers (if any)
-   have been joined. *)
-let finalize t =
-  Array.iter (fun s -> Registry.flush_all s.registry) t.shards;
-  let sessions =
-    Array.fold_left (fun a s -> a + Registry.count s.registry) 0 t.shards
-  in
-  prerr_string
-    (Metrics.render ~queue_depth:(Atomic.get t.queued) ~sessions (metrics t));
-  flush stderr
-
 let metrics_dump t =
   let sessions =
     Array.fold_left (fun a s -> a + Registry.count s.registry) 0 t.shards
   in
   Metrics.render ~queue_depth:(Atomic.get t.queued) ~sessions (metrics t)
 
+(* End-of-life housekeeping shared by the transports: park every live
+   session in a final snapshot (so a restart replays nothing), then
+   report.  Runs after the workers have drained and been joined. *)
+let finalize t =
+  Array.iter (fun s -> Registry.flush_all s.registry) t.shards;
+  prerr_string (metrics_dump t);
+  flush stderr
+
 (* --- transports --- *)
 
+(* The acceptor (this domain) only parses, routes and writes; the worker
+   domains execute.  Replies from different sessions may interleave
+   across the admission order — each session's replies stay in its own
+   request order. *)
 let serve_pipe t ic oc =
-  if Array.length t.shards = 1 then begin
-    (* One shard: keep the fully synchronous engine — no domains, no
-       output interleaving, replies strictly in admission order. *)
-    let rec loop () =
-      if not (Atomic.get t.shutdown) then
-        match input_line ic with
-        | exception End_of_file -> ()
-        | exception Sys_error _ ->
-            (* A signal (SIGTERM handler flipping [shutdown]) can abort
-               the blocking read; treat it like EOF and fall through to
-               the graceful path. *)
-            ()
-        | line ->
-            List.iter
-              (fun reply ->
-                output_string oc reply;
-                output_char oc '\n')
-              (handle_line t line);
-            flush oc;
-            loop ()
-    in
-    loop ();
-    finalize t
-  end
-  else begin
-    (* Sharded: the acceptor (this domain) only parses, routes and
-       writes; the worker domains execute.  Replies from different
-       sessions may interleave across the admission order — each
-       session's replies stay in its own request order. *)
-    let out_mutex = Mutex.create () in
-    let emit _client reply =
-      Mutex.lock out_mutex;
-      output_string oc reply;
-      output_char oc '\n';
-      flush oc;
-      Mutex.unlock out_mutex
-    in
-    let w = start_workers t ~emit in
-    let rec loop () =
-      if not (Atomic.get t.shutdown) then
-        match input_line ic with
-        | exception End_of_file -> ()
-        | exception Sys_error _ -> ()
-        | line ->
-            (match submit t ~client:0 line with
-            | Some reply -> emit 0 reply
-            | None -> ());
-            loop ()
-    in
-    loop ();
-    stop_workers t w;
-    finalize t
-  end
+  let out_mutex = Mutex.create () in
+  let emit _client reply =
+    Mutex.protect out_mutex (fun () ->
+        output_string oc reply;
+        output_char oc '\n';
+        flush oc)
+  in
+  let w = start_workers t ~emit in
+  let rec loop () =
+    if not (Atomic.get t.shutdown) then
+      match input_line ic with
+      | exception (End_of_file | Sys_error _) ->
+          (* A signal (SIGTERM handler flipping [shutdown]) can abort the
+             blocking read; treat it like EOF and fall through to the
+             graceful path. *)
+          ()
+      | line ->
+          Option.iter (emit 0) (submit t ~client:0 line);
+          loop ()
+  in
+  loop ();
+  stop_workers t w;
+  finalize t
 
 (* One connected socket client: fd, partial-line input buffer. *)
 type client = { fd : Unix.file_descr; buf : Buffer.t }

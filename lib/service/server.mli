@@ -11,10 +11,8 @@
     for its whole life (including its on-disk WAL/snapshot state), so
     each session's requests execute single-threaded in FIFO order —
     per-session determinism is untouched — while different sessions'
-    requests execute in parallel once one worker domain per shard is
-    running ({!start_workers}, used by the transports).  With
-    [shards = 1] (the default) the engine is exactly the previous
-    fully-synchronous server.
+    requests execute in parallel on one worker domain per shard
+    ({!start_workers}, used by the transports at every shard count).
 
     {b Transactionality.}  Every mutating request rides the transactional
     session layer: a request that trips its per-request budget (the SLO)
@@ -29,11 +27,18 @@
     byte-identical across any shard count, because sharding only changes
     {e which domain} runs a session, never the order within it.
 
+    {b One execution path.}  A request is executed by one step: pop the
+    shard's next request and mark the shard in flight, then run it
+    under the shard lock and hand its reply on.  Worker domains take
+    that step in a blocking loop; {!drain} takes it on the calling
+    domain, shard by shard, until every queue is empty.
+
     Two transports share this engine: {!serve_pipe} (stdin/stdout, one
     client) and {!serve_socket} (Unix domain socket, many clients
-    multiplexed onto one acceptor).  Tests and benches can also drive
-    the engine directly with {!submit}/{!drain_one} (synchronous, no
-    domains) or {!submit} + {!start_workers} (parallel). *)
+    multiplexed onto one acceptor); both start the workers.  Tests and
+    benches can also drive it directly with {!submit} + {!drain}
+    (deterministic, on the calling domain) or {!submit} +
+    {!start_workers}. *)
 
 type config = {
   router : Router.Config.t;  (** engine configuration of every session *)
@@ -62,9 +67,9 @@ type config = {
           committed mutations *)
   fsync : bool;  (** fsync log appends and snapshots (slower, safer) *)
   shards : int;
-      (** number of shards (clamped to at least 1).  1 = the synchronous
-          single-domain engine; [n] = sessions spread over [n] persistent
-          worker domains when the transports start them. *)
+      (** number of shards (clamped to at least 1): sessions spread
+          over this many queues, each executed by one persistent worker
+          domain once {!start_workers} runs *)
 }
 
 val default_config : config
@@ -117,7 +122,7 @@ val request_shutdown : t -> unit
 val finalize : t -> unit
 (** The transports' end-of-life path: snapshot every durable session
     (so a restart replays nothing) and dump merged metrics to [stderr].
-    Exposed for tests and embedders driving {!submit}/{!drain_one}
+    Exposed for tests and embedders driving {!submit}/{!drain}
     directly.  With workers running, call {!stop_workers} first. *)
 
 val submit : t -> client:int -> string -> string option
@@ -125,21 +130,24 @@ val submit : t -> client:int -> string -> string option
     bypassed the queue — a parse error, a shed ([queue_full] with a
     load-aware [retry_after_ms] scaled by the {e target shard's} queue
     depth and observed mean latency), or a [shutting_down] refusal.
-    [None] means the request was admitted to its session's shard; its
-    reply will come out of {!drain_one} (or a worker's [emit]) tagged
-    with [client].  Thread-safe against running workers. *)
+    Immediate replies echo the line's integer [id] when it has one
+    ({!Proto.request_id}).  [None] means the request was admitted to its
+    session's shard; its reply will come out of a worker's [emit] (or
+    {!drain}) tagged with [client].  Thread-safe against running
+    workers. *)
 
-val drain_one : t -> (int * string) option
-(** Execute the next queued request on the calling domain and return its
-    client tag and reply line; [None] when every shard's queue is empty.
-    Rotates over shards, and within a shard drains in the scheduler's
-    fair round-robin order over sessions.  This is the synchronous
-    engine — do not mix with running workers. *)
+val drain : t -> (int * string) list
+(** Execute every queued request on the calling domain and return the
+    client tags and reply lines in execution order: shard by shard, and
+    within a shard in the scheduler's fair round-robin order over
+    sessions.  The same pop-and-run step the workers take, without
+    blocking — the deterministic hook for tests and benches.  Do not
+    call while workers are running. *)
 
 val handle_line : t -> string -> string list
-(** Synchronous convenience for single-client transports and tests:
-    {!submit} as client 0, then drain until empty; returns every reply
-    produced, in order. *)
+(** {!submit} as client 0, then {!drain}; returns every reply produced,
+    in order.  For tests and in-process replays; safe after
+    {!stop_workers}. *)
 
 type workers
 (** A running pool of one persistent worker domain per shard. *)
@@ -157,8 +165,8 @@ val quiesce : t -> unit
 
 val stop_workers : t -> workers -> unit
 (** Graceful drain: workers finish everything already admitted, then
-    exit; joins every domain.  After this the synchronous API
-    ({!drain_one}, {!finalize}) is safe again. *)
+    exit; joins every domain.  After this {!drain}, {!handle_line} and
+    {!finalize} are safe again. *)
 
 val metrics_dump : t -> string
 (** Human-readable merged metrics + registry summary (printed to stderr
@@ -166,12 +174,13 @@ val metrics_dump : t -> string
 
 val serve_pipe : t -> in_channel -> out_channel -> unit
 (** Serve line-delimited requests until EOF or a [shutdown] request;
-    replies go to [oc], flushed per line.  With one shard this is the
-    fully synchronous engine (replies strictly in admission order);
-    with more, the calling domain only parses, routes and writes while
-    the workers execute — replies of {e different} sessions may
-    interleave, each session's replies stay in its own request order.
-    Returns after draining, joining the workers and dumping metrics to
+    replies go to [oc], flushed per line.  At every shard count the
+    calling domain only parses, routes and writes while the workers
+    execute: replies of {e different} sessions (session-less ops such
+    as [stats] form their own session) may interleave, each session's
+    replies stay in its own request order, and a client that writes
+    faster than the server executes can draw [queue_full].  Returns
+    after draining, joining the workers and dumping metrics to
     [stderr]. *)
 
 val serve_socket : t -> path:string -> unit

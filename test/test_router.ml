@@ -787,9 +787,22 @@ let test_session_add_net_validation () =
   (match Router.Session.add_net s ~name:"a" [ pin 1 1 ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "duplicate name accepted");
-  match Router.Session.add_net s ~name:"clash" [ pin 0 0 ] with
+  (match Router.Session.add_net s ~name:"clash" [ pin 0 0 ] with
   | Error _ -> () (* (0,0) holds net a's pin *)
-  | Ok _ -> Alcotest.fail "occupied pin accepted"
+  | Ok _ -> Alcotest.fail "occupied pin accepted");
+  (* A pin on a layer outside the 2-layer stack is rejected, not an
+     index error, and leaves the session as it was. *)
+  let before = Netlist.Parse.to_string (Router.Session.problem s) in
+  let grid = Grid.copy (Router.Session.grid s) in
+  List.iter
+    (fun layer ->
+      match Router.Session.add_net s ~name:"q" [ pin 1 2 ~layer; pin 3 4 ] with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "pin on layer %d accepted" layer)
+    [ 2; -1 ];
+  Testkit.check_true "problem unchanged"
+    (String.equal before (Netlist.Parse.to_string (Router.Session.problem s)));
+  Testkit.check_true "grid unchanged" (Grid.equal grid (Router.Session.grid s))
 
 let test_session_rip_and_reroute () =
   let s = Router.Session.create (session_problem ()) in

@@ -209,6 +209,55 @@ let test_metrics_quantiles_and_counters () =
   Testkit.check_true "p99 sees the outlier" (q "p99_ms" >= 100.0);
   Testkit.check_true "monotone" (q "p50_ms" <= q "p95_ms" && q "p95_ms" <= q "p99_ms")
 
+let kind_row snapshot kind =
+  match Option.bind (J.member "by_kind" snapshot) (J.member kind) with
+  | Some row -> row
+  | None -> Alcotest.failf "snapshot has no %s row" kind
+
+let row_ms row name =
+  match Option.bind (J.member name row) J.to_float_opt with
+  | Some v -> v
+  | None -> Alcotest.failf "row misses %s" name
+
+(* Quantiles resolve to 1/8 of an octave: a 1.3 ms population reads
+   within 1/8 of 1.3 ms. *)
+let test_metrics_resolution () =
+  let m = Service.Metrics.create () in
+  for _ = 1 to 1000 do
+    Service.Metrics.record m ~kind:"route" ~ok:true ~latency_s:0.0013
+  done;
+  let row = kind_row (Service.Metrics.snapshot m) "route" in
+  let p50 = row_ms row "p50_ms" in
+  Testkit.check_true
+    (Printf.sprintf "p50 %.4f ms within 1/8 of 1.3 ms" p50)
+    (Float.abs (p50 -. 1.3) <= 1.3 /. 8.0)
+
+(* Every reported quantile lies between the exact sample at its rank and
+   the kind's maximum, and at most 1/8 above that sample (1 µs floor). *)
+let prop_metrics_quantiles_bounded =
+  Testkit.qcheck ~count:(count 100) "quantiles bracket the sample, never above max"
+    QCheck2.Gen.(list_size (int_range 1 300) (int_range 0 2_000_000))
+    (fun samples_us ->
+      let m = Service.Metrics.create () in
+      List.iter
+        (fun us ->
+          Service.Metrics.record m ~kind:"route" ~ok:true
+            ~latency_s:(float_of_int us /. 1e6))
+        samples_us;
+      let row = kind_row (Service.Metrics.snapshot m) "route" in
+      let sorted = Array.of_list (List.sort compare samples_us) in
+      let n = Array.length sorted in
+      let max_ms = row_ms row "max_ms" in
+      List.for_all
+        (fun (name, q) ->
+          let got = row_ms row name in
+          let rank = max 1 (int_of_float (Float.round (q *. float_of_int n))) in
+          let exact = float_of_int sorted.(rank - 1) /. 1000.0 in
+          got <= max_ms
+          && got >= exact *. (1.0 -. 1e-9)
+          && got <= Float.max (exact *. 1.125) 0.001 *. (1.0 +. 1e-9))
+        [ ("p50_ms", 0.50); ("p95_ms", 0.95); ("p99_ms", 0.99) ])
+
 (* --- server: trace equivalence with the batch engine --- *)
 
 let fast_config =
@@ -311,10 +360,7 @@ let test_shed_with_retry_after () =
       Testkit.check_true "positive retry_after_ms"
         (match retry with Some ms -> ms > 0 | None -> false));
   (* Drain; the shed count must be visible in the next stats snapshot. *)
-  let rec drain () =
-    match Service.Server.drain_one s with Some _ -> drain () | None -> ()
-  in
-  drain ();
+  ignore (Service.Server.drain s);
   let stats = one_reply s {|{"op":"stats"}|} in
   let shed =
     Option.bind (result_of_reply stats "metrics") (fun m ->
@@ -357,22 +403,14 @@ let test_read_only_bypasses_cap () =
     ];
   (* Drain: every admitted request answers; the analyze reply carries a
      verdict. *)
-  let replies = ref [] in
-  let rec drain () =
-    match Service.Server.drain_one s with
-    | Some (_, r) ->
-        replies := r :: !replies;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  let replies = List.map snd (Service.Server.drain s) in
   let analyze_reply =
     List.find_opt
       (fun r ->
         match J.of_string r with
         | Ok j -> Option.bind (J.member "id" j) J.to_int_opt = Some 3
         | Error _ -> false)
-      !replies
+      replies
   in
   match analyze_reply with
   | None -> Alcotest.fail "analyze reply missing after drain"
@@ -551,8 +589,8 @@ let prop_metrics_merge =
         (J.to_string (Service.Metrics.snapshot merged)))
 
 (* A trace touching several sessions, submitted as a burst and drained in
-   whatever order the shard rotation produces.  Each line is tagged with
-   a unique id, so sorting the reply lines recovers a canonical transcript
+   whatever order the shards produce.  Each line is tagged with a unique
+   id, so sorting the reply lines recovers a canonical transcript
    regardless of cross-session interleaving. *)
 let shard_trace_sessions = [ "alpha"; "bravo"; "charlie"; "delta" ]
 
@@ -582,26 +620,18 @@ let shard_trace () =
          ])
        shard_trace_sessions)
 
-(* Run the burst on the synchronous engine: submit everything, drain
+(* Run the burst on the calling domain: submit everything, drain
    everything, then render each session.  Returns the sorted reply
    transcript and the per-session layouts. *)
 let run_sync_trace ~shards =
   let s = server ~queue_cap:128 ~shards () in
-  let replies = ref [] in
   List.iter
     (fun line ->
       match Service.Server.submit s ~client:0 line with
       | None -> ()
       | Some r -> Alcotest.failf "unexpected immediate reply %s" r)
     (shard_trace ());
-  let rec drain () =
-    match Service.Server.drain_one s with
-    | Some (_, r) ->
-        replies := r :: !replies;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  let replies = List.map snd (Service.Server.drain s) in
   let layouts =
     List.map
       (fun name ->
@@ -614,7 +644,7 @@ let run_sync_trace ~shards =
         | None -> Alcotest.failf "no ascii for %s" name)
       shard_trace_sessions
   in
-  (List.sort String.compare !replies, layouts)
+  (List.sort String.compare replies, layouts)
 
 let test_shard_count_invariance () =
   let base_replies, base_layouts = run_sync_trace ~shards:1 in
@@ -634,7 +664,7 @@ let test_shard_count_invariance () =
     [ 2; 4; 8 ]
 
 (* The same burst through real persistent worker domains: every reply
-   and every layout must match the single-shard synchronous run. *)
+   and every layout must match the single-shard [drain] run. *)
 let test_parallel_workers_equivalence () =
   let base_replies, base_layouts = run_sync_trace ~shards:1 in
   let s = server ~queue_cap:128 ~shards:4 () in
@@ -721,6 +751,226 @@ let test_per_shard_stats_fields () =
   Testkit.check_true "per-shard requests sum to the merged total"
     (Some total_requests = merged_requests)
 
+(* --- protocol fuzzing against live workers --- *)
+
+(* Request lines for a server holding one open session, [fz]: truncated
+   and non-JSON bytes, every op name plus unknown ones, and fields of the
+   wrong type or out of range.  Each line carries the id its reply must
+   echo: the integer [id] of a well-formed object, else 0. *)
+module G = QCheck2.Gen
+
+let fuzz_session = "fz"
+
+let wrong_type =
+  G.oneofl [ J.String "1"; J.Float 1.5; J.Bool true; J.Null; J.List []; J.Obj [] ]
+
+let int_value lo hi =
+  G.frequency
+    [
+      (6, G.map (fun n -> J.Int n) (G.int_range lo hi));
+      (1, G.oneofl [ J.Int max_int; J.Int min_int; J.Int 0; J.Int (-1) ]);
+      (1, wrong_type);
+    ]
+
+let coord = G.int_range (-1) 8
+
+let pin_value =
+  G.frequency
+    [
+      (4, G.map (fun (x, y) -> J.List [ J.Int x; J.Int y ]) (G.pair coord coord));
+      ( 5,
+        G.map
+          (fun (x, y, l) -> J.List [ J.Int x; J.Int y; J.Int l ])
+          (G.triple coord coord (G.int_range (-1) 3)) );
+      (1, G.oneofl [ J.List [ J.Int 1 ]; J.List [ J.String "a"; J.Int 1 ]; J.Int 3 ]);
+    ]
+
+(* Two unplaced instances, so [place], [groute] and [flow] have work. *)
+let placement_text =
+  "problem fz-place region 12 12\nnet a\npin 0 0\nnet b\npin 11 11\n\
+   inst m1 2 2 free\nipin a 2 1 0\nipin b -1 0 0\n\
+   inst m2 3 2 free\nipin a 0 -1 0\nipin b 3 1 0\n"
+
+(* A problem text of at most 16x16, whole or cut short. *)
+let problem_value =
+  let text =
+    G.map
+      (fun (kind, (w, h), seed) ->
+        let rng = prng seed and nets = 1 + (seed mod 3) in
+        match kind with
+        | 0 -> Netlist.Parse.to_string (Workload.Gen.switchbox rng ~width:w ~height:h ~nets)
+        | 1 -> Netlist.Parse.to_string (Workload.Gen.region rng ~width:w ~height:h ~nets)
+        | _ -> placement_text)
+      (G.triple (G.int_range 0 2)
+         (G.pair (G.int_range 6 16) (G.int_range 6 16))
+         (G.int_range 0 10_000))
+  in
+  G.frequency
+    [
+      (4, G.map (fun t -> J.String t) text);
+      ( 1,
+        G.map
+          (fun (t, cut) -> J.String (String.sub t 0 (cut mod (String.length t + 1))))
+          (G.pair text G.nat) );
+      (1, wrong_type);
+    ]
+
+(* Mostly the open session; [open] mostly names a new one. *)
+let session_value op =
+  let fz, fresh = if op = "open" then (1, 4) else (8, 2) in
+  G.frequency
+    [
+      (fz, G.pure (J.String fuzz_session));
+      (fresh, G.oneofl [ J.String "other"; J.String "" ]);
+      (1, wrong_type);
+    ]
+
+(* Each field with the generator of its value; an op's own fields are
+   present more often than the others. *)
+let fuzz_fields =
+  [
+    ("net", int_value (-2) 12);
+    ( "name",
+      G.frequency
+        [ (7, G.oneofl [ J.String "n1"; J.String "n2"; J.String "q"; J.String "" ]);
+          (1, wrong_type) ] );
+    ( "pins",
+      G.frequency
+        [ (7, G.map (fun ps -> J.List ps) (G.list_size (G.int_range 0 4) pin_value));
+          (1, wrong_type) ] );
+    ("tile", int_value (-3) 20);
+    ("seed", int_value (-5) 100);
+    ("slo_ms", int_value (-5) 500);
+    ("max_passes", int_value (-3) 4);
+    ("problem", problem_value);
+    ( "file",
+      G.oneofl
+        [ J.String "/dev/zero"; J.String "instances/switchbox_12x10.problem"; J.Int 1 ] );
+  ]
+
+let own_fields = function
+  | "open" -> [ "problem" ]
+  | "add_net" -> [ "name"; "pins" ]
+  | "remove_net" | "rip" -> [ "net" ]
+  | "freeze" | "thaw" -> [ "name" ]
+  | "route" -> [ "slo_ms" ]
+  | "refine" -> [ "max_passes" ]
+  | "place" -> [ "seed" ]
+  | "groute" | "analyze" -> [ "tile" ]
+  | "flow" -> [ "seed"; "tile"; "slo_ms" ]
+  | _ -> []
+
+let fuzz_line =
+  let open G in
+  let id =
+    frequency
+      [
+        (2, pure ([], 0));
+        (5, map (fun n -> ([ ("id", J.Int n) ], n)) (int_range (-5) 100_000));
+        (1, pure ([ ("id", J.Float 7.0) ], 7));
+        ( 1,
+          map
+            (fun v -> ([ ("id", v) ], 0))
+            (oneofl [ J.Float 7.5; J.String "7"; J.Null; J.Bool true ]) );
+      ]
+  in
+  (* [shutdown] is rarer than the rest: every line after it is refused. *)
+  let op =
+    frequency
+      [
+        (40, oneofl (List.filter (( <> ) "shutdown") Service.Proto.op_names));
+        (1, pure "shutdown");
+        (3, string_size ~gen:(char_range 'a' 'z') (int_range 0 8));
+      ]
+  in
+  let request =
+    bind (pair id op) (fun ((id_field, rid), op) ->
+        let field (name, gen) =
+          let own = List.mem name ("session" :: own_fields op) in
+          let ratio = if own then 0.85 else 0.1 in
+          map (Option.map (fun v -> (name, v))) (option ~ratio gen)
+        in
+        let fields = ("session", session_value op) :: fuzz_fields in
+        let rec all = function
+          | [] -> pure []
+          | f :: rest -> map2 (fun x xs -> Option.to_list x @ xs) (field f) (all rest)
+        in
+        map
+          (fun fields ->
+            (J.to_string (J.Obj (id_field @ (("op", J.String op) :: fields))), rid))
+          (all fields))
+  in
+  (* Bytes that are not a JSON object: no reply can echo an id. *)
+  let junk = string_size ~gen:(char_range ' ' 'z') (int_range 0 40) in
+  frequency
+    [
+      (8, request);
+      ( 1,
+        map
+          (fun ((line, _), cut) -> (String.sub line 0 (cut mod String.length line), 0))
+          (pair request nat) );
+      (1, map (fun s -> (String.map (fun c -> if c = '{' then '(' else c) s, 0)) junk);
+    ]
+
+(* Submit each line as its own client to a server whose workers are
+   running, then demand exactly one well-formed reply per line, echoing
+   its id, none of them [internal]; the server ends idle and its workers
+   join cleanly. *)
+let run_fuzz ~shards cases =
+  let s =
+    Service.Server.create
+      ~config:
+        {
+          Service.Server.default_config with
+          Service.Server.router = fast_config;
+          allow_files = false;
+          shards;
+        }
+      ()
+  in
+  let opened = one_reply s (open_line ~session:fuzz_session (small_problem 1)) in
+  if not (ok_of_reply opened) then Alcotest.fail "fuzz session did not open";
+  let cases = Array.of_list cases in
+  let replies = Array.make (Array.length cases) [] in
+  let m = Mutex.create () in
+  let emit client reply =
+    Mutex.protect m (fun () -> replies.(client) <- reply :: replies.(client))
+  in
+  let w = Service.Server.start_workers s ~emit in
+  Array.iteri
+    (fun i (line, _) -> Option.iter (emit i) (Service.Server.submit s ~client:i line))
+    cases;
+  Service.Server.quiesce s;
+  Service.Server.stop_workers s w;
+  if Service.Server.pending s <> 0 then
+    QCheck2.Test.fail_reportf "%d requests pending after quiesce"
+      (Service.Server.pending s);
+  Array.iteri
+    (fun i (line, rid) ->
+      let well_formed r =
+        match J.of_string r with
+        | Ok (J.Obj _ as j) ->
+            J.member "v" j = Some (J.Int 1)
+            && Option.bind (J.member "ok" j) J.to_bool_opt <> None
+            && J.member "id" j = Some (J.Int rid)
+            && error_code_of_reply r <> Some "internal"
+        | _ -> false
+      in
+      match replies.(i) with
+      | [ r ] when well_formed r -> ()
+      | rs ->
+          QCheck2.Test.fail_reportf "at %d shards, %s\ngot [%s]" shards line
+            (String.concat "; " rs))
+    cases;
+  true
+
+let prop_protocol_fuzz =
+  Testkit.qcheck ~count:(count 200)
+    ~print:(fun cases -> String.concat "\n" (List.map fst cases))
+    "generated lines against live workers at 1 and 3 shards"
+    (G.list_size (G.int_range 1 24) fuzz_line)
+    (fun cases -> run_fuzz ~shards:1 cases && run_fuzz ~shards:3 cases)
+
 (* --- misc server behaviour --- *)
 
 let test_unknown_session_and_close () =
@@ -770,16 +1020,66 @@ let test_session_cap_reply () =
   Testkit.check_true "session_exists"
     (error_code_of_reply r = Some "session_exists")
 
+let id_of_reply line =
+  match J.of_string line with
+  | Ok j -> Option.bind (J.member "id" j) J.to_int_opt
+  | Error _ -> None
+
 let test_shutdown_refuses_new_requests () =
   let s = server () in
   Testkit.check_true "shutdown ok"
     (ok_of_reply (one_reply s {|{"op":"shutdown"}|}));
   Testkit.check_true "flag" (Service.Server.shutdown_requested s);
-  match Service.Server.submit s ~client:0 {|{"op":"stats"}|} with
+  match Service.Server.submit s ~client:0 {|{"id":11,"op":"stats"}|} with
   | Some reply ->
       Testkit.check_true "shutting_down"
-        (error_code_of_reply reply = Some "shutting_down")
+        (error_code_of_reply reply = Some "shutting_down");
+      Testkit.check_true "refusal echoes the id" (id_of_reply reply = Some 11)
   | None -> Alcotest.fail "requests after shutdown must be refused"
+
+(* Lines refused before they become requests still echo their integer
+   id — with replies interleaving across sessions, the id is how a pipe
+   client matches them up.  Lines with no usable id answer 0. *)
+let test_rejections_echo_id () =
+  let s = server () in
+  List.iter
+    (fun (line, code, id) ->
+      let r = one_reply s line in
+      Testkit.check_true (line ^ " -> " ^ code) (error_code_of_reply r = Some code);
+      Testkit.check_true (Printf.sprintf "%s echoes id %d" line id)
+        (id_of_reply r = Some id))
+    [
+      ({|{"id":7,"op":"frobnicate"}|}, "unknown_op", 7);
+      ({|{"id":9,"op":"rip","session":"s"}|}, "bad_request", 9);
+      ({|{"id":4,"op":3}|}, "bad_request", 4);
+      ({|{"id":"7","op":"frobnicate"}|}, "bad_request", 0);
+      ({|{"op":"frobnicate"}|}, "unknown_op", 0);
+      ({|[7]|}, "bad_request", 0);
+      ({|{"id":7,"op":"rip"|}, "parse_error", 0);
+    ]
+
+(* A pin on a layer outside the session's stack is a rejected mutation,
+   not an internal error, and commits nothing. *)
+let test_add_net_out_of_stack_layer () =
+  let s = server () in
+  let problem = Testkit.instance "switchbox_12x10" in
+  Testkit.check_true "open ok"
+    (ok_of_reply (one_reply s (open_line ~session:"a" problem)));
+  let before = Netlist.Parse.to_string (Router.Session.problem (session_of s "a")) in
+  List.iter
+    (fun pins ->
+      let r =
+        one_reply s
+          (Printf.sprintf {|{"op":"add_net","session":"a","name":"q","pins":%s}|} pins)
+      in
+      Testkit.check_true (pins ^ " -> net_error") (error_code_of_reply r = Some "net_error"))
+    [ "[[1,2,2],[3,4,0]]"; "[[1,2,-1],[3,4,0]]" ];
+  let r = one_reply s {|{"op":"verify","session":"a"}|} in
+  Testkit.check_true "gen unchanged"
+    (Option.bind (J.of_string r |> Result.to_option) (J.member "gen") = Some (J.Int 0));
+  Testkit.check_true "problem unchanged"
+    (String.equal before
+       (Netlist.Parse.to_string (Router.Session.problem (session_of s "a"))))
 
 let test_generation_counts_commits () =
   let s = server () in
@@ -878,6 +1178,9 @@ let () =
         [
           Alcotest.test_case "quantiles and counters" `Quick
             test_metrics_quantiles_and_counters;
+          Alcotest.test_case "eighth-octave resolution" `Quick
+            test_metrics_resolution;
+          prop_metrics_quantiles_bounded;
         ] );
       ( "equivalence",
         [
@@ -920,8 +1223,13 @@ let () =
             test_oversized_open_is_bad_request;
           Alcotest.test_case "shutdown refuses" `Quick
             test_shutdown_refuses_new_requests;
+          Alcotest.test_case "rejections echo the id" `Quick
+            test_rejections_echo_id;
+          Alcotest.test_case "add_net out-of-stack layer" `Quick
+            test_add_net_out_of_stack_layer;
           Alcotest.test_case "generation counts commits" `Quick
             test_generation_counts_commits;
         ] );
       ("flow", [ Alcotest.test_case "place/groute/flow ops" `Quick test_flow_ops ]);
+      ("fuzz", [ prop_protocol_fuzz ]);
     ]

@@ -1,6 +1,6 @@
 (* Shared helpers for the test suite. *)
 
-let qcheck ?(count = 100) name gen prop =
+let qcheck ?(count = 100) ?print name gen prop =
   (* Fixed randomness: property tests are part of the deterministic suite
      (set QCHECK_SEED to explore other seeds). *)
   let rand =
@@ -8,7 +8,8 @@ let qcheck ?(count = 100) name gen prop =
     | Some s -> Random.State.make [| int_of_string s |]
     | None -> Random.State.make [| 0x5EED |]
   in
-  QCheck_alcotest.to_alcotest ~rand (QCheck2.Test.make ~count ~name gen prop)
+  QCheck_alcotest.to_alcotest ~rand
+    (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* Route a problem and fail the test unless the result is complete and
    DRC-clean; returns the result for further assertions. *)
