@@ -69,6 +69,10 @@ type state = {
   mutable expanded_weak : int;
   mutable expanded_strong : int;
   expanded_per_net : int array;
+  mutable failed_expanded : int;
+  mutable flood_expanded : int;
+  mutable reused : int;
+  mutable reused_expanded : int;
   mutable waves : int;
   mutable speculated : int;
   mutable committed : int;
@@ -150,6 +154,10 @@ let make_state config problem ~budget ~chaos ~guides =
     expanded_weak = 0;
     expanded_strong = 0;
     expanded_per_net = Array.make nets 0;
+    failed_expanded = 0;
+    flood_expanded = 0;
+    reused = 0;
+    reused_expanded = 0;
     waves = 0;
     speculated = 0;
     committed = 0;
@@ -188,52 +196,54 @@ let standard_window st ~tally net =
   | Some rect -> Maze.Search.Guide { rect; tally }
   | None -> st.window
 
-(* A search under a tripped budget is skipped outright; a live budget is
-   threaded into the search as a cooperative stop hook.  The budget's
-   expansion ledger also charges failed and aborted searches (via the
-   hook's high-water mark, so within one polling interval of exact),
-   whereas the engine's own stats keep their historical meaning of
-   "expansions of successful searches". *)
-let run_search st ~phase ~net ~window ~passable ~sources ~targets () =
+(* The guards every escalation step passes before it may act: a search
+   under a tripped budget is skipped outright, and a fault-injected
+   failure fails the step and counts as a search. *)
+let guarded st step =
   if Budget.check st.budget <> None then None
   else if Chaos.fail_search st.chaos then begin
     st.searches <- st.searches + 1;
     Budget.note_search st.budget;
     None
   end
-  else begin
-    st.searches <- st.searches + 1;
-    let high_water = ref 0 in
-    let stop =
-      match Budget.stop_hook st.budget with
-      | None -> None
-      | Some f ->
-          Some
-            (fun in_flight ->
-              high_water := in_flight;
-              f in_flight)
-    in
-    (* The heuristic-transform memo is value-exact, so gating it on
-       [incremental] only changes speed, never results. *)
-    let result =
-      Maze.Search.run ~kernel:st.config.Config.kernel ~heuristic:st.heuristic
-        ~window ?stop ~memo:st.config.Config.incremental st.g st.ws
-        ~cost:st.config.Config.cost ~passable ~sources ~targets ()
-    in
-    Budget.note_search st.budget;
-    (match result with
-    | Some r ->
-        let e = r.Maze.Search.expanded in
-        st.expanded <- st.expanded + e;
-        Budget.note_expanded st.budget e;
-        (match phase with
-        | Maze -> st.expanded_maze <- st.expanded_maze + e
-        | Weak -> st.expanded_weak <- st.expanded_weak + e
-        | Strong -> st.expanded_strong <- st.expanded_strong + e);
-        st.expanded_per_net.(net - 1) <- st.expanded_per_net.(net - 1) + e
-    | None -> Budget.note_expanded st.budget !high_water);
-    result
-  end
+  else step ()
+
+(* One search behind the guards, with a live budget threaded in as a
+   cooperative stop hook.  The search reports its whole work, so the
+   budget's ledger charges every search exactly — forward and flood
+   nodes, found or not — while the stats keep [expanded] for the
+   settled nodes of searches that found a path and count the rest as
+   flood and failed work.  Only the standard rung floods ([flood]). *)
+let run_search st ~phase ~net ~window ?(flood = false) ~passable ~sources
+    ~targets () =
+  guarded st (fun () ->
+      st.searches <- st.searches + 1;
+      let work = { Maze.Search.settled = 0; flooded = 0 } in
+      (* The heuristic-transform memo is value-exact, so gating it on
+         [incremental] only changes speed, never results. *)
+      let result =
+        Maze.Search.run ~kernel:st.config.Config.kernel
+          ~heuristic:st.heuristic ~window
+          ?stop:(Budget.stop_hook st.budget)
+          ~memo:st.config.Config.incremental ~flood ~work st.g st.ws
+          ~cost:st.config.Config.cost ~passable ~sources ~targets ()
+      in
+      Budget.note_search st.budget;
+      Budget.note_expanded st.budget (work.settled + work.flooded);
+      (match result with
+      | Some r ->
+          let e = r.Maze.Search.expanded in
+          st.expanded <- st.expanded + e;
+          (match phase with
+          | Maze -> st.expanded_maze <- st.expanded_maze + e
+          | Weak -> st.expanded_weak <- st.expanded_weak + e
+          | Strong -> st.expanded_strong <- st.expanded_strong + e);
+          st.expanded_per_net.(net - 1) <- st.expanded_per_net.(net - 1) + e;
+          st.flood_expanded <- st.flood_expanded + work.flooded
+      | None ->
+          st.failed_expanded <-
+            st.failed_expanded + work.settled + work.flooded);
+      result)
 
 (* Rip a foreign net: clear its rippable wiring and put it back in the
    routing queue.  Pins stay on the grid, so the net can always be
@@ -256,15 +266,17 @@ let foreign_owners st ~net path =
          if v > 0 && v <> net then Some v else None)
        path)
 
-(* Weak modification: plan a least-blocked path, try to shove every blocking
-   cell sideways, report whether anything moved. *)
+(* Weak modification: plan a least-blocked path and try to shove every
+   blocking cell sideways.  [`Moved] when something moved; otherwise
+   [`Stuck plan], the pass's own search result, made against a grid
+   that is still exactly as the search saw it. *)
 let weak_pass st ~net ~sources ~targets =
   match
     run_search st ~phase:Weak ~net ~window:st.window
       ~passable:(passable_penalized st ~net)
       ~sources ~targets ()
   with
-  | None -> false
+  | None -> `Stuck None
   | Some plan ->
       let moved = ref false in
       List.iter
@@ -283,45 +295,66 @@ let weak_pass st ~net ~sources ~targets =
                       (fun x -> not (List.mem x m.Shove.released))
                       st.route_nodes.(i))
         plan.Maze.Search.path;
-      !moved
+      if !moved then `Moved else `Stuck (Some plan)
+
+(* The strong rung's plan when the last weak pass moved nothing: that
+   pass searched with this rung's passability, window, sources and
+   targets, and since then nothing has moved or been ripped, so the
+   grid and the rip counts are unchanged too and a new search would
+   return the same plan — or fail again.  The step keeps the guards of
+   a search in their order, so a tripped budget still stops it before
+   any rip and a forced failure still fails it. *)
+let reuse_plan st plan =
+  guarded st (fun () ->
+      st.reused <- st.reused + 1;
+      Option.iter
+        (fun r ->
+          st.reused_expanded <- st.reused_expanded + r.Maze.Search.expanded)
+        plan;
+      plan)
 
 (* One tree-to-pin connection with escalation.  Returns the path found, or
-   None if every enabled mode is exhausted. *)
+   None if every enabled mode is exhausted.  Every step does new work:
+   the strong rung searches only when the weak loop ended on a pass that
+   moved something (or never ran), and otherwise takes that pass's
+   plan. *)
 let connect st ~net ~sources ~targets =
   let standard () =
     run_search st ~phase:Maze ~net
       ~window:(standard_window st ~tally:st.tally net)
-      ~passable:(passable_block st ~net)
-      ~sources ~targets ()
+      ~flood:true ~passable:(passable_block st ~net) ~sources ~targets ()
   in
   match standard () with
   | Some r -> Some (r, [])
-  | None ->
+  | None -> (
       st.hard.(net - 1) <- true;
       let rec weak_loop pass =
         if (not st.config.Config.enable_weak)
            || pass >= st.config.Config.max_weak_passes
-        then None
-        else if not (weak_pass st ~net ~sources ~targets) then None
+        then `Search
         else
-          match standard () with
-          | Some r -> Some (r, [])
-          | None -> weak_loop (pass + 1)
+          match weak_pass st ~net ~sources ~targets with
+          | `Stuck plan -> `Reuse plan
+          | `Moved -> (
+              match standard () with
+              | Some r -> `Routed r
+              | None -> weak_loop (pass + 1))
       in
-      let weak_result = weak_loop 0 in
-      (match weak_result with
-      | Some _ -> weak_result
-      | None ->
+      match weak_loop 0 with
+      | `Routed r -> Some (r, [])
+      | (`Search | `Reuse _) as strong ->
           if st.config.Config.enable_strong && st.rips_left > 0 then
-            match
-              run_search st ~phase:Strong ~net ~window:st.window
-                ~passable:(passable_penalized st ~net)
-                ~sources ~targets ()
-            with
-            | None -> None
-            | Some r ->
-                let victims = foreign_owners st ~net r.Maze.Search.path in
-                Some (r, victims)
+            let plan =
+              match strong with
+              | `Reuse plan -> reuse_plan st plan
+              | `Search ->
+                  run_search st ~phase:Strong ~net ~window:st.window
+                    ~passable:(passable_penalized st ~net)
+                    ~sources ~targets ()
+            in
+            Option.map
+              (fun r -> (r, foreign_owners st ~net r.Maze.Search.path))
+              plan
           else None)
 
 (* After a net routes, release any of its wiring not connected to its
@@ -493,11 +526,14 @@ let attempt_net st id =
 (* Commit a validated speculative plan: occupy the recorded paths and
    charge searches/expansions exactly as the sequential standard-mode
    route of this net would have, so counters match a [jobs = 1] run.
-   The plan's guide tally is replayed for the same reason. *)
-let commit_spec st id segs tally =
+   The plan's guide tally and flood work are replayed for the same
+   reason. *)
+let commit_spec st id segs tally work =
   let i = id - 1 in
   st.tally.hits <- st.tally.hits + tally.Maze.Search.hits;
   st.tally.fallbacks <- st.tally.fallbacks + tally.Maze.Search.fallbacks;
+  st.flood_expanded <- st.flood_expanded + work.Maze.Search.flooded;
+  Budget.note_expanded st.budget work.Maze.Search.flooded;
   let session = ref [] in
   List.iter
     (fun (path, e) ->
@@ -531,11 +567,11 @@ let process_slot st failed ~spec id =
           false
       | `Miss -> (
           match spec with
-          | Some (since, Some segs, certs, tally)
+          | Some (since, Some segs, certs, tally, work)
             when region_clean st ~since certs ->
-              commit_spec st id segs tally;
+              commit_spec st id segs tally work;
               true
-          | Some (_, Some segs, _, _) ->
+          | Some (_, Some segs, _, _, _) ->
               (* An earlier commit wrote inside this plan's read set:
                  discard it and re-route against current costs. *)
               st.conflicts <- st.conflicts + 1;
@@ -639,15 +675,17 @@ let speculate st ~stop ws id =
         || match stop with Some f -> f in_flight | None -> false)
   in
   let tally = { Maze.Search.hits = 0; fallbacks = 0 } in
+  let work = { Maze.Search.settled = 0; flooded = 0 } in
   let plan =
     Maze.Route.plan_net ~kernel:st.config.Config.kernel
       ~heuristic:st.heuristic ~window:(standard_window st ~tally id) ?stop
-      ~memo:st.config.Config.incremental st.g ws ~cost:st.config.Config.cost
+      ~memo:st.config.Config.incremental ~flood:true ~work st.g ws
+      ~cost:st.config.Config.cost
       ~passable:(passable_block st ~net:id)
       net
   in
   let certs = read_certs ws in
-  (id, plan, certs, tally)
+  (id, plan, certs, tally, work)
 
 let drain_par st pool failed =
   let jobs = Util.Parallel.Pool.jobs pool in
@@ -672,8 +710,8 @@ let drain_par st pool failed =
         in
         let tbl = Hashtbl.create (2 * List.length specs) in
         List.iter
-          (fun (id, plan, certs, tally) ->
-            Hashtbl.replace tbl id (since, plan, certs, tally))
+          (fun (id, plan, certs, tally, work) ->
+            Hashtbl.replace tbl id (since, plan, certs, tally, work))
           results;
         (* Commit in queue order, re-checking the latched budget before
            every pop — the exact loop condition of a sequential drain, so
@@ -755,6 +793,10 @@ let route_once config problem order_ids ~budget ~chaos ~pool ~guides =
           weak_expanded = st.expanded_weak;
           strong_expanded = st.expanded_strong;
           per_net_expanded = Array.copy st.expanded_per_net;
+          failed_expanded = st.failed_expanded;
+          flood_expanded = st.flood_expanded;
+          reused = st.reused;
+          reused_expanded = st.reused_expanded;
         };
       attempts = 1;
       par =

@@ -4,13 +4,17 @@
     connection is attempted in three escalating modes:
 
     + {b search} — weighted maze search through free and self-owned cells;
+      a blocked search stops as soon as either side of the cut is
+      exhausted ({!Maze.Search.run}'s [flood]);
     + {b weak modification} — if blocked, plan a least-blocked path, shove
       the blocking foreign segments sideways ({!Shove}), and retry, up to
       [max_weak_passes] rounds;
     + {b strong modification} — if still blocked, search with foreign cells
       passable at penalty [ripup_penalty × (1 + rip count)], rip up every
       foreign net the chosen path crosses (their routes are cleared and the
-      nets re-queued), then claim the path.
+      nets re-queued), then claim the path.  When the last weak pass
+      moved nothing, its plan — searched with the same passability
+      against the same grid — is taken instead of searching again.
 
     Pins and fixed pre-wiring are never shoved nor ripped.  A global rip
     budget ([rip_budget_factor × nets]) bounds the total number of strong
@@ -36,9 +40,12 @@ type stats = {
   rips : int;  (** strong modifications performed *)
   shoves : int;  (** weak modifications performed *)
   searches : int;  (** maze searches run *)
-  expanded : int;  (** total nodes settled over all searches *)
+  expanded : int;
+      (** nodes settled by the searches that found a path, their
+          discarded window and guide probes included *)
   effort : Outcome.effort;
-      (** the same total split by escalation phase and by net *)
+      (** the same total split by escalation phase and by net, next to
+          the work of failed searches, flood nodes and reused plans *)
   attempts : int;  (** restart attempts consumed (≥ 1) *)
   par : Outcome.par_stats;
       (** speculative-wave and failure-cache telemetry of the winning

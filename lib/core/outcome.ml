@@ -18,6 +18,10 @@ type effort = {
   weak_expanded : int;
   strong_expanded : int;
   per_net_expanded : int array;
+  failed_expanded : int;
+  flood_expanded : int;
+  reused : int;
+  reused_expanded : int;
 }
 
 let no_effort ~nets =
@@ -27,11 +31,17 @@ let no_effort ~nets =
     weak_expanded = 0;
     strong_expanded = 0;
     per_net_expanded = Array.make (max 0 nets) 0;
+    failed_expanded = 0;
+    flood_expanded = 0;
+    reused = 0;
+    reused_expanded = 0;
   }
 
 let pp_effort fmt e =
-  Format.fprintf fmt "expanded=%d (maze=%d weak=%d strong=%d)" e.total_expanded
-    e.maze_expanded e.weak_expanded e.strong_expanded
+  Format.fprintf fmt
+    "expanded=%d (maze=%d weak=%d strong=%d) failed=%d flood=%d reused=%d/%d"
+    e.total_expanded e.maze_expanded e.weak_expanded e.strong_expanded
+    e.failed_expanded e.flood_expanded e.reused e.reused_expanded
 
 type par_stats = {
   waves : int;

@@ -28,18 +28,35 @@ val pp_status : Format.formatter -> status -> unit
 
 (** Search-effort telemetry, the one set of numbers that {e is} taken from
     the engine's counters (grid occupancy cannot recover where expansions
-    were spent): total nodes settled across all searches, split by the
-    escalation phase that ran the search — plain maze routing, weak
-    modification (shove planning), strong modification (rip-up planning) —
-    plus a per-net breakdown indexed by [net id - 1].  Rendered by
-    {!Report}; the phase split is how kernel/window wins show up in CLI
-    reports. *)
+    were spent).  [total_expanded] is the nodes settled by searches that
+    found a path (their discarded window and guide probes included),
+    split by the escalation phase that ran the search — plain maze
+    routing, weak modification (shove planning), strong modification
+    (rip-up planning) — plus a per-net breakdown indexed by
+    [net id - 1].  The remaining search work is counted beside it, so
+    [total_expanded + failed_expanded + flood_expanded] is every node
+    any search touched, the figure a budget's expansion ledger charges.
+    Rendered by {!Report}; the phase split is how kernel/window wins
+    show up in CLI reports. *)
 type effort = {
   total_expanded : int;
   maze_expanded : int;
   weak_expanded : int;
   strong_expanded : int;
   per_net_expanded : int array;
+  failed_expanded : int;
+      (** settled and flood nodes of searches that returned no path:
+          exhausted, flood-certified or aborted, window probes included *)
+  flood_expanded : int;
+      (** flood nodes of searches that found a path — the cost of the
+          failure certificate they did not need *)
+  reused : int;
+      (** strong-modification steps that took the outcome of a weak pass
+          that moved nothing — its plan, or its failure to find one —
+          instead of repeating its search *)
+  reused_expanded : int;
+      (** the nodes those repeated searches would have added to
+          [total_expanded]: the settled nodes of the reused plans *)
 }
 
 val no_effort : nets:int -> effort

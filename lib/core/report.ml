@@ -126,6 +126,12 @@ let summary problem (result : Engine.t) =
         s.Engine.effort.Outcome.maze_expanded
         s.Engine.effort.Outcome.weak_expanded
         s.Engine.effort.Outcome.strong_expanded;
+      Printf.sprintf "failed / flood work:  %d / %d"
+        s.Engine.effort.Outcome.failed_expanded
+        s.Engine.effort.Outcome.flood_expanded;
+      Printf.sprintf "reused ripup plans:   %d (%d expanded)"
+        s.Engine.effort.Outcome.reused
+        s.Engine.effort.Outcome.reused_expanded;
       Printf.sprintf "restart attempts:     %d" s.Engine.attempts;
       ]
     @ cache_line @ guide_line @ class_lines)

@@ -10,7 +10,8 @@ val per_net_table :
 
 val summary : Netlist.Problem.t -> Engine.t -> string
 (** Multi-line summary: completion, totals, wirelength vs the
-    half-perimeter lower bound, modification counts and search effort. *)
+    half-perimeter lower bound, modification counts and search effort
+    (including failed-search, flood and reused-plan work). *)
 
 val render : Netlist.Problem.t -> Engine.t -> string
 (** The full report: table then summary. *)

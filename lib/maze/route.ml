@@ -45,8 +45,8 @@ let release_nodes g nodes = List.iter (Grid.release g) nodes
    nearest one.  Returns the found connections in order, each with its
    expansion count, and the pins still unconnected when a search failed
    or aborted ([] when every pin was reached). *)
-let plan ?kernel ?heuristic ?window ?stop ?memo g ws ~cost ~passable
-    (net : Netlist.Net.t) =
+let plan ?kernel ?heuristic ?window ?stop ?memo ?flood ?work g ws ~cost
+    ~passable (net : Netlist.Net.t) =
   match net.Netlist.Net.pins with
   | [] | [ _ ] -> ([], [])
   | first :: rest ->
@@ -55,8 +55,9 @@ let plan ?kernel ?heuristic ?window ?stop ?memo g ws ~cost ~passable
         | [] -> (List.rev acc, [])
         | _ -> (
             match
-              Search.run ?kernel ?heuristic ?window ?stop ?memo g ws ~cost
-                ~passable ~sources:tree ~targets:(List.map fst remaining) ()
+              Search.run ?kernel ?heuristic ?window ?stop ?memo ?flood ?work g
+                ws ~cost ~passable ~sources:tree
+                ~targets:(List.map fst remaining) ()
             with
             | None -> (List.rev acc, remaining)
             | Some r ->
@@ -76,10 +77,11 @@ let plan ?kernel ?heuristic ?window ?stop ?memo g ws ~cost ~passable
    cells, which it makes self-owned — and the passability prices
    self-owned and free cells alike, so every later search sees identical
    passability either way. *)
-let plan_net ?kernel ?heuristic ?window ?stop ?memo g ws ~cost ~passable
-    net =
+let plan_net ?kernel ?heuristic ?window ?stop ?memo ?flood ?work g ws ~cost
+    ~passable net =
   match
-    plan ?kernel ?heuristic ?window ?stop ?memo g ws ~cost ~passable net
+    plan ?kernel ?heuristic ?window ?stop ?memo ?flood ?work g ws ~cost
+      ~passable net
   with
   | segs, [] -> Some segs
   | _, _ :: _ -> None

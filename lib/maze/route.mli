@@ -39,6 +39,8 @@ val plan_net :
   ?window:Search.window ->
   ?stop:(int -> bool) ->
   ?memo:bool ->
+  ?flood:bool ->
+  ?work:Search.work ->
   Grid.t ->
   Workspace.t ->
   cost:Cost.t ->
@@ -56,7 +58,9 @@ val plan_net :
     produce.  The speculative parallel engine runs this on worker domains
     and commits the recorded paths later.  The search parameters are
     forwarded to every {!Search.run}; a {!Search.Guide} window tallies
-    every connection's probe. *)
+    every connection's probe, and [work] every connection's nodes.
+    [flood] is off by default: only the engine's standard rung, which
+    this replays speculatively, turns it on. *)
 
 val route_net :
   ?passable:(int -> int option) ->

@@ -43,16 +43,30 @@ let zero _ = 0
    full search, the minimum returned as [f_min_out] ([max_int] when
    nothing was priced).
 
+   With [flood] on a full-grid attempt, a breadth-first flood from the
+   targets runs in lockstep with the expansion: one flood node per
+   settled node.  It reads only the [None]/[Some] answer of [passable],
+   and it stops for good as soon as it meets a node the forward search
+   has labelled.  Sources are labelled before the loop starts, so a
+   flood whose queue empties first has closed the targets' whole
+   component without meeting a source: no target is reachable, and the
+   search fails there instead of exhausting the source side.  Until
+   then the forward loop is untouched, so every path, cost and
+   expansion count is the unflooded search's.
+
    Returns the expansion count even on failure so windowed retries can
-   account for wasted effort.  [stop] is the cooperative cancellation
-   hook: polled every 64 expansions with the in-flight expansion count,
-   and when it answers [true] the search aborts, reporting the abort
+   account for wasted effort, and adds forward and flood nodes to
+   [work].  [stop] is the cooperative cancellation hook: polled every 64
+   expansions with the in-flight node count (flood nodes included), and
+   when it answers [true] the search aborts, reporting the abort
    distinctly from exhaustion so a windowed caller gives up instead of
    widening and retrying. *)
 let stop_interval = 64
 
+type work = { mutable settled : int; mutable flooded : int }
+
 let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
-    ~escape ~stop =
+    ~escape ~stop ~flood ~work =
   Workspace.begin_search ws;
   let push, pop, has_more =
     match kernel with
@@ -95,20 +109,57 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
   let found = ref None in
   let aborted = ref false in
   let f_min_out = ref max_int in
-  (* Per-layer bbox of expanded nodes, merged into the workspace's
-     touched accumulator at loop exit (so failed and aborted searches are
-     covered too).  Small per-layer arrays keep the hot loop
+  (* Per-layer bbox of expanded and flooded nodes, merged into the
+     workspace's touched accumulator at loop exit (so failed and aborted
+     searches are covered too).  Small per-layer arrays keep the hot loop
      allocation-free. *)
   let tx0 = Array.make nl max_int and ty0 = Array.make nl max_int in
   let tx1 = Array.make nl min_int and ty1 = Array.make nl min_int in
+  let full = win.x0 = 0 && win.y0 = 0 && win.x1 = w - 1 && win.y1 = h - 1 in
+  (* The target-side flood: every target is queued unconditionally
+     (targets are already [mark]ed, which [flood_seen] also reports). *)
+  let fq = Workspace.flood_queue ws in
+  let flooding = ref (flood && full) in
+  if !flooding then List.iter (Util.Vec.push fq) targets;
+  let fhead = ref 0 and flooded = ref 0 and certified = ref false in
+  let flood_visit m =
+    if Workspace.dist ws m < max_int then flooding := false
+    else if (not (Workspace.flood_seen ws m)) && passable m <> None then begin
+      Workspace.flood_mark ws m;
+      Util.Vec.push fq m
+    end
+  in
+  let flood_step () =
+    if !fhead = Util.Vec.length fq then certified := true
+    else begin
+      let n = Util.Vec.get fq !fhead in
+      incr fhead;
+      incr flooded;
+      let layer = Grid.node_layer g n in
+      let x = Grid.node_x g n and y = Grid.node_y g n in
+      if x < tx0.(layer) then tx0.(layer) <- x;
+      if x > tx1.(layer) then tx1.(layer) <- x;
+      if y < ty0.(layer) then ty0.(layer) <- y;
+      if y > ty1.(layer) then ty1.(layer) <- y;
+      if Workspace.dist ws n < max_int then flooding := false
+      else begin
+        if x + 1 < w then flood_visit (n + 1);
+        if x > 0 then flood_visit (n - 1);
+        if y + 1 < h then flood_visit (n + w);
+        if y > 0 then flood_visit (n - w);
+        if layer + 1 < nl then flood_visit (n + pc);
+        if layer > 0 then flood_visit (n - pc)
+      end
+    end
+  in
   let should_stop =
     match stop with
     | None -> fun _ -> false
-    | Some f -> fun n -> n land (stop_interval - 1) = 0 && f n
+    | Some f ->
+        fun n -> n land (stop_interval - 1) = 0 && f (n + !flooded)
   in
   (* One relax, called directly: a full-grid search skips the window
      test on a loop-invariant flag and never prices an escape. *)
-  let full = win.x0 = 0 && win.y0 = 0 && win.x1 = w - 1 && win.y1 = h - 1 in
   let in_window n =
     let x = Grid.node_x g n and y = Grid.node_y g n in
     x >= win.x0 && x <= win.x1 && y >= win.y0 && y <= win.y1
@@ -135,7 +186,7 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
               let key = gscore + extra + penalty + h_out n in
               if key < !f_min_out then f_min_out := key)
   in
-  while !found = None && (not !aborted) && has_more () do
+  while !found = None && (not !aborted) && (not !certified) && has_more () do
     let prio, n = pop () in
     let gscore = Workspace.dist ws n in
     (* Stale frontier entry: the node was re-pushed with a smaller key. *)
@@ -161,7 +212,8 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
            on a two-layer stack, preserving the historical frontier
            evolution (and with it Buckets pop-order byte-identity). *)
         if layer + 1 < nl then relax n gscore (n + pc) cost.Cost.via;
-        if layer > 0 then relax n gscore (n - pc) cost.Cost.via
+        if layer > 0 then relax n gscore (n - pc) cost.Cost.via;
+        if !flooding then flood_step ()
       end
     end
   done;
@@ -170,6 +222,11 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
       Workspace.note_touched ws ~layer:l ~x0:tx0.(l) ~y0:ty0.(l) ~x1:tx1.(l)
         ~y1:ty1.(l)
   done;
+  (match work with
+  | None -> ()
+  | Some wk ->
+      wk.settled <- wk.settled + !expanded;
+      wk.flooded <- wk.flooded + !flooded);
   (!found, !expanded, !aborted, !f_min_out)
 
 (* Bounding box of the endpoint sets, in planar coordinates. *)
@@ -360,7 +417,8 @@ let l1_direct g ~wire ~targets =
         max_int tplanar
 
 let run ?(kernel = Binary_heap) ?(heuristic = Zero) ?(window = Full) ?stop
-    ?(memo = false) g ws ~cost ~passable ~sources ~targets () =
+    ?(memo = false) ?(flood = false) ?work g ws ~cost ~passable ~sources
+    ~targets () =
   let wire = cost.Cost.wire in
   (* What the heuristic contributes: in-window priorities for an attempt
      window, the pricing of rejected escapes, and — for a field — the
@@ -384,7 +442,7 @@ let run ?(kernel = Binary_heap) ?(heuristic = Zero) ?(window = Full) ?stop
   in
   let attempt ~escape win =
     core g ws ~kernel ~cost ~passable ~sources ~targets
-      ~heuristic:(at_window win) ~win ~escape ~stop
+      ~heuristic:(at_window win) ~win ~escape ~stop ~flood ~work
   in
   match window with
   | Full ->

@@ -30,7 +30,8 @@ type result = {
   total_cost : int;
   expanded : int;
       (** nodes settled — the search-effort metric; includes the wasted
-          expansions of discarded windowed and guide probes *)
+          expansions of discarded windowed and guide probes, never the
+          nodes of a [flood] *)
 }
 
 type kernel =
@@ -91,12 +92,20 @@ type window =
           contract holds for the {!Buckets} kernel only — binary-heap
           tie-breaking is perturbed by the extra entries. *)
 
+type work = { mutable settled : int; mutable flooded : int }
+(** The work of {!run} calls, whether or not they find a path: forward
+    nodes settled (discarded window and guide probes included) and
+    target-side flood nodes.  Each call adds to it.  For a call that
+    returns [Some r], [settled] grows by exactly [r.expanded]. *)
+
 val run :
   ?kernel:kernel ->
   ?heuristic:heuristic ->
   ?window:window ->
   ?stop:(int -> bool) ->
   ?memo:bool ->
+  ?flood:bool ->
+  ?work:work ->
   Grid.t ->
   Workspace.t ->
   cost:Cost.t ->
@@ -112,9 +121,29 @@ val run :
     escape.
 
     [stop] is a cooperative cancellation hook, polled every few dozen
-    expansions with the in-flight expansion count; answering [true]
-    aborts the search, which then returns [None] without widening or
-    re-running anything (an aborted probe must not trigger retries).
+    expansions with the in-flight node count (expansions plus flood
+    nodes); answering [true] aborts the search, which then returns
+    [None] without widening or re-running anything (an aborted probe
+    must not trigger retries).
+
+    [flood] (default [false]) proves failure from whichever side of the
+    cut is smaller.  On an attempt over the full grid — a {!Full}
+    search, the last widening of a {!Margin} search, a {!Guide}
+    fallback — a breadth-first flood from the targets runs in lockstep
+    with the expansion, one flood node per settled node, reading only
+    the [None]/[Some] answer of [passable] over the 6-neighbourhood.  It
+    stops for good when it meets a node the search has labelled (the
+    sources are labelled first).  If its queue empties first, the
+    targets' component contains no source, and the search returns
+    [None] without exhausting the source side.  The flood never changes
+    the frontier, so a search that finds a path returns the same path,
+    cost and [expanded] with the flag on or off, and a search that
+    fails still fails.  What changes is a failure's cost and its read
+    region: the flood's nodes join the workspace's touched accumulator.
+    Windowed probes never flood, so their certificates are unchanged.
+
+    [work], when given, receives the call's forward and flood nodes
+    (see {!work}) — the only account of a failed search's cost.
 
     [memo] (default [false]) lets the {!L1} heuristic reuse the
     workspace's stored transform when the (targets, window, wire) key is

@@ -3,9 +3,12 @@ type t = {
   parent : int array;
   dist_gen : int array;
   mark_gen : int array;
+      (* [gen]: a target of the current search; [-gen]: a node the
+         current search's target-side flood has queued *)
   mutable gen : int;
   heap : Util.Pqueue.t;
   buckets : Util.Bucketq.t;
+  flood : Util.Vec.t;  (* FIFO of the target-side flood, grown on demand *)
   hfield : int array;  (* planar heuristic field for array-based A* *)
   (* Memo key of the hfield contents: the field is a pure function of
      (planar targets, window, wire, grid width) and independent of grid
@@ -41,6 +44,7 @@ let create g =
        over-allocating on small ones. *)
     heap = Util.Pqueue.create ~capacity:(max 1024 (n / 8)) ();
     buckets = Util.Bucketq.create ();
+    flood = Util.Vec.create ();
     hfield = Array.make (Grid.planar_cells g) 0;
     hkey_wire = -1;
     hkey_win = (0, 0, 0, 0);
@@ -86,7 +90,8 @@ let node_capacity ws = Array.length ws.dist
 let begin_search ws =
   ws.gen <- ws.gen + 1;
   Util.Pqueue.clear ws.heap;
-  Util.Bucketq.clear ws.buckets
+  Util.Bucketq.clear ws.buckets;
+  Util.Vec.clear ws.flood
 
 let reset = begin_search
 
@@ -106,6 +111,12 @@ let set_parent ws n p =
 let mark ws n = ws.mark_gen.(n) <- ws.gen
 
 let marked ws n = ws.mark_gen.(n) = ws.gen
+
+let flood_mark ws n = ws.mark_gen.(n) <- -ws.gen
+
+let flood_seen ws n = abs ws.mark_gen.(n) = ws.gen
+
+let flood_queue ws = ws.flood
 
 let heap ws = ws.heap
 

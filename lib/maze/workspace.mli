@@ -42,6 +42,24 @@ val mark : t -> int -> unit
 
 val marked : t -> int -> bool
 
+(** {1 Target-side flood}
+
+    The breadth-first flood a search runs from its targets when asked to
+    ({!Search.run}'s [flood]) shares the mark array: a node carries a
+    target mark or a flood mark, and the flood marks only nodes that are
+    not yet {!flood_seen}, so it never unmarks a target. *)
+
+val flood_mark : t -> int -> unit
+(** Record a node as queued by the current search's flood. *)
+
+val flood_seen : t -> int -> bool
+(** The node is a target of the current search or was queued by its
+    flood. *)
+
+val flood_queue : t -> Util.Vec.t
+(** The flood's FIFO (cleared by {!begin_search}).  It grows to the
+    largest flood run so far; nothing is sized to the grid up front. *)
+
 val heap : t -> Util.Pqueue.t
 (** The binary-heap search frontier (cleared by {!begin_search}). *)
 

@@ -122,6 +122,25 @@ let test_engine_expansion_limit () =
   Testkit.check_true "partial layout is DRC-clean"
     (Testkit.drc_routed p result = [])
 
+(* The expansion ledger charges every search exactly — the settled
+   nodes of successful searches and the whole work of failed ones, flood
+   nodes included — not up to the stop hook's last poll. *)
+let test_engine_ledger_exact name () =
+  let p = Testkit.instance name in
+  let budget = Router.Budget.create ~deadline:3600.0 () in
+  let r = Router.Engine.route ~budget p in
+  let s = r.Router.Engine.stats in
+  let e = s.Router.Engine.effort in
+  Testkit.check_true "complete" r.Router.Engine.completed;
+  Testkit.check_true "some failed searches"
+    (e.Router.Outcome.failed_expanded > 0);
+  Testkit.check_int "ledger = expanded + failed + flood"
+    (s.Router.Engine.expanded + e.Router.Outcome.failed_expanded
+   + e.Router.Outcome.flood_expanded)
+    (Router.Budget.expanded budget);
+  Testkit.check_int "one ledger search per search" s.Router.Engine.searches
+    (Router.Budget.searches budget)
+
 let test_engine_unlimited_budget_is_identity () =
   let p = Workload.Gen.routable_switchbox (prng 3) ~width:12 ~height:10 in
   let plain = Router.Engine.route p in
@@ -236,6 +255,10 @@ let () =
             test_engine_search_limit;
           Alcotest.test_case "expansion limit degrades" `Quick
             test_engine_expansion_limit;
+          Alcotest.test_case "ledger exact chip_96x64" `Quick
+            (test_engine_ledger_exact "chip_96x64");
+          Alcotest.test_case "ledger exact switchbox_64x52" `Slow
+            (test_engine_ledger_exact "switchbox_64x52");
           Alcotest.test_case "unlimited budget is identity" `Quick
             test_engine_unlimited_budget_is_identity;
           Alcotest.test_case "budget shared across restarts" `Quick

@@ -299,6 +299,141 @@ let prop_windowed_matches_full =
         | Some _, None | None, Some _ -> false
       end)
 
+(* --- the target-side flood --- *)
+
+(* A random 2- or 3-layer grid with scattered blockages and, in three
+   of four cases, a walled box (all layers) holding either the sources
+   or the targets — sealed, or with one gap — so either side of a cut
+   can be the smaller one.  Returns the grid, 1–2 sources and 1–4
+   targets, all on free cells. *)
+let flood_instance seed =
+  let prng = Util.Prng.create seed in
+  let w = Util.Prng.int_in prng 6 14 and h = Util.Prng.int_in prng 5 12 in
+  let layers = Util.Prng.int_in prng 2 3 in
+  let g = Grid.create ~layers ~width:w ~height:h () in
+  Grid.iter_nodes g (fun n ->
+      if Util.Prng.chance prng 0.15 then
+        Grid.set_obstacle g ~layer:(Grid.node_layer g n) ~x:(Grid.node_x g n)
+          ~y:(Grid.node_y g n));
+  let bx0 = Util.Prng.int_in prng 0 (w - 4)
+  and by0 = Util.Prng.int_in prng 0 (h - 4) in
+  let bx1 = Util.Prng.int_in prng (bx0 + 2) (w - 1)
+  and by1 = Util.Prng.int_in prng (by0 + 2) (h - 1) in
+  let inside x y = x > bx0 && x < bx1 && y > by0 && y < by1 in
+  let mode = Util.Prng.int prng 4 in
+  let gap x y = mode = 3 && x = bx0 && y = by0 + 1 in
+  if mode > 0 then
+    for x = bx0 to bx1 do
+      for y = by0 to by1 do
+        if not (inside x y || gap x y) then Grid.set_obstacle_all g ~x ~y
+      done
+    done;
+  let pick want_inside =
+    let rec go tries =
+      let n = Util.Prng.int prng (Grid.node_count g) in
+      let x = Grid.node_x g n and y = Grid.node_y g n in
+      if tries > 200 || (Grid.is_free g n && inside x y = want_inside) then n
+      else go (tries + 1)
+    in
+    let n = go 0 in
+    if Grid.is_free g n then Some n else None
+  in
+  let picks k want_inside =
+    List.filter_map (fun _ -> pick want_inside) (List.init k Fun.id)
+  in
+  let sources_inside = mode = 1 in
+  let sources = picks (Util.Prng.int_in prng 1 2) sources_inside in
+  let targets =
+    picks (Util.Prng.int_in prng 1 4) (mode >= 2 && not sources_inside)
+  in
+  (g, sources, targets)
+
+(* The 6-neighbourhood of a node. *)
+let neighbours g n =
+  let x = Grid.node_x g n and y = Grid.node_y g n in
+  let layer = Grid.node_layer g n in
+  List.filter_map
+    (fun (l, x, y) ->
+      if l >= 0 && l < Grid.layers g && x >= 0 && x < Grid.width g && y >= 0
+         && y < Grid.height g
+      then Some (Grid.node g ~layer:l ~x ~y)
+      else None)
+    [ (layer, x + 1, y); (layer, x - 1, y); (layer, x, y + 1);
+      (layer, x, y - 1); (layer + 1, x, y); (layer - 1, x, y) ]
+
+(* Every node reachable from [seeds] through passable cells, the seeds
+   included — one side of a cut as the search sees it. *)
+let component g ~passable seeds =
+  let seen = Hashtbl.create 64 in
+  let rec visit = function
+    | [] -> ()
+    | n :: rest ->
+        let next =
+          List.filter
+            (fun m ->
+              (not (Hashtbl.mem seen m)) && passable m <> None
+              && (Hashtbl.replace seen m (); true))
+            (neighbours g n)
+        in
+        visit (next @ rest)
+  in
+  List.iter (fun n -> Hashtbl.replace seen n ()) seeds;
+  visit seeds;
+  Hashtbl.fold (fun n () acc -> n :: acc) seen []
+
+let prop_flood_is_invisible =
+  Testkit.qcheck ~count:300
+    "flood: same result as without it; a certified failure read the target side"
+    QCheck2.Gen.(
+      quad (int_range 0 100_000) bool bool (int_range 0 2))
+    (fun (seed, buckets, astar, window) ->
+      let g, sources, targets = flood_instance seed in
+      let ws = Maze.Workspace.create g in
+      let kernel = if buckets then Maze.Search.Buckets else Binary_heap in
+      let heuristic = if astar then Maze.Search.L1 else Zero in
+      let window =
+        if window = 0 then Maze.Search.Full else Margin (window - 1)
+      in
+      let passable = free_passable g in
+      let search ~flood ~work =
+        Maze.Search.run ~kernel ~heuristic ~window ~flood ~work g ws
+          ~cost:Maze.Cost.default ~passable ~sources ~targets ()
+      in
+      let plain = { Maze.Search.settled = 0; flooded = 0 } in
+      let reference = search ~flood:false ~work:plain in
+      Maze.Workspace.clear_touched ws;
+      let work = { Maze.Search.settled = 0; flooded = 0 } in
+      let flooded = search ~flood:true ~work in
+      let same =
+        match (reference, flooded) with
+        | None, None -> true
+        | Some a, Some b ->
+            a.Maze.Search.path = b.Maze.Search.path
+            && a.Maze.Search.total_cost = b.Maze.Search.total_cost
+            && a.Maze.Search.expanded = b.Maze.Search.expanded
+        | Some _, None | None, Some _ -> false
+      in
+      (* Stopping before the source side is exhausted is the flood's
+         certificate: its read region must hold the whole target side. *)
+      let covered () =
+        List.for_all
+          (fun n ->
+            match
+              Maze.Workspace.touched ws ~layer:(Grid.node_layer g n)
+            with
+            | Some r -> Geom.Rect.mem r (Grid.node_x g n) (Grid.node_y g n)
+            | None -> false)
+          (component g ~passable targets)
+      in
+      let certified =
+        flooded = None && window = Maze.Search.Full
+        && work.Maze.Search.settled
+           < List.length (component g ~passable sources)
+      in
+      same
+      && work.Maze.Search.flooded <= work.Maze.Search.settled
+      && ((not certified) || covered ()))
+
 let test_window_widens_on_failure () =
   (* The wall-detour geometry from test_search_detours_around_wall: the
      optimal path must leave the pins' bounding row (y=0) and climb to y=4,
@@ -573,6 +708,7 @@ let () =
           Alcotest.test_case "workspace reset" `Quick test_workspace_reset_explicit;
           prop_buckets_match_heap;
           prop_windowed_matches_full;
+          prop_flood_is_invisible;
         ] );
       ( "touched",
         [

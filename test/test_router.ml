@@ -663,7 +663,11 @@ let prop_measure_matches_measure_net =
    [searches; expanded; rips; shoves; wirelength; vias], for the default
    config and for every frontier × heuristic × window combination the
    CLI and the benches use: search and bookkeeping changes must leave
-   each routing trajectory exactly where it was. *)
+   each routing trajectory exactly where it was.  Each row also pins
+   [reused] as [plans; expansions]: the strong rung takes the plan of a
+   weak pass that moved nothing instead of repeating its search, so the
+   row's effort before that reuse is [searches + plans; expanded +
+   expansions]. *)
 let stats_list (s : Router.Engine.stats) =
   Router.Engine.
     [
@@ -675,10 +679,18 @@ let stats_list (s : Router.Engine.stats) =
       s.total_vias;
     ]
 
+let reused_list (s : Router.Engine.stats) =
+  let e = s.Router.Engine.effort in
+  Router.Outcome.[ e.reused; e.reused_expanded ]
+
 let test_engine_stats_pinned ?(config = Router.Config.default) name expected
-    () =
+    ~reused () =
   let r = Router.Engine.route ~config (Testkit.instance name) in
-  Alcotest.(check (list int)) name expected (stats_list r.Router.Engine.stats)
+  Alcotest.(check (list int)) name expected (stats_list r.Router.Engine.stats);
+  Alcotest.(check (list int))
+    (name ^ " reused plans, expansions")
+    reused
+    (reused_list r.Router.Engine.stats)
 
 let pinned_config ?(astar = false) ?window kernel =
   {
@@ -698,11 +710,73 @@ let test_flow_stats_pinned () =
   | Ok f ->
       let s = f.Flow.result.Router.Engine.stats in
       Alcotest.(check (list int))
-        "macro_128x104" [ 174; 645799; 21; 9; 2961; 169 ] (stats_list s);
+        "macro_128x104" [ 157; 494981; 21; 9; 2961; 169 ] (stats_list s);
+      Alcotest.(check (list int))
+        "macro_128x104 reused plans, expansions" [ 17; 150818 ]
+        (reused_list s);
       Testkit.check_int "guide hits" 62
         s.Router.Engine.guide.Router.Outcome.hits;
       Testkit.check_int "guide fallbacks" 69
         s.Router.Engine.guide.Router.Outcome.fallbacks
+
+(* The strong rung's reused plan keeps a search's guards.  On
+   tiny_blocked no weak pass ever moves anything, so every rip takes the
+   plan of the weak pass before it.  [first_rip] is the smallest search
+   budget under which a rip happens: the weak pass's search is that
+   budget's last one. *)
+let reuse_instance () =
+  let p = Workload.Hard.tiny_blocked () in
+  let r = Router.Engine.route p in
+  let s = r.Router.Engine.stats in
+  Testkit.check_int "no shoves" 0 s.Router.Engine.shoves;
+  Testkit.check_true "rips" (s.Router.Engine.rips > 0);
+  Testkit.check_int "no rip-up search" 0
+    s.Router.Engine.effort.Router.Outcome.strong_expanded;
+  p
+
+let route_with_search_budget ?chaos p m =
+  let budget = Router.Budget.create ~max_searches:m () in
+  (budget, Router.Engine.route ~budget ?chaos p)
+
+let first_rip p =
+  let rec go m =
+    let _, r = route_with_search_budget p m in
+    if r.Router.Engine.stats.Router.Engine.rips > 0 then m else go (m + 1)
+  in
+  go 0
+
+let test_reuse_stops_on_tripped_budget () =
+  let p = reuse_instance () in
+  let m = first_rip p in
+  (* One search less: the stuck weak pass's search trips the budget. *)
+  let budget, r = route_with_search_budget p (m - 1) in
+  let s = r.Router.Engine.stats in
+  Testkit.check_int "the weak pass searched" m (Router.Budget.searches budget);
+  Testkit.check_true "its plan was found"
+    (s.Router.Engine.effort.Router.Outcome.weak_expanded > 0);
+  Testkit.check_int "no rip" 0 s.Router.Engine.rips;
+  Testkit.check_int "no reuse" 0 s.Router.Engine.effort.Router.Outcome.reused
+
+let test_reuse_fails_on_forced_failure () =
+  let p = reuse_instance () in
+  let m = first_rip p in
+  (* A seed whose first [m] search rolls pass and whose next one — the
+     strong rung's — fails. *)
+  let search_fail = 1.0 /. float_of_int (m + 1) in
+  let rolls seed =
+    let c = Router.Chaos.create ~search_fail ~seed () in
+    List.init (m + 1) (fun _ -> Router.Chaos.fail_search c)
+  in
+  let wanted = List.init (m + 1) (fun i -> i = m) in
+  let rec find seed = if rolls seed = wanted then seed else find (seed + 1) in
+  let chaos = Router.Chaos.create ~search_fail ~seed:(find 0) () in
+  let budget, r = route_with_search_budget ~chaos p m in
+  let s = r.Router.Engine.stats in
+  Testkit.check_int "one forced failure" 1 (Router.Chaos.injected chaos);
+  Testkit.check_int "it counts as a search" (m + 1)
+    (Router.Budget.searches budget);
+  Testkit.check_int "no rip" 0 s.Router.Engine.rips;
+  Testkit.check_int "no reuse" 0 s.Router.Engine.effort.Router.Outcome.reused
 
 (* Per-net bookkeeping must cost the net, not the grid: a route
    allocates a few major-heap words per grid node (grid-sized state made
@@ -946,34 +1020,45 @@ let () =
           Alcotest.test_case "loose prewire" `Quick test_engine_loose_prewire_rippable;
           Alcotest.test_case "orphan prewire pruned" `Quick test_engine_prunes_orphan_prewire;
           Alcotest.test_case "stats pinned chip_96x64" `Quick
-            (test_engine_stats_pinned "chip_96x64" [ 104; 85139; 24; 5; 1257; 66 ]);
+            (test_engine_stats_pinned "chip_96x64" [ 85; 62333; 24; 5; 1257; 66 ]
+               ~reused:[ 19; 22806 ]);
           Alcotest.test_case "stats pinned switchbox_64x52" `Slow
             (test_engine_stats_pinned "switchbox_64x52"
-               [ 847; 3011430; 271; 15; 4391; 154 ]);
+               [ 636; 1742324; 271; 15; 4391; 154 ]
+               ~reused:[ 211; 1269106 ]);
           Alcotest.test_case "stats pinned chip_96x64 astar buckets" `Quick
             (test_engine_stats_pinned
                ~config:(pinned_config ~astar:true Maze.Search.Buckets)
-               "chip_96x64" [ 104; 44367; 24; 5; 1257; 68 ]);
+               "chip_96x64" [ 85; 29943; 24; 5; 1257; 68 ]
+               ~reused:[ 19; 14424 ]);
           Alcotest.test_case "stats pinned chip_96x64 astar heap" `Quick
             (test_engine_stats_pinned
                ~config:(pinned_config ~astar:true Maze.Search.Binary_heap)
-               "chip_96x64" [ 104; 45904; 24; 5; 1257; 68 ]);
+               "chip_96x64" [ 85; 31121; 24; 5; 1257; 68 ]
+               ~reused:[ 19; 14783 ]);
           Alcotest.test_case "stats pinned chip_96x64 astar buckets window 4"
             `Quick
             (test_engine_stats_pinned
                ~config:
                  (pinned_config ~astar:true ~window:4 Maze.Search.Buckets)
-               "chip_96x64" [ 104; 125274; 24; 5; 1257; 68 ]);
+               "chip_96x64" [ 85; 79827; 24; 5; 1257; 68 ]
+               ~reused:[ 19; 45447 ]);
           Alcotest.test_case "stats pinned chip_96x64 buckets window 4" `Quick
             (test_engine_stats_pinned
                ~config:(pinned_config ~window:4 Maze.Search.Buckets)
-               "chip_96x64" [ 104; 186589; 24; 5; 1257; 66 ]);
+               "chip_96x64" [ 85; 121539; 24; 5; 1257; 66 ]
+               ~reused:[ 19; 65050 ]);
           Alcotest.test_case "stats pinned chip_96x64 heap window 4" `Quick
             (test_engine_stats_pinned
                ~config:(pinned_config ~window:4 Maze.Search.Binary_heap)
-               "chip_96x64" [ 104; 187010; 24; 5; 1257; 66 ]);
+               "chip_96x64" [ 85; 121791; 24; 5; 1257; 66 ]
+               ~reused:[ 19; 65219 ]);
           Alcotest.test_case "stats pinned flow macro_128x104" `Slow
             test_flow_stats_pinned;
+          Alcotest.test_case "reused plan stops on a tripped budget" `Quick
+            test_reuse_stops_on_tripped_budget;
+          Alcotest.test_case "reused plan fails on a forced failure" `Quick
+            test_reuse_fails_on_forced_failure;
           Alcotest.test_case "major allocation per node" `Quick
             test_engine_major_allocation;
           Alcotest.test_case "L-shaped region" `Quick test_engine_routes_l_shaped_region;
