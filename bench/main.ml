@@ -433,7 +433,7 @@ let e6 () =
           Router.Config.default with
           order = Router.Config.Congestion_descending;
         } );
-      ("astar", { Router.Config.default with use_astar = true });
+      ("dijkstra (paper)", { Router.Config.default with use_astar = false });
       ( "cheap vias (via=1)",
         {
           Router.Config.default with
@@ -939,15 +939,13 @@ let micro_kernels () =
           (if drc_ok problem r then "clean" else "VIOLATION");
         ])
     [
-      ("heap (baseline)", Router.Config.default);
+      ( "dijkstra + heap (paper)",
+        { Router.Config.default with use_astar = false } );
+      ("heap (default)", Router.Config.default);
       ("buckets", { Router.Config.default with kernel = buckets });
-      ( "astar + buckets + window 4",
-        {
-          Router.Config.default with
-          use_astar = true;
-          kernel = buckets;
-          window_margin = Some 4;
-        } );
+      ( "buckets + window 4",
+        { Router.Config.default with kernel = buckets; window_margin = Some 4 }
+      );
     ];
   Util.Table.print engine_table
 

@@ -58,9 +58,6 @@ let config_term =
     Arg.(value & opt int 1 & info [ "restarts" ] ~doc:"Restart attempts.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.") in
-  let astar =
-    Arg.(value & flag & info [ "astar" ] ~doc:"Use A* instead of Dijkstra.")
-  in
   let kernel =
     Arg.(
       value
@@ -164,7 +161,7 @@ let config_term =
                    refinement visit recomputes from scratch." );
           ])
   in
-  let make strategy order restarts seed astar kernel window deadline
+  let make strategy order restarts seed kernel window deadline
       max_expanded max_searches audit jobs no_cost_cache incremental =
     let base =
       match strategy with
@@ -177,7 +174,6 @@ let config_term =
       Router.Config.order;
       restarts;
       seed;
-      use_astar = astar;
       kernel;
       window_margin = window;
       deadline;
@@ -190,7 +186,7 @@ let config_term =
     }
   in
   Term.(
-    const make $ strategy $ order $ restarts $ seed $ astar $ kernel $ window
+    const make $ strategy $ order $ restarts $ seed $ kernel $ window
     $ deadline $ max_expanded $ max_searches $ audit $ jobs $ no_cost_cache
     $ incremental)
 

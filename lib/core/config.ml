@@ -34,7 +34,7 @@ type t = {
 let default =
   {
     cost = Maze.Cost.default;
-    use_astar = false;
+    use_astar = true;
     kernel = Maze.Search.Binary_heap;
     window_margin = None;
     order = Hpwl_descending;
@@ -81,7 +81,7 @@ let describe c =
     | false, false -> "maze-only"
   in
   Printf.sprintf "%s, order=%s%s%s%s%s%s%s%s%s" strategy (order_name c.order)
-    (if c.use_astar then ", astar" else "")
+    (if c.use_astar then "" else ", dijkstra")
     (match c.kernel with
     | Maze.Search.Binary_heap -> ""
     | k -> Printf.sprintf ", kernel=%s" (Maze.Search.kernel_name k))

@@ -3,8 +3,9 @@
     The default configuration is the full system as described by the paper:
     weighted maze search, weak modification (shoving), then strong
     modification (rip-up and reroute) with an escalating penalty and a global
-    modification budget guaranteeing termination.  The ablation experiments
-    switch the individual features off. *)
+    modification budget guaranteeing termination.  Every search of it is A*
+    under the L1 heuristic on the binary heap over the whole grid.  The
+    ablation experiments switch the individual features off. *)
 
 type order =
   | As_given  (** problem order *)
@@ -25,7 +26,10 @@ type audit_level =
 
 type t = {
   cost : Maze.Cost.t;
-  use_astar : bool;  (** A-star instead of plain Dijkstra (same costs) *)
+  use_astar : bool;
+      (** A* under the {!Maze.Search.L1} heuristic (default [true]) in
+          every rung of the engine; [false] searches with plain Dijkstra.
+          Both return the same costs, not always the same paths *)
   kernel : Maze.Search.kernel;
       (** frontier data structure of every maze search: the classical
           binary heap (default), or the Dial bucket queue exploiting the
@@ -97,5 +101,6 @@ val audit_name : audit_level -> string
 
 val describe : t -> string
 (** Short human-readable summary, e.g. ["weak+strong, order=hpwl-desc"].
-    Budget and audit fields are mentioned only when set, so configurations
-    without them render exactly as before. *)
+    Past the strategy and order, a setting is mentioned only when it
+    differs from {!default} (["dijkstra"] when [use_astar] is [false]),
+    so configurations without such settings render exactly as before. *)

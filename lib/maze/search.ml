@@ -26,8 +26,10 @@ let backtrace ws target =
   in
   loop target []
 
-(* The [Zero] heuristic: plain Dijkstra. *)
-let zero _ = 0
+(* The [Zero] heuristic: plain Dijkstra.  The expansion loop calls a
+   heuristic on a node and the node's planar coordinates, which it
+   already knows. *)
+let zero _ _ _ = 0
 
 (* The one expansion loop behind [run].  The frontier holds [g + h]
    priorities; [dist] holds settled/tentative [g].  Both kernels drive the
@@ -39,9 +41,9 @@ let zero _ = 0
 
    [win] restricts the search: relaxations into nodes outside it are
    rejected, and with [escape] each rejected relaxation is priced as the
-   frontier key [g + step + penalty + escape n] it would have had in the
-   full search, the minimum returned as [f_min_out] ([max_int] when
-   nothing was priced).
+   frontier key [g + step + penalty + escape] (at the rejected node) it
+   would have had in the full search, the minimum returned as
+   [f_min_out] ([max_int] when nothing was priced).
 
    With [flood] on a full-grid attempt, a breadth-first flood from the
    targets runs in lockstep with the expansion: one flood node per
@@ -102,7 +104,7 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
       if Workspace.dist ws s > 0 then begin
         Workspace.set_dist ws s 0;
         Workspace.set_parent ws s (-1);
-        push (heuristic s) s
+        push (heuristic s (Grid.node_x g s) (Grid.node_y g s)) s
       end)
     sources;
   let expanded = ref 0 in
@@ -158,14 +160,14 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
     | Some f ->
         fun n -> n land (stop_interval - 1) = 0 && f (n + !flooded)
   in
-  (* One relax, called directly: a full-grid search skips the window
-     test on a loop-invariant flag and never prices an escape. *)
-  let in_window n =
-    let x = Grid.node_x g n and y = Grid.node_y g n in
+  (* One relax, called directly with the neighbour's planar coordinates
+     [x], [y]: a full-grid search skips the window test on a
+     loop-invariant flag and never prices an escape. *)
+  let in_window x y =
     x >= win.x0 && x <= win.x1 && y >= win.y0 && y <= win.y1
   in
-  let relax from gscore n extra =
-    if full || in_window n then begin
+  let relax from gscore n x y extra =
+    if full || in_window x y then begin
       match passable n with
       | None -> ()
       | Some penalty ->
@@ -173,7 +175,7 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
           if nd < Workspace.dist ws n then begin
             Workspace.set_dist ws n nd;
             Workspace.set_parent ws n from;
-            push (nd + heuristic n) n
+            push (nd + heuristic n x y) n
           end
     end
     else
@@ -183,17 +185,20 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
           match passable n with
           | None -> ()
           | Some penalty ->
-              let key = gscore + extra + penalty + h_out n in
+              let key = gscore + extra + penalty + h_out n x y in
               if key < !f_min_out then f_min_out := key)
   in
   while !found = None && (not !aborted) && (not !certified) && has_more () do
     let prio, n = pop () in
     let gscore = Workspace.dist ws n in
+    (* Layer-major, row-major node numbering: two divisions. *)
+    let layer = n / pc in
+    let p = n - (layer * pc) in
+    let y = p / w in
+    let x = p - (y * w) in
     (* Stale frontier entry: the node was re-pushed with a smaller key. *)
-    if prio - heuristic n <= gscore then begin
+    if prio - heuristic n x y <= gscore then begin
       incr expanded;
-      let layer = Grid.node_layer g n in
-      let x = Grid.node_x g n and y = Grid.node_y g n in
       if x < tx0.(layer) then tx0.(layer) <- x;
       if x > tx1.(layer) then tx1.(layer) <- x;
       if y < ty0.(layer) then ty0.(layer) <- y;
@@ -204,15 +209,15 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
       else begin
         let horizontal_cost = hcost.(layer) in
         let vertical_cost = vcost.(layer) in
-        if x + 1 < w then relax n gscore (n + 1) horizontal_cost;
-        if x > 0 then relax n gscore (n - 1) horizontal_cost;
-        if y + 1 < h then relax n gscore (n + w) vertical_cost;
-        if y > 0 then relax n gscore (n - w) vertical_cost;
+        if x + 1 < w then relax n gscore (n + 1) (x + 1) y horizontal_cost;
+        if x > 0 then relax n gscore (n - 1) (x - 1) y horizontal_cost;
+        if y + 1 < h then relax n gscore (n + w) x (y + 1) vertical_cost;
+        if y > 0 then relax n gscore (n - w) x (y - 1) vertical_cost;
         (* Layer changes: one relaxation per adjacent layer — exactly one
            on a two-layer stack, preserving the historical frontier
            evolution (and with it Buckets pop-order byte-identity). *)
-        if layer + 1 < nl then relax n gscore (n + pc) cost.Cost.via;
-        if layer > 0 then relax n gscore (n - pc) cost.Cost.via;
+        if layer + 1 < nl then relax n gscore (n + pc) x y cost.Cost.via;
+        if layer > 0 then relax n gscore (n - pc) x y cost.Cost.via;
         if !flooding then flood_step ()
       end
     end
@@ -354,105 +359,103 @@ let guided g ~rect ~tally ~sources ~targets attempt =
     | None, _, _, _ -> None
   end
 
-(* The [L1] heuristic: L1 distance to the nearest target, times the
-   cheapest planar step, precomputed as a flat int array over the window
-   with a two-pass distance transform: O(window) total, independent of the
-   target count.  A two-pass chamfer over any rectangle containing all
-   targets is exact, so the values are window-independent.
+(* The [L1] heuristic: L1 distance to the nearest target times the wire
+   cost, exact at every node of the grid.  A two-pass distance transform
+   over the bounding box B of the targets' planar cells holds the exact
+   distance inside B (a chamfer over any rectangle containing every
+   target is exact).  A node outside B is clamped into B and pays its
+   distance to the clamp point on top, which is exact too: for any
+   target t in B, |x - tx| = |x - cx| + |cx - tx| where cx is x clamped
+   into B's x-range, and likewise for y.  A build costs O(B) — one cell
+   for a 2-pin net — and a lookup O(1), whatever the search window: it
+   takes the coordinates the expansion loop already has, so it divides
+   nothing.
 
-   The transform is a pure function of (planar targets, window, wire): it
-   never reads grid occupancy.  With [memo] the workspace's stored key is
-   checked first and a matching field is reused verbatim, so the repeated
-   searches of an escalation loop (shove-and-retry against the same
-   target set) or a retry sweep skip the O(window) rebuild.  The key is
-   always (re)stamped on compute, so memoized and unmemoized callers can
-   interleave safely. *)
-let build_heuristic ~memo g ws ~wire ~targets ~win =
-  let w = Grid.width g in
-  let hf = Workspace.hfield ws in
-  let tplanar = List.map (fun t -> Grid.planar g t) targets in
-  let key_win = (win.x0, win.y0, win.x1, win.y1) in
-  if
-    not (memo && Workspace.hfield_memo_hit ws ~wire ~win:key_win ~targets:tplanar)
-  then begin
-    let inf = max_int / 256 in
-    for y = win.y0 to win.y1 do
-      let row = y * w in
-      for x = win.x0 to win.x1 do
-        hf.(row + x) <- inf
-      done
-    done;
-    List.iter (fun p -> hf.(p) <- 0) tplanar;
-    for y = win.y0 to win.y1 do
-      let row = y * w in
-      for x = win.x0 to win.x1 do
-        let i = row + x in
-        if x > win.x0 && hf.(i - 1) + 1 < hf.(i) then hf.(i) <- hf.(i - 1) + 1;
-        if y > win.y0 && hf.(i - w) + 1 < hf.(i) then hf.(i) <- hf.(i - w) + 1
-      done
-    done;
-    for y = win.y1 downto win.y0 do
-      let row = y * w in
-      for x = win.x1 downto win.x0 do
-        let i = row + x in
-        if x < win.x1 && hf.(i + 1) + 1 < hf.(i) then hf.(i) <- hf.(i + 1) + 1;
-        if y < win.y1 && hf.(i + w) + 1 < hf.(i) then hf.(i) <- hf.(i + w) + 1
-      done
-    done;
-    Workspace.hfield_memo_store ws ~wire ~win:key_win ~targets:tplanar
-  end;
-  fun n -> wire * hf.(Grid.planar g n)
+   The field is a pure function of the planar target list: it reads
+   neither grid occupancy nor the window.  With [memo] the workspace's
+   stored key is checked first and a matching field is reused verbatim,
+   so the repeated searches of an escalation loop (shove-and-retry
+   against the same target set) skip the rebuild.  The key is always
+   (re)stamped on a build, so memoized and unmemoized callers can
+   interleave safely.  No target means a constant heuristic. *)
+let l1 ~memo g ws ~wire ~targets =
+  match targets with
+  | [] -> zero
+  | _ ->
+      let bx0, by0, bx1, by1 = bbox g targets in
+      let w = Grid.width g in
+      let hf = Workspace.hfield ws in
+      let tplanar = List.map (fun t -> Grid.planar g t) targets in
+      if not (memo && Workspace.hfield_memo_hit ws ~targets:tplanar) then begin
+        let inf = max_int / 256 in
+        for y = by0 to by1 do
+          let row = y * w in
+          for x = bx0 to bx1 do
+            hf.(row + x) <- inf
+          done
+        done;
+        List.iter (fun p -> hf.(p) <- 0) tplanar;
+        for y = by0 to by1 do
+          let row = y * w in
+          for x = bx0 to bx1 do
+            let i = row + x in
+            if x > bx0 && hf.(i - 1) + 1 < hf.(i) then hf.(i) <- hf.(i - 1) + 1;
+            if y > by0 && hf.(i - w) + 1 < hf.(i) then hf.(i) <- hf.(i - w) + 1
+          done
+        done;
+        for y = by1 downto by0 do
+          let row = y * w in
+          for x = bx1 downto bx0 do
+            let i = row + x in
+            if x < bx1 && hf.(i + 1) + 1 < hf.(i) then hf.(i) <- hf.(i + 1) + 1;
+            if y < by1 && hf.(i + w) + 1 < hf.(i) then hf.(i) <- hf.(i + w) + 1
+          done
+        done;
+        Workspace.hfield_memo_store ws ~targets:tplanar
+      end;
+      fun _ x y ->
+        let cx = if x < bx0 then bx0 else if x > bx1 then bx1 else x in
+        let cy = if y < by0 then by0 else if y > by1 then by1 else y in
+        wire * (abs (x - cx) + abs (y - cy) + hf.((cy * w) + cx))
 
-(* The [L1] heuristic of a node outside the transform's window, where the
-   field was never written: computed directly against the targets. *)
-let l1_direct g ~wire ~targets =
-  let tplanar =
-    List.map (fun t -> (Grid.node_x g t, Grid.node_y g t)) targets
-  in
-  fun n ->
-    let x = Grid.node_x g n and y = Grid.node_y g n in
-    wire
-    * List.fold_left
-        (fun acc (tx, ty) -> min acc (abs (x - tx) + abs (y - ty)))
-        max_int tplanar
+let lower_bound ~memo g ws ~cost ~targets = function
+  | Zero -> zero
+  | L1 -> l1 ~memo g ws ~wire:cost.Cost.wire ~targets
+  | Field lb -> fun n _ _ -> Lowerbound.value lb g n
+
+let estimate ?(memo = false) g ws ~cost ~targets heuristic =
+  let h = lower_bound ~memo g ws ~cost ~targets heuristic in
+  fun n -> h n (Grid.node_x g n) (Grid.node_y g n)
 
 let run ?(kernel = Binary_heap) ?(heuristic = Zero) ?(window = Full) ?stop
     ?(memo = false) ?(flood = false) ?work g ws ~cost ~passable ~sources
     ~targets () =
-  let wire = cost.Cost.wire in
-  (* What the heuristic contributes: in-window priorities for an attempt
-     window, the pricing of rejected escapes, and — for a field — the
-     pruning of nodes it proves cannot reach a target (everything outside
+  (* One heuristic for the whole call: it orders the frontier of every
+     attempt and prices the escapes a guide probe rejects.  A field also
+     prunes the nodes it proves cannot reach a target (everything outside
      its window among them), sources included. *)
-  let at_window, escape, passable, sources =
+  let h = lower_bound ~memo g ws ~cost ~targets heuristic in
+  let passable, sources =
     match heuristic with
-    | Zero -> ((fun _ -> zero), (fun () -> zero), passable, sources)
-    | L1 ->
-        ( (fun win -> build_heuristic ~memo g ws ~wire ~targets ~win),
-          (fun () -> l1_direct g ~wire ~targets),
-          passable,
-          sources )
+    | Zero | L1 -> (passable, sources)
     | Field lb ->
-        let h n = Lowerbound.value lb g n in
-        let reaches n = h n < Lowerbound.inf_cost in
-        ( (fun _ -> h),
-          (fun () -> h),
-          (fun n -> if reaches n then passable n else None),
+        let reaches n = Lowerbound.value lb g n < Lowerbound.inf_cost in
+        ( (fun n -> if reaches n then passable n else None),
           List.filter reaches sources )
   in
   let attempt ~escape win =
-    core g ws ~kernel ~cost ~passable ~sources ~targets
-      ~heuristic:(at_window win) ~win ~escape ~stop ~flood ~work
+    core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic:h ~win
+      ~escape ~stop ~flood ~work
   in
   match window with
   | Full ->
       let r, _, _, _ = attempt ~escape:None (full_win g) in
       r
   | Margin margin ->
-      widen g ~margin ~wire ~sources ~targets (attempt ~escape:None)
+      widen g ~margin ~wire:cost.Cost.wire ~sources ~targets
+        (attempt ~escape:None)
   | Guide { rect; tally } ->
-      guided g ~rect ~tally ~sources ~targets
-        (attempt ~escape:(Some (escape ())))
+      guided g ~rect ~tally ~sources ~targets (attempt ~escape:(Some h))
 
 (* Plain BFS wave expansion; dist doubles as the visited set. *)
 let run_lee g ws ~passable ~sources ~targets () =

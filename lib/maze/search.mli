@@ -48,10 +48,13 @@ type heuristic =
   | L1
       (** A*: L1 distance to the nearest target times the wire cost —
           admissible and consistent, so it returns Dijkstra's cost with
-          fewer expansions when the target set is compact.  It is
-          precomputed into a flat planar array by a two-pass distance
-          transform over the search window (O(window), independent of the
-          target count), so the per-relax cost is one array read. *)
+          fewer expansions when the target set is compact.  A two-pass
+          distance transform over the bounding box of the targets' planar
+          cells holds the exact distance inside that box; a node outside
+          it is clamped into the box and adds its distance to the clamp
+          point, which is exact as well.  A build costs the box (one cell
+          for a single target), not the grid or the window, and a lookup
+          is O(1).  An empty target list gets a constant heuristic. *)
   | Field of Lowerbound.t
       (** A* steered by a lower-bound field: the exact (or repaired, i.e.
           stale-low but still admissible) in-window cost-to-target under
@@ -146,11 +149,30 @@ val run :
     (see {!work}) — the only account of a failed search's cost.
 
     [memo] (default [false]) lets the {!L1} heuristic reuse the
-    workspace's stored transform when the (targets, window, wire) key is
-    unchanged — the transform never reads grid occupancy, so the reuse is
-    value-exact and results are byte-identical with the flag on or off.
-    Escalation loops and retry sweeps re-search the same target set
-    repeatedly and profit most. *)
+    workspace's stored transform when the planar target list is unchanged
+    — the transform reads neither grid occupancy nor the window, so the
+    reuse is value-exact and results are byte-identical with the flag on
+    or off.  Escalation loops and retry sweeps re-search the same target
+    set repeatedly and profit most.  Within one call the transform is
+    built at most once: every widening of a {!Margin} search and the
+    escape pricing of a {!Guide} probe share it. *)
+
+val estimate :
+  ?memo:bool ->
+  Grid.t ->
+  Workspace.t ->
+  cost:Cost.t ->
+  targets:int list ->
+  heuristic ->
+  int ->
+  int
+(** [estimate g ws ~cost ~targets h] is the lower bound {!run} adds to a
+    node's cost so far under [h], and the price it gives the escapes a
+    {!Guide} probe rejects: [0] under {!Zero}, the wire cost times the
+    node's L1 distance to the nearest target under {!L1} (building the
+    workspace's transform, with [memo] as in {!run}), the field's value
+    under {!Field}.  The returned function reads the workspace's field,
+    so it is valid until the next {!L1} build on that workspace. *)
 
 val run_lee :
   Grid.t ->

@@ -11,12 +11,10 @@ type t = {
   flood : Util.Vec.t;  (* FIFO of the target-side flood, grown on demand *)
   hfield : int array;  (* planar heuristic field for array-based A* *)
   (* Memo key of the hfield contents: the field is a pure function of
-     (planar targets, window, wire, grid width) and independent of grid
+     the planar targets (and the grid width) and independent of grid
      occupancy, so a matching key means the stored transform is exact
-     and the O(window) recompute can be skipped.  wire = -1 encodes "no
-     valid key". *)
-  mutable hkey_wire : int;
-  mutable hkey_win : int * int * int * int;
+     and the recompute can be skipped.  [] encodes "no valid key": no
+     field is ever built for an empty target list. *)
   mutable hkey_targets : int list;
   (* Per-layer bounding box of nodes expanded since [clear_touched];
      x0 > x1 encodes empty.  Deliberately NOT reset by [begin_search]:
@@ -46,8 +44,6 @@ let create g =
     buckets = Util.Bucketq.create ();
     flood = Util.Vec.create ();
     hfield = Array.make (Grid.planar_cells g) 0;
-    hkey_wire = -1;
-    hkey_win = (0, 0, 0, 0);
     hkey_targets = [];
     tx0 = Array.make nl 1;
     ty0 = Array.make nl 1;
@@ -124,10 +120,6 @@ let buckets ws = ws.buckets
 
 let hfield ws = ws.hfield
 
-let hfield_memo_hit ws ~wire ~win ~targets =
-  ws.hkey_wire = wire && ws.hkey_win = win && ws.hkey_targets = targets
+let hfield_memo_hit ws ~targets = targets <> [] && ws.hkey_targets = targets
 
-let hfield_memo_store ws ~wire ~win ~targets =
-  ws.hkey_wire <- wire;
-  ws.hkey_win <- win;
-  ws.hkey_targets <- targets
+let hfield_memo_store ws ~targets = ws.hkey_targets <- targets

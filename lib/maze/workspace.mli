@@ -69,20 +69,19 @@ val buckets : t -> Util.Bucketq.t
 
 val hfield : t -> int array
 (** Planar scratch array ([width × height]) holding the precomputed
-    A* heuristic field (L1 distance to the nearest target); owned and
-    rebuilt by {!Search.run} under the {!Search.L1} heuristic. *)
+    A* heuristic field (L1 distance to the nearest target, over the
+    targets' bounding box); owned and rebuilt by {!Search.run} under the
+    {!Search.L1} heuristic. *)
 
-val hfield_memo_hit :
-  t -> wire:int -> win:int * int * int * int -> targets:int list -> bool
+val hfield_memo_hit : t -> targets:int list -> bool
 (** Whether the stored {!hfield} contents were computed for exactly this
-    (wire, window, planar-target-list) key.  The field is a pure function
-    of that key (it never reads grid occupancy, so no dirty-state check
-    is needed), hence a hit means the transform can be reused verbatim —
-    this is what lets repeated searches against an unchanged target set
-    skip the O(window) recompute. *)
+    non-empty planar target list.  The field is a pure function of it (it
+    never reads grid occupancy or the search window, so no dirty-state
+    check is needed), hence a hit means the transform can be reused
+    verbatim — this is what lets repeated searches against an unchanged
+    target set, widening retries included, skip the recompute. *)
 
-val hfield_memo_store :
-  t -> wire:int -> win:int * int * int * int -> targets:int list -> unit
+val hfield_memo_store : t -> targets:int list -> unit
 (** Record the key the {!hfield} contents were just computed for. *)
 
 (** {1 Touched-region accumulator}

@@ -1,8 +1,10 @@
 (** Mutable binary min-heap keyed by integer priorities.
 
-    The maze search is the hot loop of the router, so the heap stores plain
-    [(priority, payload)] pairs in growable arrays and performs no
-    allocation per operation beyond occasional resizing.  Payloads are
+    The maze search is the hot loop of the router, so the heap stores
+    priorities and payloads in growable int arrays: {!push} allocates
+    only when it doubles them, {!clear} never.  {!pop} and {!peek}
+    return a freshly allocated [(priority, payload)] pair, and
+    {!pop_opt}/{!peek_opt} wrap it in an option as well.  Payloads are
     integers (packed grid node indices). *)
 
 type t

@@ -299,6 +299,99 @@ let prop_windowed_matches_full =
         | Some _, None | None, Some _ -> false
       end)
 
+(* --- the L1 heuristic --- *)
+
+(* A random 2–4-layer grid, from 1x1 up, and two target sets of 1–6
+   nodes each on any layer, about half of them pulled onto the border. *)
+let l1_instance seed =
+  let prng = Util.Prng.create seed in
+  let w = Util.Prng.int_in prng 1 14 and h = Util.Prng.int_in prng 1 12 in
+  let layers = Util.Prng.int_in prng 2 4 in
+  let g = Grid.create ~layers ~width:w ~height:h () in
+  let target _ =
+    let x = Util.Prng.int prng w and y = Util.Prng.int prng h in
+    let x, y =
+      match Util.Prng.int prng 8 with
+      | 0 -> (0, y)
+      | 1 -> (w - 1, y)
+      | 2 -> (x, 0)
+      | 3 -> (x, h - 1)
+      | _ -> (x, y)
+    in
+    Grid.node g ~layer:(Util.Prng.int prng layers) ~x ~y
+  in
+  let targets () = List.init (Util.Prng.int_in prng 1 6) target in
+  let ts1 = targets () in
+  let ts2 = targets () in
+  let rect =
+    let x0 = Util.Prng.int prng w and y0 = Util.Prng.int prng h in
+    Geom.Rect.make x0 y0
+      (Util.Prng.int_in prng x0 (w - 1))
+      (Util.Prng.int_in prng y0 (h - 1))
+  in
+  (g, ts1, ts2, rect, Util.Prng.int prng (Grid.node_count g))
+
+(* The heuristic is exact at every node of the grid — inside and outside
+   the targets' bounding box and any search window — on a fresh build,
+   on a memo hit, after the target set changes and changes back, and
+   after a guide probe: a memoized estimate right after the probe reads
+   the field the probe built and priced its rejected escapes with.  A
+   certified probe must also equal the full search it stands in for,
+   which an overpriced escape would break. *)
+let prop_l1_exact =
+  Testkit.qcheck ~count:300 "L1 heuristic = wire * brute-force L1 everywhere"
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 1 3))
+    (fun (seed, wire) ->
+      let g, ts1, ts2, rect, source = l1_instance seed in
+      let ws = Maze.Workspace.create g in
+      let cost = { Maze.Cost.default with Maze.Cost.wire } in
+      let estimate ~memo targets =
+        Maze.Search.estimate ~memo g ws ~cost ~targets Maze.Search.L1
+      in
+      let exact targets h =
+        let ok = ref true in
+        Grid.iter_nodes g (fun n ->
+            let x = Grid.node_x g n and y = Grid.node_y g n in
+            let l1 =
+              List.fold_left
+                (fun acc t ->
+                  min acc (abs (x - Grid.node_x g t) + abs (y - Grid.node_y g t)))
+                max_int targets
+            in
+            if h n <> wire * l1 then ok := false);
+        !ok
+      in
+      let constant h =
+        let v = h 0 in
+        let ok = ref true in
+        Grid.iter_nodes g (fun n -> if h n <> v then ok := false);
+        !ok
+      in
+      let search ?(memo = false) window targets =
+        Maze.Search.run ~kernel:Maze.Search.Buckets ~heuristic:Maze.Search.L1
+          ~window ~memo g ws ~cost ~passable:(free_passable g)
+          ~sources:[ source ] ~targets ()
+      in
+      (* A guide probe, then what it must satisfy: a certified probe is
+         the full search, path and effort included. *)
+      let probe targets =
+        let tally = { Maze.Search.hits = 0; fallbacks = 0 } in
+        let guided =
+          search ~memo:true (Maze.Search.Guide { rect; tally }) targets
+        in
+        let priced = exact targets (estimate ~memo:true targets) in
+        priced
+        && (tally.Maze.Search.hits = 0
+           || guided = search Maze.Search.Full targets)
+      in
+      exact ts1 (estimate ~memo:false ts1)
+      && exact ts1 (estimate ~memo:true ts1)
+      && exact ts2 (estimate ~memo:true ts2)
+      && exact ts1 (estimate ~memo:true ts1)
+      && constant (estimate ~memo:true [])
+      && exact ts1 (estimate ~memo:true ts1)
+      && probe ts2 && probe ts1)
+
 (* --- the target-side flood --- *)
 
 (* A random 2- or 3-layer grid with scattered blockages and, in three
@@ -708,6 +801,7 @@ let () =
           Alcotest.test_case "workspace reset" `Quick test_workspace_reset_explicit;
           prop_buckets_match_heap;
           prop_windowed_matches_full;
+          prop_l1_exact;
           prop_flood_is_invisible;
         ] );
       ( "touched",

@@ -249,11 +249,14 @@ let test_engine_fast_kernels_complete_clean () =
         (e.Router.Outcome.maze_expanded + e.Router.Outcome.weak_expanded
         + e.Router.Outcome.strong_expanded))
     [
-      { Router.Config.default with kernel = Maze.Search.Buckets };
       {
         Router.Config.default with
         kernel = Maze.Search.Buckets;
-        use_astar = true;
+        use_astar = false;
+      };
+      {
+        Router.Config.default with
+        kernel = Maze.Search.Buckets;
         window_margin = Some 4;
       };
     ]
@@ -301,10 +304,10 @@ let test_engine_restarts_help_or_match () =
 
 let test_engine_astar_same_completion () =
   let p = Workload.Hard.tiny_blocked () in
-  let dij = Router.Engine.route p in
-  let ast =
-    Router.Engine.route ~config:{ Router.Config.default with use_astar = true } p
+  let dij =
+    Router.Engine.route ~config:{ Router.Config.default with use_astar = false } p
   in
+  let ast = Router.Engine.route p in
   Testkit.check_true "both complete"
     (dij.Router.Engine.completed && ast.Router.Engine.completed);
   Testkit.check_true "astar expands no more"
@@ -558,13 +561,13 @@ let test_refine_improves_known_detour () =
 
 (* Refine's trajectory after the default route of a committed chip:
    the planner's searches must stay where they were. *)
-let test_refine_stats_pinned () =
+let test_refine_stats_pinned ?(config = Router.Config.default) expected () =
   let p = Testkit.instance "chip_96x64" in
-  let r = Router.Engine.route p in
+  let r = Router.Engine.route ~config p in
   let s = Router.Improve.refine p r.Router.Engine.grid in
   Alcotest.(check (list int))
     "wl before/after, vias before/after, planned, improved, passes"
-    [ 1257; 1137; 66; 54; 36; 6; 3 ]
+    expected
     Router.Improve.
       [
         s.wirelength_before;
@@ -622,9 +625,9 @@ let test_config_describe () =
     (Router.Config.describe Router.Config.default = "weak+strong, order=hpwl-desc");
   Testkit.check_true "maze"
     (Router.Config.describe Router.Config.maze_only = "maze-only, order=hpwl-desc");
-  let cfg = { Router.Config.weak_only with use_astar = true; restarts = 3 } in
+  let cfg = { Router.Config.weak_only with use_astar = false; restarts = 3 } in
   let s = Router.Config.describe cfg in
-  Testkit.check_true "mentions astar"
+  Testkit.check_true "mentions dijkstra"
     (String.length s > 0
     && (let has sub =
           let rec search i =
@@ -633,7 +636,7 @@ let test_config_describe () =
           in
           search 0
         in
-        has "astar" && has "restarts=3" && has "weak-only"))
+        has "dijkstra" && has "restarts=3" && has "weak-only"))
 
 let test_outcome_measure () =
   let p =
@@ -661,9 +664,10 @@ let prop_measure_matches_measure_net =
 
 (* The engine's effort and result on committed instances, as
    [searches; expanded; rips; shoves; wirelength; vias], for the default
-   config and for every frontier × heuristic × window combination the
-   CLI and the benches use: search and bookkeeping changes must leave
-   each routing trajectory exactly where it was.  Each row also pins
+   config (A* on the heap), for the paper's Dijkstra, and for every
+   frontier × heuristic × window combination the CLI and the benches
+   use: search and bookkeeping changes must leave each routing
+   trajectory exactly where it was.  Each row also pins
    [reused] as [plans; expansions]: the strong rung takes the plan of a
    weak pass that moved nothing instead of repeating its search, so the
    row's effort before that reuse is [searches + plans; expanded +
@@ -692,7 +696,7 @@ let test_engine_stats_pinned ?(config = Router.Config.default) name expected
     reused
     (reused_list r.Router.Engine.stats)
 
-let pinned_config ?(astar = false) ?window kernel =
+let pinned_config ~astar ?window kernel =
   {
     Router.Config.default with
     Router.Config.use_astar = astar;
@@ -1020,22 +1024,36 @@ let () =
           Alcotest.test_case "loose prewire" `Quick test_engine_loose_prewire_rippable;
           Alcotest.test_case "orphan prewire pruned" `Quick test_engine_prunes_orphan_prewire;
           Alcotest.test_case "stats pinned chip_96x64" `Quick
-            (test_engine_stats_pinned "chip_96x64" [ 85; 62333; 24; 5; 1257; 66 ]
+            (test_engine_stats_pinned "chip_96x64" [ 85; 31121; 24; 5; 1257; 68 ]
+               ~reused:[ 19; 14783 ]);
+          Alcotest.test_case "stats pinned chip_96x64 dijkstra" `Quick
+            (test_engine_stats_pinned
+               ~config:(pinned_config ~astar:false Maze.Search.Binary_heap)
+               "chip_96x64" [ 85; 62333; 24; 5; 1257; 66 ]
                ~reused:[ 19; 22806 ]);
           Alcotest.test_case "stats pinned switchbox_64x52" `Slow
             (test_engine_stats_pinned "switchbox_64x52"
+               [ 117; 122587; 13; 5; 4395; 133 ]
+               ~reused:[ 12; 32573 ]);
+          Alcotest.test_case "stats pinned switchbox_64x52 dijkstra" `Slow
+            (test_engine_stats_pinned
+               ~config:(pinned_config ~astar:false Maze.Search.Binary_heap)
+               "switchbox_64x52"
                [ 636; 1742324; 271; 15; 4391; 154 ]
                ~reused:[ 211; 1269106 ]);
+          Alcotest.test_case "stats pinned chip_320x224_l3" `Slow
+            (test_engine_stats_pinned "chip_320x224_l3"
+               [ 1827; 360128; 198; 57; 16185; 2082 ]
+               ~reused:[ 159; 83546 ]);
+          Alcotest.test_case "stats pinned chip_288x192_l4" `Slow
+            (test_engine_stats_pinned "chip_288x192_l4"
+               [ 1979; 621586; 309; 54; 16905; 2646 ]
+               ~reused:[ 237; 247183 ]);
           Alcotest.test_case "stats pinned chip_96x64 astar buckets" `Quick
             (test_engine_stats_pinned
                ~config:(pinned_config ~astar:true Maze.Search.Buckets)
                "chip_96x64" [ 85; 29943; 24; 5; 1257; 68 ]
                ~reused:[ 19; 14424 ]);
-          Alcotest.test_case "stats pinned chip_96x64 astar heap" `Quick
-            (test_engine_stats_pinned
-               ~config:(pinned_config ~astar:true Maze.Search.Binary_heap)
-               "chip_96x64" [ 85; 31121; 24; 5; 1257; 68 ]
-               ~reused:[ 19; 14783 ]);
           Alcotest.test_case "stats pinned chip_96x64 astar buckets window 4"
             `Quick
             (test_engine_stats_pinned
@@ -1045,12 +1063,14 @@ let () =
                ~reused:[ 19; 45447 ]);
           Alcotest.test_case "stats pinned chip_96x64 buckets window 4" `Quick
             (test_engine_stats_pinned
-               ~config:(pinned_config ~window:4 Maze.Search.Buckets)
+               ~config:
+                 (pinned_config ~astar:false ~window:4 Maze.Search.Buckets)
                "chip_96x64" [ 85; 121539; 24; 5; 1257; 66 ]
                ~reused:[ 19; 65050 ]);
           Alcotest.test_case "stats pinned chip_96x64 heap window 4" `Quick
             (test_engine_stats_pinned
-               ~config:(pinned_config ~window:4 Maze.Search.Binary_heap)
+               ~config:
+                 (pinned_config ~astar:false ~window:4 Maze.Search.Binary_heap)
                "chip_96x64" [ 85; 121791; 24; 5; 1257; 66 ]
                ~reused:[ 19; 65219 ]);
           Alcotest.test_case "stats pinned flow macro_128x104" `Slow
@@ -1128,6 +1148,10 @@ let () =
           Alcotest.test_case "improves known detour" `Quick test_refine_improves_known_detour;
           Alcotest.test_case "idempotent" `Quick test_refine_idempotent;
           Alcotest.test_case "stats pinned chip_96x64" `Quick
-            test_refine_stats_pinned;
+            (test_refine_stats_pinned [ 1257; 1137; 68; 54; 36; 6; 3 ]);
+          Alcotest.test_case "stats pinned chip_96x64 dijkstra" `Quick
+            (test_refine_stats_pinned
+               ~config:{ Router.Config.default with use_astar = false }
+               [ 1257; 1137; 66; 54; 36; 6; 3 ]);
         ] );
     ]
