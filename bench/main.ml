@@ -878,19 +878,6 @@ let micro_kernels () =
       ( "astar / buckets / window margin 4",
         search ~heuristic:Maze.Search.L1 ~window:(Maze.Search.Margin 4)
           buckets );
-      (* The lower-bound-field A*: the heuristic is the exact cost-to-
-         target, so expansion collapses to the optimal corridor.  The
-         per-search field build (a full-grid backward Dijkstra) is timed
-         too — worthwhile only when the field is reused across rip-up
-         iterations, which is what the `incremental` sweep measures. *)
-      ( "astar / buckets / lb field (build + search)",
-        fun ~passable ~sources ~targets ->
-          let f =
-            Maze.Lowerbound.build g ~cost ~passable ~targets
-              ~around:(sources @ targets) ~margin:(max w h)
-          in
-          search ~heuristic:(Maze.Search.Field f) buckets ~passable ~sources
-            ~targets );
     ]
   in
   let table =
@@ -1174,21 +1161,22 @@ let router_bench () =
    once, then both modes replay the identical deterministic schedule —
    an initial refine, then [cycles] rounds of (rip a few nets, reroute
    them, refine) — on their own copy of the routed grid.  The initial
-   refine is an untimed warm-up in both modes (it is where the
-   incremental mode pays its one-time field builds, and where both
-   modes converge the fresh routing); the per-cycle refine calls are
-   what is timed.  The baseline replans every connected net every
-   pass; the incremental mode carries one {!Maze.Cache} across all
-   refine calls, so untouched nets are answered by certificate or
-   lower-bound oracle.  Final layouts must be byte-identical. *)
+   refine is an untimed warm-up in both modes (it is where both modes
+   converge the fresh routing); the per-cycle refine calls are what is
+   timed.  The baseline replans every connected net every pass; the
+   incremental mode carries one {!Maze.Cache} across all refine calls,
+   so untouched nets are answered by their certificate, and nets at
+   their pins' closed-form floor by that floor.  Final layouts must be
+   byte-identical. *)
 
 let incremental_bench () =
   heading "incremental (json): refine-phase reuse across rip-up cycles"
-    "Claim: per-net certificates and journal-repaired lower-bound fields\n\
-     cut the wall-clock of repeated refinement passes (>= 1.5x on the\n\
-     committed instances) at byte-identical layouts.  The initial refine\n\
-     after routing is an untimed warm-up in both modes; the per-cycle\n\
-     refines are timed.  Best of 3 runs per mode; written to\n\
+    "Claim: per-net read-region certificates plus the closed-form cost\n\
+     floor answer a third to a half of the baseline's replans on every\n\
+     instance above 8 nets, at byte-identical layouts; the refine wall\n\
+     clock moves little (0.9-1.3x across runs).  The initial refine after\n\
+     routing is an untimed warm-up in both modes; the per-cycle refines\n\
+     are timed.  Best of 3 runs per mode; written to\n\
      BENCH_incremental.json.";
   let instances =
     [ "switchbox_12x10"; "switchbox_32x26"; "switchbox_64x52";
@@ -1200,7 +1188,7 @@ let incremental_bench () =
       ~headers:
         [ "instance"; "nets"; "refine ms (base)"; "refine ms (incr)";
           "speedup"; "planned base/incr"; "cert-skips"; "bound-skips";
-          "repairs"; "identical"; "drc" ]
+          "identical"; "drc" ]
   in
   let json_rows = ref [] in
   let all_identical = ref true in
@@ -1249,9 +1237,7 @@ let incremental_bench () =
           let refine_s = ref 0.0 in
           let planned = ref 0
           and cert_skips = ref 0
-          and bound_skips = ref 0
-          and builds = ref 0
-          and repairs = ref 0 in
+          and bound_skips = ref 0 in
           let refine ~timed =
             let t0 = Unix.gettimeofday () in
             let s =
@@ -1262,9 +1248,7 @@ let incremental_bench () =
               refine_s := !refine_s +. (Unix.gettimeofday () -. t0);
               planned := !planned + s.Router.Improve.planned;
               cert_skips := !cert_skips + s.Router.Improve.skipped_cert;
-              bound_skips := !bound_skips + s.Router.Improve.skipped_bound;
-              builds := !builds + s.Router.Improve.field_builds;
-              repairs := !repairs + s.Router.Improve.field_repairs
+              bound_skips := !bound_skips + s.Router.Improve.skipped_bound
             end
           in
           refine ~timed:false;
@@ -1273,9 +1257,7 @@ let incremental_bench () =
               List.iter (fun net -> rip_and_reroute g ws net) rips;
               refine ~timed:true)
             schedule;
-          ( !refine_s,
-            g,
-            (!planned, !cert_skips, !bound_skips, !builds, !repairs) )
+          (!refine_s, g, (!planned, !cert_skips, !bound_skips))
         in
         let best_of mode =
           let best = ref infinity and out = ref None in
@@ -1287,8 +1269,8 @@ let incremental_bench () =
           let g, st = Option.get !out in
           (!best, g, st)
         in
-        let tb, gb, (pb, _, _, _, _) = best_of false in
-        let ti, gi, (pi, certs, bounds, builds, repairs) = best_of true in
+        let tb, gb, (pb, _, _) = best_of false in
+        let ti, gi, (pi, certs, bounds) = best_of true in
         let identical = Grid.equal gb gi in
         if not identical then all_identical := false;
         let drc = Drc.Check.is_clean problem gi in
@@ -1303,7 +1285,6 @@ let incremental_bench () =
             Printf.sprintf "%d/%d" pb pi;
             Util.Table.cell_int certs;
             Util.Table.cell_int bounds;
-            Util.Table.cell_int repairs;
             Util.Table.cell_bool identical;
             (if drc then "clean" else "VIOLATION");
           ];
@@ -1313,11 +1294,10 @@ let incremental_bench () =
              \"rips_per_cycle\": %d, \"baseline_refine_ms\": %.3f, \
              \"incremental_refine_ms\": %.3f, \"speedup\": %.3f, \
              \"planned_baseline\": %d, \"planned_incremental\": %d, \
-             \"cert_skips\": %d, \"bound_skips\": %d, \"field_builds\": %d, \
-             \"field_repairs\": %d, \"identical\": %b, \"drc_clean\": %b}"
+             \"cert_skips\": %d, \"bound_skips\": %d, \"identical\": %b, \
+             \"drc_clean\": %b}"
             name nets_total cycles rips_per_cycle (1000.0 *. tb)
-            (1000.0 *. ti) speedup pb pi certs bounds builds repairs identical
-            drc
+            (1000.0 *. ti) speedup pb pi certs bounds identical drc
           :: !json_rows
       end)
     instances;

@@ -151,14 +151,16 @@ let config_term =
               info [ "incremental" ]
                 ~doc:
                   "Enable incremental search reuse (default): memoized \
-                   heuristic transforms plus per-net certificate and \
-                   lower-bound caches in refinement.  Layouts are \
+                   heuristic transforms, and in refinement per-net \
+                   read-region certificates plus a closed-form cost floor \
+                   that skip nets a replan cannot improve.  Layouts are \
                    byte-identical either way." );
             ( false,
               info [ "no-incremental" ]
                 ~doc:
-                  "Disable incremental search reuse; every search and \
-                   refinement visit recomputes from scratch." );
+                  "Disable incremental search reuse; every search \
+                   recomputes its heuristic and every refinement visit \
+                   plans its net." );
           ])
   in
   let make strategy order restarts seed kernel window deadline
@@ -267,10 +269,9 @@ let route_cmd =
           if verbose then
             Format.printf
               "refine-cache: planned %d  cert-skips %d  bound-skips %d  \
-               stale %d  field builds/repairs %d/%d@."
+               stale %d@."
               s.Router.Improve.planned s.Router.Improve.skipped_cert
               s.Router.Improve.skipped_bound s.Router.Improve.cache_stale
-              s.Router.Improve.field_builds s.Router.Improve.field_repairs
         end;
         (match Drc.Check.check problem result.Router.Engine.grid with
         | [] -> Format.printf "drc: clean@."

@@ -82,10 +82,11 @@ type t = {
       (** incremental search reuse (default [true], DESIGN.md §11): the
           engine memoizes the A* heuristic transform across searches with
           an unchanged target set, and refinement keeps a per-net
-          {!Maze.Cache} — read-region certificates plus journal-repaired
-          lower-bound fields — so clean nets are skipped instead of
-          replanned.  Value-exact either way: layouts and costs are
-          byte-identical with the flag on or off *)
+          {!Maze.Cache} of read-region certificates and skips nets at
+          their pins' closed-form cost floor, so nets a replan cannot
+          improve are skipped instead of replanned.  Value-exact either
+          way: layouts and costs are byte-identical with the flag on or
+          off *)
 }
 
 val default : t

@@ -9,13 +9,7 @@ type stats = {
   skipped_cert : int;
   skipped_bound : int;
   cache_stale : int;
-  field_builds : int;
-  field_repairs : int;
 }
-
-(* Window inflation of the per-net lower-bound fields.  Purely a
-   sharpness/size trade-off: the escape bound keeps any margin sound. *)
-let field_margin = 4
 
 let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
     ?cache problem g =
@@ -32,14 +26,10 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
   let counters () =
     match cache with
     | Some c ->
-        ( Maze.Cache.hits c,
-          Maze.Cache.stale c,
-          Maze.Cache.field_builds c,
-          Maze.Cache.field_repairs c )
-    | None -> (0, 0, 0, 0)
+        (Maze.Cache.hits c, Maze.Cache.stale c, Maze.Cache.bound_skips c)
+    | None -> (0, 0, 0)
   in
-  let hits0, stale0, builds0, repairs0 = counters () in
-  let bound0 = match cache with Some c -> Maze.Cache.bound_skips c | None -> 0 in
+  let hits0, stale0, bound0 = counters () in
   let ws = Maze.Workspace.create g in
   let has_fixed_prewire net =
     List.exists
@@ -155,13 +145,21 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
     List.iter
       (fun (path, _) -> ignore (Maze.Route.occupy_path g ~net path))
       segs;
-    (* The committed cell set is exactly pins ∪ path nodes. *)
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun n -> Hashtbl.replace tbl n ()) pins;
-    List.iter
-      (fun (path, _) -> List.iter (fun n -> Hashtbl.replace tbl n ()) path)
-      segs;
-    cells.(net) <- Hashtbl.fold (fun n () acc -> n :: acc) tbl []
+    (* The committed cell set is exactly pins ∪ path nodes, listed in
+       path order (segments first, then pins, each cell once): the next
+       commit of this net releases its cells in this order, so the
+       releases of one segment coalesce into few journal rectangles. *)
+    let seen = Hashtbl.create 64 in
+    let acc = ref [] in
+    let add n =
+      if not (Hashtbl.mem seen n) then begin
+        Hashtbl.replace seen n ();
+        acc := n :: !acc
+      end
+    in
+    List.iter (fun (path, _) -> List.iter add path) segs;
+    List.iter add pins;
+    cells.(net) <- List.rev !acc
   in
   (* Per-layer bounding boxes of the net's current wiring.  Every skip
      verdict reads the net's own cells (through [net_cost] and the
@@ -219,36 +217,19 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
       let pins = pin_nodes net in
       let netdef = Netlist.Problem.net problem net in
       let passable = Maze.Route.passable_default g ~net in
-      (* Lower-bound oracle for two-pin nets under the wire=1 objective:
-         if even an admissible lower bound on any reroute reaches the
-         current cost, replanning provably cannot improve — skip without
-         searching.  The field must bound the MEASURED cost (wirelength +
-         via × vias), which has no wrong-way term, so it is built with
-         [wrong_way = 0]: any path's measured cost ≥ its same-layer steps
-         + via × layer changes = its cost under that relaxed model ≥ the
-         field's bound.  The decision read only the field's window (plus
-         the net's own wiring), so certify the window hulled with the
-         net's own per-layer wiring boxes. *)
-      let oracle_skip =
+      (* Closed-form floor under the wire=1 objective, any pin count: a
+         connected set containing all pins crosses every planar column
+         and row boundary of the pin bounding box (at least half-perimeter
+         wire edges) and joins the layers with at least one via per layer
+         gap the pins span.  A net already at that cost is at its global
+         optimum, so replanning provably cannot improve it — skip without
+         searching.  The decision read only the pins (static) and the
+         net's own wiring (through [old_cost]); certify exactly that.
+         Every other net is planned: the planner's own L1 bound is the
+         cheap exact proof that nothing beats the current wiring. *)
+      let floor_skip =
         match cache with
         | Some c when cost.Maze.Cost.wire = 1 && pins <> [] ->
-            (* The skip decision read the pins (static) and the net's own
-               wiring (through [old_cost]); a field decision additionally
-               read the field's window.  Certify exactly that. *)
-            let skip window =
-              Maze.Cache.note_bound_skip c;
-              let own = own_boxes net in
-              Maze.Cache.record_cert c ~net
-                ~certs:(Array.init nlayers (fun l -> join window own.(l)))
-                ~owned:(List.length cells.(net));
-              true
-            in
-            (* Tier 1 — closed-form floor, no field, any pin count: a
-               connected set containing all pins crosses every planar
-               column and row boundary of the pin bounding box (at least
-               half-perimeter wire edges) and joins the layers with at
-               least one via per layer gap the pins span.  A net already
-               at that cost is at its global optimum. *)
             let x0, y0, x1, y1, lmin, lmax =
               List.fold_left
                 (fun (x0, y0, x1, y1, lmin, lmax) p ->
@@ -263,38 +244,20 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
                 (max_int, max_int, min_int, min_int, max_int, min_int)
                 pins
             in
-            let hp = x1 - x0 + (y1 - y0) in
             let floor_cost =
-              (cost.Maze.Cost.wire * hp)
+              (cost.Maze.Cost.wire * (x1 - x0 + (y1 - y0)))
               + (cost.Maze.Cost.via * (lmax - lmin))
             in
-            if floor_cost >= old_cost then skip None
-            else begin
-              match netdef.Netlist.Net.pins with
-              | [ a; b ] ->
-                  (* Tier 2, two-pin nets — the journal-repaired distance
-                     field.  The escape bound must be able to reach
-                     [old_cost], so the margin adapts to the net's detour
-                     excess: with wire = 1 the escape term is
-                     L1 + 2(margin+1) >= old_cost at this margin. *)
-                  let pa = Maze.Route.pin_node g a
-                  and pb = Maze.Route.pin_node g b in
-                  let margin =
-                    max field_margin ((old_cost - hp) / 2)
-                  in
-                  let f =
-                    Maze.Cache.field c ~net
-                      ~cost:{ cost with Maze.Cost.wrong_way = 0 }
-                      ~passable ~targets:[ pb ] ~around:[ pa; pb ] ~margin
-                  in
-                  if Maze.Lowerbound.bound f g ~source:pa >= old_cost then
-                    skip (Some (Maze.Lowerbound.window f))
-                  else false
-              | _ -> false
+            if floor_cost >= old_cost then begin
+              Maze.Cache.note_bound_skip c;
+              Maze.Cache.record_cert c ~net ~certs:(own_boxes net)
+                ~owned:(List.length cells.(net));
+              true
             end
+            else false
         | _ -> false
       in
-      if oracle_skip then false
+      if floor_skip then false
       else begin
         Maze.Workspace.clear_touched ws;
         incr planned;
@@ -339,8 +302,7 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
       candidates;
     continue := !improved_this_pass
   done;
-  let hits1, stale1, builds1, repairs1 = counters () in
-  let bound1 = match cache with Some c -> Maze.Cache.bound_skips c | None -> 0 in
+  let hits1, stale1, bound1 = counters () in
   {
     passes = !passes;
     improved_nets = !improved_nets;
@@ -352,6 +314,4 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
     skipped_cert = hits1 - hits0;
     skipped_bound = bound1 - bound0;
     cache_stale = stale1 - stale0;
-    field_builds = builds1 - builds0;
-    field_repairs = repairs1 - repairs0;
   }

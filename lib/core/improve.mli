@@ -13,14 +13,14 @@
     is reached).
 
     With [incremental] (the default, DESIGN.md §11) a per-net
-    {!Maze.Cache} carries read-region certificates and journal-repaired
-    {!Maze.Lowerbound} fields across passes (and, via [cache], across
-    refine calls): a net whose certificate region is untouched by any
-    dirty rectangle is skipped outright, and a two-pin net whose
-    admissible lower bound already reaches its current cost is skipped
-    without searching.  Both skips replay decisions that a full replan
-    would provably reproduce, so layouts, costs, pass counts and improved
-    counts are byte-identical with the flag on or off.
+    {!Maze.Cache} carries read-region certificates across passes (and,
+    via [cache], across refine calls): a net whose certificate region is
+    untouched by any freeing dirty rectangle is skipped outright, and a
+    net already at the closed-form floor of its pins (half-perimeter
+    wire plus one via per layer gap) is skipped without searching.
+    Every other net is planned.  Both skips replay decisions that a full
+    replan would provably reproduce, so layouts, costs, pass counts and
+    improved counts are byte-identical with the flag on or off.
 
     This is the quality knob the ablation experiment E8 measures. *)
 
@@ -33,10 +33,10 @@ type stats = {
   vias_after : int;
   planned : int;  (** net-visits that actually ran planning searches *)
   skipped_cert : int;  (** visits skipped on a clean read-region certificate *)
-  skipped_bound : int;  (** visits skipped by the lower-bound oracle *)
+  skipped_bound : int;
+      (** visits skipped because the net is at its pins' closed-form
+          floor *)
   cache_stale : int;  (** certificates invalidated by dirty rectangles *)
-  field_builds : int;  (** lower-bound fields built (or ring-wrap rebuilt) *)
-  field_repairs : int;  (** incremental dirty-region field repairs *)
 }
 
 val refine :
@@ -50,7 +50,7 @@ val refine :
 (** Refine the routed grid in place.  Only nets that are currently fully
     connected are touched; fixed pre-wiring is never moved ([max_passes]
     defaults to 3, [cost] to {!Maze.Cost.default}, [incremental] to
-    [true]).  [cache] persists certificates and lower-bound fields across
-    refine calls on the {e same} grid value — rip-up/reroute cycles
-    between calls invalidate exactly the nets whose regions were written;
-    a cache created for another grid is ignored and rebuilt. *)
+    [true]).  [cache] persists certificates across refine calls on the
+    {e same} grid value — rip-up/reroute cycles between calls invalidate
+    exactly the nets whose regions were written; a cache created for
+    another grid is ignored and rebuilt. *)

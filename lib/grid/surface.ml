@@ -34,7 +34,7 @@ let default_layers = 2
 
 (* Sized so that a handful of rip-up/reroute cycles between refinement
    passes does not wrap the ring: a wrap forgets history and forces every
-   consumer (cost cache, refine certificates, lower-bound fields) into
+   consumer (the engine's failure-replay cache, refine certificates) into
    conservative full invalidation.  512 rects × layers is still tiny,
    and validation scans only the entries written since the queried mark. *)
 let dirt_cap = 512
@@ -317,24 +317,11 @@ let dirtied_in g ~since ~layer (r : Geom.Rect.t) =
     !hit
   end
 
-let dirtied_rects g ~since ~layer =
-  let d = g.dirt.(layer) in
-  dirt_flush d;
-  let s = since.(layer) in
-  if d.seq - s > dirt_cap then None (* ring wrapped: history lost *)
-  else begin
-    let acc = ref [] in
-    for i = d.seq - 1 downto s do
-      acc := d.ring.(i mod dirt_cap) :: !acc
-    done;
-    Some !acc
-  end
-
-(* Freeing-only views of the journal.  A write that only turned free
+(* Freeing-only view of the journal.  A write that only turned free
    cells into owned or obstructed ones (an occupy, a via placement, an
-   obstacle) can remove routes but never create a better one, so
-   consumers whose cached answer is a COST FLOOR or a "cannot improve"
-   verdict stay valid across it; only releases (and via clears) can
+   obstacle) can remove routes but never create a better one, so a
+   consumer whose cached answer is a "cannot improve" verdict (a refine
+   certificate) stays valid across it; only releases (and via clears) can
    invalidate them.  The flag is conservative: any rectangle that
    coalesced at least one release counts as freeing. *)
 let dirtied_in_freeing g ~since ~layer (r : Geom.Rect.t) =
@@ -352,20 +339,6 @@ let dirtied_in_freeing g ~since ~layer (r : Geom.Rect.t) =
       then hit := true
     done;
     !hit
-  end
-
-let dirtied_freeing_rects g ~since ~layer =
-  let d = g.dirt.(layer) in
-  dirt_flush d;
-  let s = since.(layer) in
-  if d.seq - s > dirt_cap then None (* ring wrapped: history lost *)
-  else begin
-    let acc = ref [] in
-    for i = d.seq - 1 downto s do
-      if Bytes.get d.freed (i mod dirt_cap) <> '\000' then
-        acc := d.ring.(i mod dirt_cap) :: !acc
-    done;
-    Some !acc
   end
 
 let via_count g = g.n_vias

@@ -192,29 +192,14 @@ val dirtied_in : t -> since:mark -> layer:int -> Geom.Rect.t -> bool
     Never returns a false "clean"; may return a false "dirty" after ring
     wrap-around or because of rectangle coalescing. *)
 
-val dirtied_rects : t -> since:mark -> layer:int -> Geom.Rect.t list option
-(** The journal rectangles of [layer] written since [since], oldest first.
-    [Some []] means provably nothing was written; [None] means the ring
-    wrapped past the mark and the history is lost (the caller must fall
-    back to a full rescan/rebuild).  Rectangles are conservative the same
-    way {!dirtied_in} is: coalescing may widen them, never shrink them. *)
-
 val dirtied_in_freeing : t -> since:mark -> layer:int -> Geom.Rect.t -> bool
 (** Like {!dirtied_in}, but only counts {e freeing} rectangles — those
     that coalesced at least one release or via clear.  Occupies,
     via placements and obstacles can remove routes but never create a
-    cheaper one, so cached cost floors and "cannot improve" verdicts
-    survive them; only a freeing write can invalidate such a consumer.
+    cheaper one, so cached "cannot improve" verdicts survive them; only a freeing write can invalidate such a consumer.
     Conservative in the same ways as {!dirtied_in} (wrap-around,
     coalescing, and flag widening: a mixed rectangle counts as
     freeing). *)
-
-val dirtied_freeing_rects :
-  t -> since:mark -> layer:int -> Geom.Rect.t list option
-(** {!dirtied_rects} restricted to freeing rectangles — the only ones a
-    decrease-only repair (e.g. a {e lower-bound} distance field) must
-    reprocess, since pure blocking writes leave a lower bound
-    admissible. *)
 
 val seal : t -> unit
 (** Flush pending coalescing into the journal.  Callers that need journal

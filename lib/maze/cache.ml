@@ -1,14 +1,10 @@
 (* Per-net incremental-search cache (DESIGN.md §11).
 
-   Each net owns one entry with two independently-lived parts:
-
-   - a read-region certificate: the per-layer bounding rectangles of
-     everything the net's last planning searches read, plus the journal
-     mark taken when they finished.  While no grid write lands inside
-     the certificate, a replan is provably byte-identical to the last
-     one, so the whole net visit can be skipped;
-   - a [Lowerbound] distance field, kept admissible across mutations by
-     journal-driven repair, used as the improvement skip oracle.
+   Each net owns one read-region certificate: the per-layer bounding
+   rectangles of everything the net's last planning searches read, plus
+   the journal mark taken when they finished.  While no grid write lands
+   inside the certificate, a replan is provably byte-identical to the
+   last one, so the whole net visit can be skipped.
 
    The cache is bound to one physical grid value: [matches] compares by
    physical identity, because marks and journal history are meaningless
@@ -20,35 +16,24 @@ type cert = {
   owned : int;  (* the net's cell count when the verdict was recorded *)
 }
 
-type entry = {
-  mutable cert : cert option;
-  mutable field : Lowerbound.t option;
-}
-
 type t = {
   grid : Grid.t;
-  entries : entry array;  (* index net - 1 *)
+  entries : cert option array;  (* index net - 1 *)
   mutable hits : int;
   mutable stale : int;
   mutable bound_skips : int;
-  mutable field_builds : int;
-  mutable field_repairs : int;
 }
 
 let create g ~nets =
   {
     grid = g;
-    entries = Array.init nets (fun _ -> { cert = None; field = None });
+    entries = Array.make nets None;
     hits = 0;
     stale = 0;
     bound_skips = 0;
-    field_builds = 0;
-    field_repairs = 0;
   }
 
 let matches t g ~nets = t.grid == g && Array.length t.entries = nets
-
-let entry t ~net = t.entries.(net - 1)
 
 (* The cells a set of searches may have read, from the workspace's
    per-layer expanded bounding boxes: an expanded node's reads are its
@@ -101,8 +86,7 @@ let verdict_clean g ~since certs =
 (* Latched certificate lookup: a stale entry is dropped (and counted)
    exactly once.  [owned] is the net's current cell count. *)
 let cert_status t ~net ~owned =
-  let e = entry t ~net in
-  match e.cert with
+  match t.entries.(net - 1) with
   | None -> `Miss
   | Some c ->
       if c.owned = owned && verdict_clean t.grid ~since:c.since c.certs
@@ -111,33 +95,13 @@ let cert_status t ~net ~owned =
         `Hit
       end
       else begin
-        e.cert <- None;
+        t.entries.(net - 1) <- None;
         t.stale <- t.stale + 1;
         `Miss
       end
 
 let record_cert t ~net ~certs ~owned =
-  (entry t ~net).cert <- Some { certs; since = Grid.mark t.grid; owned }
-
-(* The field, built on first demand and journal-repaired on every later
-   access, so its lower-bound invariant always reflects the current
-   grid.  A cached field whose escape radius is smaller than the caller
-   now needs (its verdict threshold grew past what [built_margin] can
-   prove) is rebuilt at the wider margin instead of repaired. *)
-let field t ~net ~cost ~passable ~targets ~around ~margin =
-  let e = entry t ~net in
-  match e.field with
-  | Some f when Lowerbound.built_margin f >= margin ->
-      (match Lowerbound.repair t.grid ~passable f with
-      | Lowerbound.Clean -> ()
-      | Lowerbound.Repaired -> t.field_repairs <- t.field_repairs + 1
-      | Lowerbound.Rebuilt -> t.field_builds <- t.field_builds + 1);
-      f
-  | _ ->
-      let f = Lowerbound.build t.grid ~cost ~passable ~targets ~around ~margin in
-      t.field_builds <- t.field_builds + 1;
-      e.field <- Some f;
-      f
+  t.entries.(net - 1) <- Some { certs; since = Grid.mark t.grid; owned }
 
 let note_bound_skip t = t.bound_skips <- t.bound_skips + 1
 
@@ -146,7 +110,3 @@ let hits t = t.hits
 let stale t = t.stale
 
 let bound_skips t = t.bound_skips
-
-let field_builds t = t.field_builds
-
-let field_repairs t = t.field_repairs

@@ -1,18 +1,14 @@
 (** Per-net incremental-search cache with dirty-rectangle invalidation.
 
-    Persists two things per net across rip-up/improve iterations
-    (DESIGN.md §11):
-
-    - a {e read-region certificate}: the per-layer rectangles everything
-      the net's last improvement verdict read (planning searches, the
-      net's own wiring), with the journal mark taken when it was
-      reached.  While no {e freeing} write lands inside the certificate
-      and the net's cell count is unchanged, revisiting the net provably
-      reproduces the same no-commit verdict — blocking writes can remove
-      candidate routes but never create a cheaper one — so the visit is
-      skipped outright;
-    - a {!Lowerbound} distance field, journal-repaired on access, used
-      as an admissible skip oracle for improvement passes.
+    Persists one {e read-region certificate} per net across
+    rip-up/improve iterations (DESIGN.md §11): the per-layer rectangles
+    everything the net's last improvement verdict read (planning
+    searches, the net's own wiring), with the journal mark taken when it
+    was reached.  While no {e freeing} write lands inside the
+    certificate and the net's cell count is unchanged, revisiting the
+    net provably reproduces the same no-commit verdict — blocking writes
+    can remove candidate routes but never create a cheaper one — so the
+    visit is skipped outright.
 
     A cache is bound to one physical grid value ({!matches} compares by
     identity): journal marks do not survive grid re-instantiation. *)
@@ -58,22 +54,6 @@ val record_cert :
     cell count at verdict time; the certificates must cover everything
     the verdict read, including the net's own wiring. *)
 
-val field :
-  t ->
-  net:int ->
-  cost:Cost.t ->
-  passable:(int -> int option) ->
-  targets:int list ->
-  around:int list ->
-  margin:int ->
-  Lowerbound.t
-(** The net's lower-bound field, built on first demand and
-    journal-repaired on every later access, so the returned field's
-    admissibility invariant holds against the current grid.  A cached
-    field built with a smaller [margin] than requested is rebuilt at
-    the wider one (the escape bound it can prove grows with the
-    margin). *)
-
 val note_bound_skip : t -> unit
 
 (** {1 Effectiveness counters} *)
@@ -85,10 +65,5 @@ val stale : t -> int
 (** Certificates invalidated by an intersecting dirty rectangle. *)
 
 val bound_skips : t -> int
-(** Net visits skipped because the lower bound proved no improvement. *)
-
-val field_builds : t -> int
-(** Distance fields built from scratch (including ring-wrap rebuilds). *)
-
-val field_repairs : t -> int
-(** Incremental dirty-region repairs of existing fields. *)
+(** Net visits skipped because the net is at its pins' closed-form
+    cost floor. *)

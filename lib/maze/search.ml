@@ -4,7 +4,7 @@ type kernel = Binary_heap | Buckets
 
 let kernel_name = function Binary_heap -> "heap" | Buckets -> "buckets"
 
-type heuristic = Zero | L1 | Field of Lowerbound.t
+type heuristic = Zero | L1
 
 type guide_tally = { mutable hits : int; mutable fallbacks : int }
 
@@ -421,7 +421,6 @@ let l1 ~memo g ws ~wire ~targets =
 let lower_bound ~memo g ws ~cost ~targets = function
   | Zero -> zero
   | L1 -> l1 ~memo g ws ~wire:cost.Cost.wire ~targets
-  | Field lb -> fun n _ _ -> Lowerbound.value lb g n
 
 let estimate ?(memo = false) g ws ~cost ~targets heuristic =
   let h = lower_bound ~memo g ws ~cost ~targets heuristic in
@@ -431,18 +430,8 @@ let run ?(kernel = Binary_heap) ?(heuristic = Zero) ?(window = Full) ?stop
     ?(memo = false) ?(flood = false) ?work g ws ~cost ~passable ~sources
     ~targets () =
   (* One heuristic for the whole call: it orders the frontier of every
-     attempt and prices the escapes a guide probe rejects.  A field also
-     prunes the nodes it proves cannot reach a target (everything outside
-     its window among them), sources included. *)
+     attempt and prices the escapes a guide probe rejects. *)
   let h = lower_bound ~memo g ws ~cost ~targets heuristic in
-  let passable, sources =
-    match heuristic with
-    | Zero | L1 -> (passable, sources)
-    | Field lb ->
-        let reaches n = Lowerbound.value lb g n < Lowerbound.inf_cost in
-        ( (fun n -> if reaches n then passable n else None),
-          List.filter reaches sources )
-  in
   let attempt ~escape win =
     core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic:h ~win
       ~escape ~stop ~flood ~work

@@ -12,7 +12,7 @@
       costs for O(1) queue operations.  Both kernels return equal-cost
       (though possibly different) paths.
     - [heuristic], the lower bound on the remaining cost that orders the
-      frontier: {!Zero} (Dijkstra), {!L1} or a {!Lowerbound} field.
+      frontier: {!Zero} (Dijkstra) or {!L1}.
     - [window], the part of the grid searched: the {!Full} grid, a
       {!Margin} around the endpoints that widens until its result is
       provably optimal, or a {!Guide} probe certified against the full
@@ -55,16 +55,6 @@ type heuristic =
           point, which is exact as well.  A build costs the box (one cell
           for a single target), not the grid or the window, and a lookup
           is O(1).  An empty target list gets a constant heuristic. *)
-  | Field of Lowerbound.t
-      (** A* steered by a lower-bound field: the exact (or repaired, i.e.
-          stale-low but still admissible) in-window cost-to-target under
-          the full cost model, so expansion concentrates on the optimal
-          corridor.  Nodes the field proves unable to reach a target —
-          every node outside its window among them — are pruned, so with
-          the {!Full} window the returned cost is the exact optimum within
-          the field's window (the global optimum when the field was built
-          with a window covering the grid).  [passable] and [cost] must
-          match what the field was built with. *)
 
 type guide_tally = { mutable hits : int; mutable fallbacks : int }
 (** Certified probes and full-search fallbacks of {!Guide} searches. *)
@@ -170,9 +160,9 @@ val estimate :
     node's cost so far under [h], and the price it gives the escapes a
     {!Guide} probe rejects: [0] under {!Zero}, the wire cost times the
     node's L1 distance to the nearest target under {!L1} (building the
-    workspace's transform, with [memo] as in {!run}), the field's value
-    under {!Field}.  The returned function reads the workspace's field,
-    so it is valid until the next {!L1} build on that workspace. *)
+    workspace's transform, with [memo] as in {!run}).  The returned
+    function reads the workspace's transform, so it is valid until the
+    next {!L1} build on that workspace. *)
 
 val run_lee :
   Grid.t ->

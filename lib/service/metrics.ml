@@ -46,11 +46,10 @@ type t = {
   mutable evictions : int;
   mutable max_queue_depth : int;
   (* Incremental-cache effectiveness across every refine request served:
-     net-visits skipped (certificate or lower-bound), certificates
-     invalidated by writes, and dirty-region field repairs. *)
+     net-visits skipped (certificate or cost floor) and certificates
+     invalidated by writes. *)
   mutable refine_skips : int;
   mutable refine_stale : int;
-  mutable refine_repairs : int;
   (* Guided-search effectiveness across every flow request served. *)
   mutable flow_guided : int;
   mutable flow_hits : int;
@@ -75,7 +74,6 @@ let create ?(kinds = []) () =
     max_queue_depth = 0;
     refine_skips = 0;
     refine_stale = 0;
-    refine_repairs = 0;
     flow_guided = 0;
     flow_hits = 0;
     flow_fallbacks = 0;
@@ -108,10 +106,9 @@ let fault t = t.faults <- t.faults + 1
 
 let evicted t n = t.evictions <- t.evictions + n
 
-let refine_cache t ~skips ~stale ~repairs =
+let refine_cache t ~skips ~stale =
   t.refine_skips <- t.refine_skips + skips;
-  t.refine_stale <- t.refine_stale + stale;
-  t.refine_repairs <- t.refine_repairs + repairs
+  t.refine_stale <- t.refine_stale + stale
 
 let flow_guides t ~guided ~hits ~fallbacks =
   t.flow_guided <- t.flow_guided + guided;
@@ -169,7 +166,6 @@ let merge parts =
         m.max_queue_depth <- p.max_queue_depth;
       m.refine_skips <- m.refine_skips + p.refine_skips;
       m.refine_stale <- m.refine_stale + p.refine_stale;
-      m.refine_repairs <- m.refine_repairs + p.refine_repairs;
       m.flow_guided <- m.flow_guided + p.flow_guided;
       m.flow_hits <- m.flow_hits + p.flow_hits;
       m.flow_fallbacks <- m.flow_fallbacks + p.flow_fallbacks;
@@ -218,7 +214,6 @@ let snapshot ?(queue_depth = 0) ?(sessions = 0) t =
           [
             ("skips", J.Int t.refine_skips);
             ("stale", J.Int t.refine_stale);
-            ("repairs", J.Int t.refine_repairs);
           ] );
       ( "flow_guides",
         J.Obj
@@ -240,9 +235,8 @@ let render ?(queue_depth = 0) ?(sessions = 0) t =
     t.total t.total_errors t.sheds t.budget_trips t.faults t.evictions;
   addf "  sessions %d  queue-depth %d (max %d)\n" sessions queue_depth
     t.max_queue_depth;
-  if t.refine_skips + t.refine_stale + t.refine_repairs > 0 then
-    addf "  refine-cache skips %d  stale %d  repairs %d\n" t.refine_skips
-      t.refine_stale t.refine_repairs;
+  if t.refine_skips + t.refine_stale > 0 then
+    addf "  refine-cache skips %d  stale %d\n" t.refine_skips t.refine_stale;
   if t.flow_guided + t.flow_hits + t.flow_fallbacks > 0 then
     addf "  flow-guides guided %d  hits %d  fallbacks %d\n" t.flow_guided
       t.flow_hits t.flow_fallbacks;

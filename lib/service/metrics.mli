@@ -54,11 +54,11 @@ val fault : t -> unit
 val evicted : t -> int -> unit
 (** [n] sessions evicted for idleness. *)
 
-val refine_cache : t -> skips:int -> stale:int -> repairs:int -> unit
+val refine_cache : t -> skips:int -> stale:int -> unit
 (** Accumulate one refine request's incremental-cache effectiveness:
-    net-visits skipped (certificate hits + lower-bound oracle), stale
-    certificates dropped, and dirty-region lower-bound field repairs.
-    Reported under ["refine_cache"] in {!snapshot}. *)
+    net-visits skipped (certificate hits + cost-floor skips) and stale
+    certificates dropped.  Reported under ["refine_cache"] in
+    {!snapshot}. *)
 
 val flow_guides : t -> guided:int -> hits:int -> fallbacks:int -> unit
 (** Accumulate one flow request's guided-search telemetry: nets guided,

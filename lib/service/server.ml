@@ -475,8 +475,7 @@ let exec t shard (req : Proto.request) =
       Registry.commit shard.registry entry ~rid req.Proto.op;
       Metrics.refine_cache shard.metrics
         ~skips:(s.Router.Improve.skipped_cert + s.Router.Improve.skipped_bound)
-        ~stale:s.Router.Improve.cache_stale
-        ~repairs:s.Router.Improve.field_repairs;
+        ~stale:s.Router.Improve.cache_stale;
       ok ~gen:(Registry.generation entry)
         (J.Obj
            [
@@ -490,8 +489,6 @@ let exec t shard (req : Proto.request) =
              ("skipped_cert", J.Int s.Router.Improve.skipped_cert);
              ("skipped_bound", J.Int s.Router.Improve.skipped_bound);
              ("cache_stale", J.Int s.Router.Improve.cache_stale);
-             ("field_builds", J.Int s.Router.Improve.field_builds);
-             ("field_repairs", J.Int s.Router.Improve.field_repairs);
            ])
   | Proto.Place { seed } -> (
       with_session shard req @@ fun _ entry ->

@@ -1,150 +1,7 @@
-(* Incremental goal-oriented search (DESIGN.md §11): the lower-bound
-   fields must be exact when their window covers the grid, stay
-   admissible under journal-driven repair, and the incremental refine
-   pass — certificates, oracle skips, persistent caches — must produce
-   byte-identical layouts and verdicts to the from-scratch baseline. *)
-
-let free_passable g n = if Grid.is_free g n then Some 0 else None
-
-let random_obstacle_grid seed =
-  let prng = Util.Prng.create seed in
-  let g = Grid.create ~width:10 ~height:8 () in
-  Grid.iter_nodes g (fun n ->
-      if Util.Prng.chance prng 0.25 then
-        Grid.set_obstacle g
-          ~layer:(Grid.node_layer g n)
-          ~x:(Grid.node_x g n) ~y:(Grid.node_y g n));
-  g
-
-(* A margin large enough that the window is always the whole grid, so
-   field values are exact global distances. *)
-let full_margin = 64
-
-let build_full g ~targets ~around =
-  Maze.Lowerbound.build g ~cost:Maze.Cost.default
-    ~passable:(free_passable g) ~targets ~around ~margin:full_margin
-
-(* --- exactness of the full-window field --- *)
-
-let prop_lowerbound_exact =
-  Testkit.qcheck ~count:100 "full-window field value = forward search cost"
-    QCheck2.Gen.(
-      triple (int_range 0 100_000) (int_range 0 159) (int_range 0 159))
-    (fun (seed, a, b) ->
-      let g = random_obstacle_grid seed in
-      if (not (Grid.is_free g a)) || not (Grid.is_free g b) then true
-      else begin
-        let ws = Maze.Workspace.create g in
-        let f = build_full g ~targets:[ b ] ~around:[ a; b ] in
-        let v = Maze.Lowerbound.value f g a in
-        match
-          Maze.Search.run g ws ~cost:Maze.Cost.default
-            ~passable:(free_passable g) ~sources:[ a ] ~targets:[ b ] ()
-        with
-        | Some r -> v = r.Maze.Search.total_cost
-        | None -> v = Maze.Lowerbound.inf_cost
-      end)
-
-(* --- the lb-steered A* returns the same costs --- *)
-
-let prop_astar_lb_cost_identity =
-  Testkit.qcheck ~count:100 "Field A* cost = plain Dijkstra cost"
-    QCheck2.Gen.(
-      triple (int_range 0 100_000) (int_range 0 159) (int_range 0 159))
-    (fun (seed, a, b) ->
-      let g = random_obstacle_grid seed in
-      if (not (Grid.is_free g a)) || not (Grid.is_free g b) then true
-      else begin
-        let ws = Maze.Workspace.create g in
-        let f = build_full g ~targets:[ b ] ~around:[ a; b ] in
-        let lb =
-          Maze.Search.run ~heuristic:(Maze.Search.Field f) g ws
-            ~cost:Maze.Cost.default
-            ~passable:(free_passable g) ~sources:[ a ] ~targets:[ b ] ()
-        in
-        let plain =
-          Maze.Search.run g ws ~cost:Maze.Cost.default
-            ~passable:(free_passable g) ~sources:[ a ] ~targets:[ b ] ()
-        in
-        match (lb, plain) with
-        | None, None -> true
-        | Some l, Some r ->
-            l.Maze.Search.total_cost = r.Maze.Search.total_cost
-            && Grid.Path.is_valid g l.Maze.Search.path
-        | Some _, None | None, Some _ -> false
-      end)
-
-(* --- repair keeps the lower-bound invariant under mutation --- *)
-
-let mutate prng g =
-  (* Occupy some free cells (blocking writes) and release some occupied
-     ones (freeing writes), all through the journalled mutators. *)
-  Grid.iter_nodes g (fun n ->
-      if Grid.is_free g n && Util.Prng.chance prng 0.08 then
-        Grid.occupy g ~net:9 n
-      else if Grid.occ g n = 9 && Util.Prng.chance prng 0.5 then
-        Grid.release g n)
-
-let prop_repair_admissible =
-  Testkit.qcheck ~count:100 "repaired field never exceeds a fresh rebuild"
-    QCheck2.Gen.(
-      pair (int_range 0 100_000) (int_range 0 159))
-    (fun (seed, b) ->
-      let g = random_obstacle_grid seed in
-      if not (Grid.is_free g b) then true
-      else begin
-        let prng = Util.Prng.create (seed lxor 0x9E37) in
-        let f = build_full g ~targets:[ b ] ~around:[ b ] in
-        let ok = ref true in
-        for _ = 1 to 3 do
-          mutate prng g;
-          ignore (Maze.Lowerbound.repair g ~passable:(free_passable g) f);
-          let fresh = build_full g ~targets:[ b ] ~around:[ b ] in
-          (* The lower-bound contract covers passable nodes only: repair
-             skips currently-blocked cells (no reader consults them). *)
-          Grid.iter_nodes g (fun n ->
-              if
-                Grid.is_free g n
-                && Maze.Lowerbound.value f g n > Maze.Lowerbound.value fresh g n
-              then ok := false)
-        done;
-        !ok
-      end)
-
-let prop_repair_exact_after_release =
-  Testkit.qcheck ~count:100 "repair is exact under freeing-only writes"
-    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 159))
-    (fun (seed, b) ->
-      let g = random_obstacle_grid seed in
-      if not (Grid.is_free g b) then true
-      else begin
-        let prng = Util.Prng.create (seed lxor 0x51ED) in
-        (* Pre-occupy, then build, then only release: every write after
-           the build can only decrease true distances, which repair's
-           decrease-only relaxation recovers exactly. *)
-        let occupied = ref [] in
-        Grid.iter_nodes g (fun n ->
-            if Grid.is_free g n && n <> b && Util.Prng.chance prng 0.15
-            then begin
-              Grid.occupy g ~net:9 n;
-              occupied := n :: !occupied
-            end);
-        let f = build_full g ~targets:[ b ] ~around:[ b ] in
-        List.iter
-          (fun n -> if Util.Prng.chance prng 0.6 then Grid.release g n)
-          !occupied;
-        ignore (Maze.Lowerbound.repair g ~passable:(free_passable g) f);
-        let fresh = build_full g ~targets:[ b ] ~around:[ b ] in
-        let ok = ref true in
-        (* Exactness, like admissibility, is promised for passable nodes
-           only — cells still occupied at repair time are skipped. *)
-        Grid.iter_nodes g (fun n ->
-            if
-              Grid.is_free g n
-              && Maze.Lowerbound.value f g n <> Maze.Lowerbound.value fresh g n
-            then ok := false);
-        !ok
-      end)
+(* Incremental refine (DESIGN.md §11): the incremental refine pass —
+   read-region certificates, cost-floor skips, persistent caches — must
+   produce byte-identical layouts and verdicts to the from-scratch
+   baseline. *)
 
 (* --- incremental refine ≡ baseline refine --- *)
 
@@ -212,6 +69,52 @@ let prop_incremental_refine_equiv =
         done;
         !ok
       end)
+
+(* --- the closed-form cost floor --- *)
+
+(* One routed net on a default 2-layer stack, refined once with a fresh
+   cache (incremental) and once without; returns both stats and whether
+   the two grids agree. *)
+let refine_single pins =
+  let net = Netlist.Net.make ~id:1 ~name:"a" pins in
+  let problem = Netlist.Problem.make ~name:"f" ~width:10 ~height:8 [ net ] in
+  let r = Router.Engine.route ~config:Router.Config.default problem in
+  Testkit.check_true "routed" r.Router.Engine.completed;
+  let g_inc = Grid.copy r.Router.Engine.grid in
+  let g_base = Grid.copy r.Router.Engine.grid in
+  let cache = Maze.Cache.create g_inc ~nets:1 in
+  let si =
+    Router.Improve.refine ~max_passes:1 ~incremental:true ~cache problem g_inc
+  in
+  let sb =
+    Router.Improve.refine ~max_passes:1 ~incremental:false problem g_base
+  in
+  (si, sb, Grid.equal g_inc g_base)
+
+let test_floor_skips () =
+  (* A straight run along layer 0's preferred direction: 7 wire, no
+     via, exactly the pins' half-perimeter floor. *)
+  let si, sb, same =
+    refine_single [ Netlist.Net.pin 1 3; Netlist.Net.pin 8 3 ]
+  in
+  Testkit.check_int "floor skip" 1 si.Router.Improve.skipped_bound;
+  Testkit.check_int "no plan" 0 si.Router.Improve.planned;
+  Testkit.check_int "baseline plans it" 1 sb.Router.Improve.planned;
+  Testkit.check_true "identical layout" same;
+  Testkit.check_true "identical verdicts" (sem_equal si sb)
+
+let test_floor_plans_above () =
+  (* Opposite corners with both pins on layer 0: the floor (12 wire, no
+     via) needs 5 wrong-way steps, so the router pays two vias instead
+     and the net sits above its floor — it must be planned. *)
+  let si, sb, same =
+    refine_single [ Netlist.Net.pin 1 1; Netlist.Net.pin 8 6 ]
+  in
+  Testkit.check_int "no floor skip" 0 si.Router.Improve.skipped_bound;
+  Testkit.check_int "planned" 1 si.Router.Improve.planned;
+  Testkit.check_int "baseline plans it" 1 sb.Router.Improve.planned;
+  Testkit.check_true "identical layout" same;
+  Testkit.check_true "identical verdicts" (sem_equal si sb)
 
 (* --- committed instances (the acceptance check) --- *)
 
@@ -281,14 +184,14 @@ let test_committed_large () =
 let () =
   Alcotest.run "incremental"
     [
-      ( "lowerbound",
-        [
-          prop_lowerbound_exact;
-          prop_astar_lb_cost_identity;
-          prop_repair_admissible;
-          prop_repair_exact_after_release;
-        ] );
       ("refine", [ prop_incremental_refine_equiv ]);
+      ( "cost-floor",
+        [
+          Alcotest.test_case "a net at its pins' floor skips planning"
+            `Quick test_floor_skips;
+          Alcotest.test_case "a net above its floor is planned" `Quick
+            test_floor_plans_above;
+        ] );
       ( "instances",
         [
           Alcotest.test_case "committed instances (small)" `Quick

@@ -559,14 +559,15 @@ let test_refine_improves_known_detour () =
   Testkit.check_true "improved" (s.Router.Improve.wirelength_after < before);
   Testkit.check_true "clean" (Drc.Check.is_clean p g)
 
-(* Refine's trajectory after the default route of a committed chip:
-   the planner's searches must stay where they were. *)
-let test_refine_stats_pinned ?(config = Router.Config.default) expected () =
-  let p = Testkit.instance "chip_96x64" in
+(* Refine's trajectory after the route of a committed chip: the
+   planner's searches must stay where they were. *)
+let test_refine_stats_pinned ?(config = Router.Config.default) name expected
+    () =
+  let p = Testkit.instance name in
   let r = Router.Engine.route ~config p in
   let s = Router.Improve.refine p r.Router.Engine.grid in
   Alcotest.(check (list int))
-    "wl before/after, vias before/after, planned, improved, passes"
+    (name ^ " wl before/after, vias before/after, planned, improved, passes")
     expected
     Router.Improve.
       [
@@ -1148,10 +1149,18 @@ let () =
           Alcotest.test_case "improves known detour" `Quick test_refine_improves_known_detour;
           Alcotest.test_case "idempotent" `Quick test_refine_idempotent;
           Alcotest.test_case "stats pinned chip_96x64" `Quick
-            (test_refine_stats_pinned [ 1257; 1137; 68; 54; 36; 6; 3 ]);
+            (test_refine_stats_pinned "chip_96x64"
+               [ 1257; 1137; 68; 54; 43; 6; 3 ]);
           Alcotest.test_case "stats pinned chip_96x64 dijkstra" `Quick
             (test_refine_stats_pinned
                ~config:{ Router.Config.default with use_astar = false }
-               [ 1257; 1137; 66; 54; 36; 6; 3 ]);
+               "chip_96x64"
+               [ 1257; 1137; 66; 54; 43; 6; 3 ]);
+          Alcotest.test_case "stats pinned chip_320x224_l3" `Slow
+            (test_refine_stats_pinned "chip_320x224_l3"
+               [ 16185; 15552; 2082; 1990; 999; 46; 3 ]);
+          Alcotest.test_case "stats pinned chip_288x192_l4" `Slow
+            (test_refine_stats_pinned "chip_288x192_l4"
+               [ 16905; 15660; 2646; 2432; 1179; 119; 3 ]);
         ] );
     ]
