@@ -1016,22 +1016,8 @@ let micro () =
     (List.sort compare results);
   Util.Table.print table
 
-(* ------------------------------------------------------------------ *)
-(* router: --jobs sweep over the committed instances                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The engine-level parallel sweep.  Unlike the --jobs flag of the
-   harness itself (which parallelises over instances), this sweeps
-   [config.jobs] — the speculative wave router inside the engine — and
-   verifies the determinism contract on every committed instance: the
-   layout at every jobs value is byte-identical to the sequential run.
-   Results go to BENCH_router.json next to the human-readable table.
-
-   Speedup is wall-clock relative to --jobs 1 on the same instance and
-   config.  It is only meaningful on a multicore host: the JSON records
-   host_cores so a sweep run on a 1-core container (where extra domains
-   are pure stop-the-world overhead) is not mistaken for a regression. *)
-
+(* The "fast" router configuration of the incremental, service, recovery,
+   flow and analyze sweeps: windowed A* on the bucket queue. *)
 let bench_router_config =
   {
     Router.Config.default with
@@ -1039,118 +1025,6 @@ let bench_router_config =
     kernel = Maze.Search.Buckets;
     window_margin = Some 4;
   }
-
-let router_bench () =
-  heading "router (json): engine --jobs sweep over the committed instances"
-    "Claim: speculative parallel routing produces byte-identical layouts\n\
-     at every jobs value; on multicore hosts the wall-clock drops with\n\
-     jobs.  Best of 3 runs per point; written to BENCH_router.json.";
-  let instances =
-    [ "switchbox_12x10"; "switchbox_32x26"; "switchbox_64x52";
-      "switchbox_128x104"; "chip_96x64"; "chip_128x96" ]
-  in
-  let jobs_values = [ 1; 2; 4 ] and reps = 3 in
-  let table =
-    Util.Table.create
-      ~headers:
-        [ "instance"; "jobs"; "ms"; "speedup"; "expanded"; "waves"; "spec";
-          "commit"; "confl"; "identical"; "drc" ]
-  in
-  let json_rows = ref [] in
-  let all_identical = ref true in
-  List.iter
-    (fun name ->
-      let path = Filename.concat "instances" (name ^ ".problem") in
-      if not (Sys.file_exists path) then
-        Printf.printf "(skipping %s: %s not found — run from the repo root)\n"
-          name path
-      else begin
-        let problem = Netlist.Parse.load_exn path in
-        let baseline = ref None in
-        List.iter
-          (fun j ->
-            let config = { bench_router_config with Router.Config.jobs = j } in
-            let best = ref infinity and result = ref None in
-            for _ = 1 to reps do
-              let t0 = Unix.gettimeofday () in
-              let r = route ~config problem in
-              let t = Unix.gettimeofday () -. t0 in
-              if t < !best then best := t;
-              result := Some r
-            done;
-            let r = Option.get !result in
-            let s = r.Router.Engine.stats in
-            let p = s.Router.Engine.par in
-            let identical, speedup =
-              match !baseline with
-              | None ->
-                  baseline := Some (r, !best);
-                  (true, 1.0)
-              | Some (b, t1) ->
-                  ( Grid.equal b.Router.Engine.grid r.Router.Engine.grid,
-                    t1 /. !best )
-            in
-            if not identical then all_identical := false;
-            let drc = drc_ok problem r in
-            Util.Table.add_row table
-              [
-                name;
-                Util.Table.cell_int j;
-                time_cell (1000.0 *. !best);
-                (if !no_time then "-" else Printf.sprintf "%.2fx" speedup);
-                Util.Table.cell_int s.Router.Engine.expanded;
-                Util.Table.cell_int p.Router.Outcome.waves;
-                Util.Table.cell_int p.Router.Outcome.speculated;
-                Util.Table.cell_int p.Router.Outcome.committed;
-                Util.Table.cell_int p.Router.Outcome.conflicts;
-                Util.Table.cell_bool identical;
-                (if drc then "clean" else "VIOLATION");
-              ];
-            json_rows :=
-              Printf.sprintf
-                "    {\"instance\": \"%s\", \"nets\": %d, \"jobs\": %d, \
-                 \"wall_ms\": %.3f, \"expanded\": %d, \"waves\": %d, \
-                 \"speculated\": %d, \"committed\": %d, \"conflicts\": %d, \
-                 \"cache_hits\": %d, \"speedup_vs_jobs1\": %.3f, \
-                 \"identical_to_jobs1\": %b, \"drc_clean\": %b}"
-                name
-                (Netlist.Problem.net_count problem)
-                j
-                (1000.0 *. !best)
-                s.Router.Engine.expanded p.Router.Outcome.waves
-                p.Router.Outcome.speculated p.Router.Outcome.committed
-                p.Router.Outcome.conflicts p.Router.Outcome.cache_hits speedup
-                identical drc
-              :: !json_rows)
-          jobs_values;
-        Util.Table.add_sep table
-      end)
-    instances;
-  Util.Table.print table;
-  if !json_rows <> [] then begin
-    let oc = open_out "BENCH_router.json" in
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"router_jobs_sweep\",\n\
-      \  \"config\": \"%s\",\n\
-      \  \"host_cores\": %d,\n\
-      \  \"cpu_bound\": %b,\n\
-      \  \"runs_per_point\": %d,\n\
-      \  \"all_identical_to_jobs1\": %b,\n\
-      \  \"results\": [\n\
-       %s\n\
-      \  ]\n\
-       }\n"
-      (Router.Config.describe bench_router_config)
-      (Util.Parallel.default_jobs ())
-      (Util.Parallel.default_jobs () = 1)
-      reps !all_identical
-      (String.concat ",\n" (List.rev !json_rows));
-    close_out oc;
-    Printf.printf "layouts identical to --jobs 1 everywhere: %b\n"
-      !all_identical;
-    Printf.printf "wrote BENCH_router.json\n"
-  end
 
 (* ------------------------------------------------------------------ *)
 (* incremental: refine-phase cache reuse across rip-up cycles          *)
@@ -1173,11 +1047,10 @@ let incremental_bench () =
   heading "incremental (json): refine-phase reuse across rip-up cycles"
     "Claim: per-net read-region certificates plus the closed-form cost\n\
      floor answer a third to a half of the baseline's replans on every\n\
-     instance above 8 nets, at byte-identical layouts; the refine wall\n\
-     clock moves little (0.9-1.3x across runs).  The initial refine after\n\
-     routing is an untimed warm-up in both modes; the per-cycle refines\n\
-     are timed.  Best of 3 runs per mode; written to\n\
-     BENCH_incremental.json.";
+     instance above 8 nets, at byte-identical layouts.  The initial refine\n\
+     after routing is an untimed warm-up in both modes; the per-cycle\n\
+     refines are timed, best of 3 runs per mode, as information only.\n\
+     Written to BENCH_incremental.json.";
   let instances =
     [ "switchbox_12x10"; "switchbox_32x26"; "switchbox_64x52";
       "switchbox_128x104"; "chip_96x64"; "chip_128x96" ]
@@ -1187,8 +1060,8 @@ let incremental_bench () =
     Util.Table.create
       ~headers:
         [ "instance"; "nets"; "refine ms (base)"; "refine ms (incr)";
-          "speedup"; "planned base/incr"; "cert-skips"; "bound-skips";
-          "identical"; "drc" ]
+          "planned base/incr"; "cert-skips"; "bound-skips"; "identical";
+          "drc" ]
   in
   let json_rows = ref [] in
   let all_identical = ref true in
@@ -1274,14 +1147,12 @@ let incremental_bench () =
         let identical = Grid.equal gb gi in
         if not identical then all_identical := false;
         let drc = Drc.Check.is_clean problem gi in
-        let speedup = tb /. ti in
         Util.Table.add_row table
           [
             name;
             Util.Table.cell_int nets_total;
             time_cell (1000.0 *. tb);
             time_cell (1000.0 *. ti);
-            (if !no_time then "-" else Printf.sprintf "%.2fx" speedup);
             Printf.sprintf "%d/%d" pb pi;
             Util.Table.cell_int certs;
             Util.Table.cell_int bounds;
@@ -1292,12 +1163,12 @@ let incremental_bench () =
           Printf.sprintf
             "    {\"instance\": \"%s\", \"nets\": %d, \"cycles\": %d, \
              \"rips_per_cycle\": %d, \"baseline_refine_ms\": %.3f, \
-             \"incremental_refine_ms\": %.3f, \"speedup\": %.3f, \
+             \"incremental_refine_ms\": %.3f, \
              \"planned_baseline\": %d, \"planned_incremental\": %d, \
              \"cert_skips\": %d, \"bound_skips\": %d, \"identical\": %b, \
              \"drc_clean\": %b}"
             name nets_total cycles rips_per_cycle (1000.0 *. tb)
-            (1000.0 *. ti) speedup pb pi certs bounds identical drc
+            (1000.0 *. ti) pb pi certs bounds identical drc
           :: !json_rows
       end)
     instances;
@@ -1869,10 +1740,8 @@ let analyze_bench () =
      expansion budget, on every committed instance — including the\n\
      1000+ net chip-scale 3/4-layer ones.  Each router row carries a\n\
      per-run wall-clock deadline so a pathological instance degrades\n\
-     (best-so-far layout) instead of hanging the bench; chip-scale rows\n\
-     are also routed at --jobs 2 and must match the --jobs 1 layout\n\
-     byte-for-byte.  Written to BENCH_analyze.json; exits 1 on layout\n\
-     divergence.";
+     (best-so-far layout) instead of hanging the bench.  Written to\n\
+     BENCH_analyze.json.";
   (* Pre-placed instances: predictor straight off the file; actual =
      global-route overflow; cost yardstick = full detailed route. *)
   let placed =
@@ -1886,31 +1755,21 @@ let analyze_bench () =
      triaged (predicted) and globally routed (actual) inside the flow. *)
   let flows = [ "macro_48x40"; "macro_64x52"; "macro_128x104" ] in
   let deadline = 120.0 in
-  let forced =
-    {
-      bench_router_config with
-      Router.Config.kernel = Maze.Search.Buckets;
-      use_astar = true;
-    }
-  in
   let table =
     Util.Table.create
       ~headers:
         [ "instance"; "nets"; "layers"; "score"; "pred ovf"; "actual ovf";
-          "analyze ms"; "cost"; "route exp"; "cost %"; "routed"; "deadline";
-          "identical" ]
+          "analyze ms"; "cost"; "route exp"; "cost %"; "routed"; "deadline" ]
   in
   let json_rows = ref [] in
-  let all_identical = ref true in
   let predicted = ref [] and actual = ref [] in
   let now () = Unix.gettimeofday () in
   let row ?flow_ms ~name ~problem ~(a : Analyze.t) ~analyze_ms ~actual_ovf
-      ~(route : Router.Engine.t option) ~identical () =
+      ~(route : Router.Engine.t option) () =
     let nets = Netlist.Problem.net_count problem in
     let layers = problem.Netlist.Problem.layers in
     predicted := (1.0 -. a.Analyze.verdict.Analyze.score) :: !predicted;
     actual := actual_ovf :: !actual;
-    if not identical then all_identical := false;
     let expanded, routed, failed, degraded =
       match route with
       | None -> (0, 0, 0, false)
@@ -1939,7 +1798,6 @@ let analyze_bench () =
         (if expanded = 0 then "-" else Printf.sprintf "%.2f" cost_pct);
         Printf.sprintf "%d/%d" routed (routed + failed);
         (if degraded then "TRIPPED" else "ok");
-        Util.Table.cell_bool identical;
       ];
     json_rows :=
       Printf.sprintf
@@ -1948,13 +1806,13 @@ let analyze_bench () =
          \"actual_overflow\": %.4f, \"analyze_ms\": %.3f,%s \
          \"analyze_cost\": %d, \"route_expanded\": %d, \
          \"cost_pct\": %.3f, \"routed\": %d, \"failed\": %d, \
-         \"deadline_tripped\": %b, \"identical\": %b}"
+         \"deadline_tripped\": %b}"
         name nets layers a.Analyze.verdict.Analyze.score
         a.Analyze.verdict.Analyze.predicted_overflow actual_ovf analyze_ms
         (match flow_ms with
         | Some ms -> Printf.sprintf " \"flow_ms\": %.3f," ms
         | None -> "")
-        a.Analyze.cost expanded cost_pct routed failed degraded identical
+        a.Analyze.cost expanded cost_pct routed failed degraded
       :: !json_rows
   in
   List.iter
@@ -1969,21 +1827,12 @@ let analyze_bench () =
         let a = Analyze.run problem in
         let analyze_ms = 1000.0 *. (now () -. t0) in
         let actual_ovf = groute_overflow_fraction (Groute.run problem) in
-        let route ~jobs =
-          Router.Engine.route
-            ~config:{ forced with Router.Config.jobs }
+        let r =
+          Router.Engine.route ~config:bench_router_config
             ~budget:(Router.Budget.create ~deadline ())
             problem
         in
-        let r1 = route ~jobs:1 in
-        (* The determinism check is the expensive half; reserve it for the
-           chip-scale rows it was introduced for. *)
-        let identical =
-          if Netlist.Problem.net_count problem < 1000 then true
-          else Grid.equal r1.Router.Engine.grid (route ~jobs:2).Router.Engine.grid
-        in
-        row ~name ~problem ~a ~analyze_ms ~actual_ovf ~route:(Some r1)
-          ~identical ()
+        row ~name ~problem ~a ~analyze_ms ~actual_ovf ~route:(Some r) ()
       end)
     placed;
   List.iter
@@ -2022,7 +1871,7 @@ let analyze_bench () =
               groute_overflow_fraction f.Flow.stats.Flow.groute
             in
             row ~flow_ms ~name ~problem:f.Flow.realized ~a ~analyze_ms
-              ~actual_ovf ~route:(Some f.Flow.result) ~identical:true ()
+              ~actual_ovf ~route:(Some f.Flow.result) ()
       end)
     flows;
   Util.Table.print table;
@@ -2041,28 +1890,22 @@ let analyze_bench () =
     \  \"cpu_bound\": %b,\n\
     \  \"deadline_s\": %.0f,\n\
     \  \"rank_correlation\": %.4f,\n\
-    \  \"all_identical\": %b,\n\
     \  \"results\": [\n%s\n\
     \  ]\n\
      }\n"
-    (Router.Config.describe forced)
+    (Router.Config.describe bench_router_config)
     (Util.Parallel.default_jobs ())
     (Util.Parallel.default_jobs () = 1)
-    deadline rho !all_identical
+    deadline rho
     (String.concat ",\n" (List.rev !json_rows));
   close_out oc;
-  if not !all_identical then begin
-    Printf.eprintf
-      "analyze bench: chip-scale --jobs 2 layout diverged from --jobs 1\n";
-    exit 1
-  end;
   Printf.printf "wrote BENCH_analyze.json\n"
 
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
-    ("budget", budget_sweep); ("micro", micro); ("router", router_bench);
+    ("budget", budget_sweep); ("micro", micro);
     ("incremental", incremental_bench); ("service", service_bench);
     ("recovery", recovery_bench); ("flow", flow_bench);
     ("analyze", analyze_bench);

@@ -125,15 +125,6 @@ let config_term =
              (default), phase (after every engine phase), net (after \
              every net — slow).")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Routing domains for speculative wave parallelism: 1 = \
-             sequential (default), 0 = one per core.  Layouts are \
-             identical for every value.")
-  in
   let no_cost_cache =
     Arg.(
       value & flag
@@ -164,7 +155,7 @@ let config_term =
           ])
   in
   let make strategy order restarts seed kernel window deadline
-      max_expanded max_searches audit jobs no_cost_cache incremental =
+      max_expanded max_searches audit no_cost_cache incremental =
     let base =
       match strategy with
       | `Full -> Router.Config.default
@@ -182,14 +173,13 @@ let config_term =
       max_expanded;
       max_searches;
       audit;
-      jobs = max 0 jobs;
       cost_cache = not no_cost_cache;
       incremental;
     }
   in
   Term.(
     const make $ strategy $ order $ restarts $ seed $ kernel $ window
-    $ deadline $ max_expanded $ max_searches $ audit $ jobs $ no_cost_cache
+    $ deadline $ max_expanded $ max_searches $ audit $ no_cost_cache
     $ incremental)
 
 (* Parse errors already carry the source path since errors grew a [src]
@@ -227,8 +217,8 @@ let route_cmd =
       value & flag
       & info [ "verbose" ]
           ~doc:
-            "Print speculative-wave and cost-cache statistics (waves, \
-             speculated/committed nets, conflicts, cache hits).")
+            "Print the failure-replay cache's hits and stale entries, and \
+             with $(b,--refine) the refinement cache's counters.")
   in
   let run path config svg ascii refine report verbose =
     match load path with
@@ -247,13 +237,7 @@ let route_cmd =
           elapsed;
         Format.printf "%a@." Router.Engine.pp_stats result.Router.Engine.stats;
         if verbose then begin
-          let p = result.Router.Engine.stats.Router.Engine.par in
-          Format.printf
-            "waves: %d  speculated: %d  committed: %d  conflicts: %d  \
-             wasted-expanded: %d@."
-            p.Router.Outcome.waves p.Router.Outcome.speculated
-            p.Router.Outcome.committed p.Router.Outcome.conflicts
-            p.Router.Outcome.wasted_expanded;
+          let p = result.Router.Engine.stats.Router.Engine.cache in
           Format.printf "cost-cache: %d hit(s), %d stale@."
             p.Router.Outcome.cache_hits p.Router.Outcome.cache_stale
         end;

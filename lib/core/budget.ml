@@ -82,25 +82,6 @@ let check ?(in_flight = 0) b =
 
 let tripped b = b.tripped
 
-(* Like [check] but without latching and without consulting the hook:
-   the read-only view used by speculative searches running on worker
-   domains, where latching would race and a hook (the chaos fault
-   injector) may be stateful.  The authoritative, latching [check] still
-   runs on the coordinating domain at every commit slot. *)
-let peek ?(in_flight = 0) b =
-  match b.tripped with
-  | Some _ as r -> r
-  | None -> (
-      match b.deadline_ns with
-      | Some d when Monotonic_clock.now () >= d -> Some Deadline
-      | _ -> (
-          match b.max_expanded with
-          | Some m when b.expanded + in_flight > m -> Some Expansion_limit
-          | _ -> (
-              match b.max_searches with
-              | Some m when b.searches > m -> Some Search_limit
-              | _ -> None)))
-
 let stop_hook b =
   if is_unlimited b then None
   else Some (fun in_flight -> check ~in_flight b <> None)

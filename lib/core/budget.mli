@@ -61,14 +61,6 @@ val check : ?in_flight:int -> t -> reason option
 val tripped : t -> reason option
 (** Latched result of past [check]/[trip] calls; never polls the clock. *)
 
-val peek : ?in_flight:int -> t -> reason option
-(** Non-latching poll: the already-latched reason, or the limit that
-    would trip now, without mutating the budget and without consulting
-    hooks (hooks may be stateful — fault injectors — and must only run on
-    the coordinating domain).  Safe to call from worker domains while the
-    coordinator is quiescent; used as the stop predicate of speculative
-    searches. *)
-
 val trip : t -> reason -> unit
 (** Force the budget into the tripped state (first reason wins). *)
 

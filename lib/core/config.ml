@@ -25,8 +25,6 @@ type t = {
   max_expanded : int option;
   max_searches : int option;
   audit : audit_level;
-  jobs : int;  (* routing domains; 0 = Parallel.default_jobs () *)
-  wave_halo : int;  (* bbox inflation for wave independence *)
   cost_cache : bool;  (* dirty-region failure-replay cache *)
   incremental : bool;  (* incremental search reuse: hfield memo + improve cache *)
 }
@@ -49,8 +47,6 @@ let default =
     max_expanded = None;
     max_searches = None;
     audit = Audit_off;
-    jobs = 1;
-    wave_halo = 2;
     cost_cache = true;
     incremental = true;
   }
@@ -101,10 +97,5 @@ let describe c =
     (match c.audit with
     | Audit_off -> ""
     | a -> Printf.sprintf ", audit=%s" (audit_name a))
-  ^ (if c.jobs <> 1 then
-       (if c.jobs = 0 then ", jobs=auto" else Printf.sprintf ", jobs=%d" c.jobs)
-       ^ (if c.wave_halo <> 2 then Printf.sprintf ", halo=%d" c.wave_halo
-          else "")
-     else "")
   ^ (if not c.cost_cache then ", no-cost-cache" else "")
   ^ if not c.incremental then ", no-incremental" else ""

@@ -65,15 +65,6 @@ type t = {
   audit : audit_level;
       (** paranoia level: run the invariant auditor during routing and
           raise {!Audit.Inconsistent} on any violation *)
-  jobs : int;
-      (** routing domains for speculative wave parallelism: 1 (default) =
-          fully sequential, 0 = [Util.Parallel.default_jobs ()], N > 1 =
-          that many domains.  Layouts and stats are identical for every
-          value on unbudgeted, chaos-free runs (see DESIGN.md §8) *)
-  wave_halo : int;
-      (** cells added around each net's pin bounding box when predicting
-          spatial independence for wave formation (default 2); purely a
-          scheduling heuristic — correctness comes from commit validation *)
   cost_cache : bool;
       (** dirty-region failure-replay cache (default [true]): a net whose
           route attempt failed without side effects is skipped on retry

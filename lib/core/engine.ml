@@ -9,7 +9,7 @@ type stats = {
   expanded : int;
   effort : Outcome.effort;
   attempts : int;
-  par : Outcome.par_stats;
+  cache : Outcome.cache_stats;
   guide : Outcome.guide_stats;
 }
 
@@ -48,12 +48,6 @@ type state = {
   routed : bool array;
   in_queue : bool array;
   queue : int Queue.t;
-  bbox : Geom.Rect.t option array;
-      (* halo-inflated pin bbox per net index; None for trivial nets *)
-  hard : bool array;
-      (* the net's standard-mode search failed at least once: it needs
-         escalation, so speculating it would waste a domain on a search
-         that runs to exhaustion inside the wave barrier *)
   cache : cache_entry option array;
   guides : Geom.Rect.t option array;
       (* per net index: global-route guide window; empty array = unguided *)
@@ -73,11 +67,6 @@ type state = {
   mutable flood_expanded : int;
   mutable reused : int;
   mutable reused_expanded : int;
-  mutable waves : int;
-  mutable speculated : int;
-  mutable committed : int;
-  mutable conflicts : int;
-  mutable wasted_expanded : int;
   mutable cache_hits : int;
   mutable cache_stale : int;
 }
@@ -106,9 +95,8 @@ let make_state config problem ~budget ~chaos ~guides =
         let i = pw.Netlist.Problem.pre_net - 1 in
         route_nodes.(i) <- nodes @ route_nodes.(i))
     problem.Netlist.Problem.prewires;
-  (* Instantiation dirtied the journal; seal it so both sequential and
-     parallel drains start from the same journal state (they both seal at
-     every later slot boundary). *)
+  (* Instantiation dirtied the journal; seal it so the drain starts from
+     a sealed journal, as it leaves one at every slot boundary. *)
   Grid.seal g;
   {
     problem;
@@ -123,20 +111,6 @@ let make_state config problem ~budget ~chaos ~guides =
     routed = Array.make nets false;
     in_queue = Array.make nets false;
     queue = Queue.create ();
-    bbox =
-      (* The halo must cover what a search actually explores beyond the
-         pin box: the window margin when windowed searches are on (their
-         first probe spans bbox + margin), plus the configured slack. *)
-      (let halo =
-         config.Config.wave_halo
-         + match config.Config.window_margin with Some m -> m + 1 | None -> 0
-       in
-       Array.init nets (fun i ->
-           let n = Netlist.Problem.net problem (i + 1) in
-           match n.Netlist.Net.pins with
-           | [] | [ _ ] -> None
-           | _ -> Netlist.Analysis.net_bbox ~halo n));
-    hard = Array.make nets false;
     cache = Array.make nets None;
     guides;
     heuristic = (if config.Config.use_astar then Maze.Search.L1 else Zero);
@@ -158,11 +132,6 @@ let make_state config problem ~budget ~chaos ~guides =
     flood_expanded = 0;
     reused = 0;
     reused_expanded = 0;
-    waves = 0;
-    speculated = 0;
-    committed = 0;
-    conflicts = 0;
-    wasted_expanded = 0;
     cache_hits = 0;
     cache_stale = 0;
   }
@@ -327,7 +296,6 @@ let connect st ~net ~sources ~targets =
   match standard () with
   | Some r -> Some (r, [])
   | None -> (
-      st.hard.(net - 1) <- true;
       let rec weak_loop pass =
         if (not st.config.Config.enable_weak)
            || pass >= st.config.Config.max_weak_passes
@@ -469,28 +437,19 @@ let audit_net st ~where =
   if st.config.Config.audit = Config.Audit_net then run_audit st ~where
 
 (* ------------------------------------------------------------------ *)
-(* Dirty-region certificates: shared by the failure-replay cache and   *)
-(* the speculative commit check.                                       *)
+(* The failure-replay cache.                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Certificate construction and validation live in [Maze.Cache]: the
-   refinement pass shares the exact same read-region semantics. *)
-let read_certs = Maze.Cache.read_certs
-
-let region_clean st ~since certs =
-  Maze.Cache.region_clean st.g ~since certs
-
-let cache_valid st e = region_clean st ~since:e.since e.certs
-
 (* Latched lookup at a routing slot: a stale entry is dropped (and
-   counted) exactly once, so cache statistics evolve identically at every
-   jobs value. *)
+   counted) exactly once.  Certificate construction and validation live
+   in [Maze.Cache]: the refinement pass shares the exact same read-region
+   semantics. *)
 let cache_lookup st id =
   let i = id - 1 in
   match st.cache.(i) with
   | None -> `Miss
   | Some e ->
-      if cache_valid st e then `Hit
+      if Maze.Cache.region_clean st.g ~since:e.since e.certs then `Hit
       else begin
         st.cache.(i) <- None;
         st.cache_stale <- st.cache_stale + 1;
@@ -518,250 +477,58 @@ let attempt_net st id =
        the journal before [since], or they would self-invalidate the
        entry. *)
     Grid.seal st.g;
-    let certs = read_certs st.ws in
+    let certs = Maze.Cache.read_certs st.ws in
     st.cache.(id - 1) <- Some { certs; since = Grid.mark st.g }
   end;
   ok
 
-(* Commit a validated speculative plan: occupy the recorded paths and
-   charge searches/expansions exactly as the sequential standard-mode
-   route of this net would have, so counters match a [jobs = 1] run.
-   The plan's guide tally and flood work are replayed for the same
-   reason. *)
-let commit_spec st id segs tally work =
-  let i = id - 1 in
-  st.tally.hits <- st.tally.hits + tally.Maze.Search.hits;
-  st.tally.fallbacks <- st.tally.fallbacks + tally.Maze.Search.fallbacks;
-  st.flood_expanded <- st.flood_expanded + work.Maze.Search.flooded;
-  Budget.note_expanded st.budget work.Maze.Search.flooded;
-  let session = ref [] in
-  List.iter
-    (fun (path, e) ->
-      st.searches <- st.searches + 1;
-      Budget.note_search st.budget;
-      st.expanded <- st.expanded + e;
-      Budget.note_expanded st.budget e;
-      st.expanded_maze <- st.expanded_maze + e;
-      st.expanded_per_net.(i) <- st.expanded_per_net.(i) + e;
-      let added = Maze.Route.occupy_path st.g ~net:id path in
-      session := added @ !session)
-    segs;
-  st.route_nodes.(i) <- !session @ st.route_nodes.(i);
-  st.routed.(i) <- true;
-  prune_orphans st id;
-  st.committed <- st.committed + 1
-
-(* One routing slot, shared verbatim by the sequential and parallel
-   drains: pop bookkeeping, cache lookup, optional speculative commit,
-   sequential fallback, failure tracking, audit, journal seal.  [spec]
-   carries a speculative plan with its read certificates and the wave's
-   journal mark. *)
-let process_slot st failed ~spec id =
-  let i = id - 1 in
-  st.in_queue.(i) <- false;
-  if not st.routed.(i) then begin
-    let ok =
-      match cache_lookup st id with
-      | `Hit ->
-          st.cache_hits <- st.cache_hits + 1;
-          false
-      | `Miss -> (
-          match spec with
-          | Some (since, Some segs, certs, tally, work)
-            when region_clean st ~since certs ->
-              commit_spec st id segs tally work;
-              true
-          | Some (_, Some segs, _, _, _) ->
-              (* An earlier commit wrote inside this plan's read set:
-                 discard it and re-route against current costs. *)
-              st.conflicts <- st.conflicts + 1;
-              st.wasted_expanded <-
-                st.wasted_expanded
-                + List.fold_left (fun a (_, e) -> a + e) 0 segs;
-              attempt_net st id
-          | _ -> attempt_net st id)
-    in
-    if ok then failed := List.filter (fun f -> f <> id) !failed
-    else if not (List.mem id !failed) then failed := id :: !failed;
-    audit_net st ~where:(Printf.sprintf "after net %d" id)
-  end;
-  Grid.seal st.g
-
-(* ------------------------------------------------------------------ *)
-(* Wave formation and speculative execution.                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Prefix-scan factor: how far past [jobs] speculation candidates the
-   queue prefix may extend (cheap slots between candidates ride along). *)
-let wave_span = 4
-
-(* Scan the queue prefix (without popping — ripped wave-mates must still
-   see [in_queue = true], exactly as in a sequential drain) and pick the
-   speculation set: unrouted multi-pin nets without a valid cached
-   failure, admitted while their halo-inflated pin boxes stay disjoint —
-   or unconditionally up to [jobs] members, since commit-time validation
-   is what guarantees correctness and narrow waves waste domains.  The
-   first rejected candidate ends the wave.  Returns the slot prefix in
-   queue order and the admitted ids. *)
-let form_wave st ~jobs =
-  let cap = wave_span * jobs in
-  let prefix = ref [] and admitted = ref [] and n_admitted = ref 0 in
-  let count = ref 0 in
-  let rec scan seq =
-    if !count < cap then
-      match seq () with
-      | Seq.Nil -> ()
-      | Seq.Cons (id, tl) ->
-          let i = id - 1 in
-          let eligible =
-            (not st.routed.(i))
-            && (not st.hard.(i))
-            && st.bbox.(i) <> None
-            && (match st.cache.(i) with
-               | Some e -> not (cache_valid st e)
-               | None -> true)
-          in
-          if not eligible then begin
-            prefix := id :: !prefix;
-            incr count;
-            scan tl
-          end
-          else begin
-            let r = Option.get st.bbox.(i) in
-            let disjoint =
-              List.for_all
-                (fun r' -> not (Geom.Rect.overlap r r'))
-                !admitted
-            in
-            if disjoint then begin
-              admitted := r :: !admitted;
-              incr n_admitted;
-              prefix := (-id) :: !prefix;
-              incr count;
-              scan tl
-            end
-            (* An overlapping candidate ends the wave: it must route
-               after the commits it would conflict with. *)
-          end
-  in
-  scan (Queue.to_seq st.queue);
-  let slots = List.rev_map (fun id -> abs id) !prefix in
-  let specs = List.rev (List.filter_map (fun id -> if id < 0 then Some (-id) else None) !prefix) in
-  (slots, specs)
-
-(* Speculatively plan one net on a worker domain: read-only against the
-   live grid, with a pooled per-domain workspace.  The budget is polled
-   through the non-latching [Budget.peek] so domains never race on the
-   latch; an abort simply yields no plan and the slot falls back to the
-   sequential path (where the latching check runs). *)
-let speculate st ~stop ws id =
-  Maze.Workspace.reset ws;
-  Maze.Workspace.clear_touched ws;
-  let net = Netlist.Problem.net st.problem id in
-  (* Bail out of hopeless speculations early: a standard route of an easy
-     net settles within a few window areas; far past that it is almost
-     certainly widening toward a full-grid failure, which would stall the
-     whole wave behind one domain.  The sequential slot (which can
-     escalate) is the right place for that work. *)
-  let cap =
-    match st.bbox.(id - 1) with
-    | Some r -> 16 * Geom.Rect.area r
-    | None -> max_int
-  in
-  let stop =
-    Some
-      (fun in_flight ->
-        in_flight > cap
-        || match stop with Some f -> f in_flight | None -> false)
-  in
-  let tally = { Maze.Search.hits = 0; fallbacks = 0 } in
-  let work = { Maze.Search.settled = 0; flooded = 0 } in
-  let plan =
-    Maze.Route.plan_net ~kernel:st.config.Config.kernel
-      ~heuristic:st.heuristic ~window:(standard_window st ~tally id) ?stop
-      ~memo:st.config.Config.incremental ~flood:true ~work st.g ws
-      ~cost:st.config.Config.cost
-      ~passable:(passable_block st ~net:id)
-      net
-  in
-  let certs = read_certs ws in
-  (id, plan, certs, tally, work)
-
-let drain_par st pool failed =
-  let jobs = Util.Parallel.Pool.jobs pool in
-  let stop =
-    if Budget.is_unlimited st.budget then None
-    else Some (fun in_flight -> Budget.peek ~in_flight st.budget <> None)
-  in
-  while (not (Queue.is_empty st.queue)) && Budget.check st.budget = None do
-    let slots, specs = form_wave st ~jobs in
-    match specs with
-    | [] | [ _ ] ->
-        (* No exploitable parallelism at the head: one sequential slot. *)
-        let id = Queue.pop st.queue in
-        process_slot st failed ~spec:None id
-    | _ ->
-        st.waves <- st.waves + 1;
-        st.speculated <- st.speculated + List.length specs;
-        let since = Grid.mark st.g in
-        let results =
-          Util.Parallel.Pool.map pool (fun ws id -> speculate st ~stop ws id)
-            specs
-        in
-        let tbl = Hashtbl.create (2 * List.length specs) in
-        List.iter
-          (fun (id, plan, certs, tally, work) ->
-            Hashtbl.replace tbl id (since, plan, certs, tally, work))
-          results;
-        (* Commit in queue order, re-checking the latched budget before
-           every pop — the exact loop condition of a sequential drain, so
-           a budget trip leaves the same nets unattempted. *)
-        let continue_ = ref true in
-        List.iter
-          (fun id ->
-            if !continue_ then
-              if Budget.check st.budget <> None then continue_ := false
-              else begin
-                let popped = Queue.pop st.queue in
-                assert (popped = id);
-                process_slot st failed ~spec:(Hashtbl.find_opt tbl id) id
-              end)
-          slots
-  done
-
-let drain ?pool st =
+(* Pop and route queued nets in order until the queue empties or the
+   budget trips; returns the nets that failed.  Every slot ends with a
+   journal seal, so a failure recorded at one slot is judged stale only
+   by writes of later slots. *)
+let drain st =
   let failed = ref [] in
-  (match pool with
-  | Some pool -> drain_par st pool failed
-  | None ->
-      while (not (Queue.is_empty st.queue)) && Budget.check st.budget = None do
-        let id = Queue.pop st.queue in
-        process_slot st failed ~spec:None id
-      done);
+  while (not (Queue.is_empty st.queue)) && Budget.check st.budget = None do
+    let id = Queue.pop st.queue in
+    let i = id - 1 in
+    st.in_queue.(i) <- false;
+    if not st.routed.(i) then begin
+      let ok =
+        match cache_lookup st id with
+        | `Hit ->
+            st.cache_hits <- st.cache_hits + 1;
+            false
+        | `Miss -> attempt_net st id
+      in
+      if ok then failed := List.filter (fun f -> f <> id) !failed
+      else if not (List.mem id !failed) then failed := id :: !failed;
+      audit_net st ~where:(Printf.sprintf "after net %d" id)
+    end;
+    Grid.seal st.g
+  done;
   !failed
 
 (* After the queue drains, blocked nets get fresh chances: other nets may
    have been ripped or shoved since they failed.  Each sweep must make
    progress (route at least one failed net) to continue. *)
-let rec retry_failed ?pool st failed =
+let rec retry_failed st failed =
   match failed with
   | [] -> []
   | _ when Budget.check st.budget <> None -> failed
   | _ ->
       List.iter (enqueue st) failed;
-      let still_failed = drain ?pool st in
+      let still_failed = drain st in
       audit_phase st ~where:"after retry sweep";
       if List.length still_failed < List.length failed then
-        retry_failed ?pool st still_failed
+        retry_failed st still_failed
       else still_failed
 
-let route_once config problem order_ids ~budget ~chaos ~pool ~guides =
+let route_once config problem order_ids ~budget ~chaos ~guides =
   let st = make_state config problem ~budget ~chaos ~guides in
-  let pool = pool st.g in
   List.iter (enqueue st) order_ids;
-  let failed = drain ?pool st in
+  let failed = drain st in
   audit_phase st ~where:"after queue drain";
-  let failed = retry_failed ?pool st failed in
+  let failed = retry_failed st failed in
   ignore (failed : int list);
   (* Derive the failed set from the routed flags rather than the drain
      bookkeeping: when the budget trips mid-queue, nets never attempted
@@ -799,16 +566,8 @@ let route_once config problem order_ids ~budget ~chaos ~pool ~guides =
           reused_expanded = st.reused_expanded;
         };
       attempts = 1;
-      par =
-        {
-          Outcome.waves = st.waves;
-          speculated = st.speculated;
-          committed = st.committed;
-          conflicts = st.conflicts;
-          wasted_expanded = st.wasted_expanded;
-          cache_hits = st.cache_hits;
-          cache_stale = st.cache_stale;
-        };
+      cache =
+        { Outcome.cache_hits = st.cache_hits; cache_stale = st.cache_stale };
       guide =
         {
           Outcome.guided =
@@ -881,32 +640,6 @@ let route ?(config = Config.default) ?budget ?chaos ?guides problem =
   (match Chaos.hook chaos with
   | Some h -> Budget.add_hook budget h
   | None -> ());
-  (* Speculation is disabled under fault injection: the chaos PRNG makes
-     search outcomes depend on global search order, which speculative
-     planning would perturb.  Sequential fallback keeps chaos runs exact. *)
-  let jobs =
-    if config.Config.jobs = 0 then Util.Parallel.default_jobs ()
-    else max 1 config.Config.jobs
-  in
-  let use_par = jobs > 1 && not (Chaos.enabled chaos) in
-  let pool_cell = ref None in
-  let pool g =
-    if not use_par then None
-    else
-      Some
-        (match !pool_cell with
-        | Some p -> p
-        | None ->
-            (* Per-domain workspaces are created lazily inside their
-               domains; the grid only supplies dimensions, which are
-               identical across restart attempts. *)
-            let p =
-              Util.Parallel.Pool.create ~jobs ~init:(fun _ ->
-                  Maze.Workspace.create g)
-            in
-            pool_cell := Some p;
-            p)
-  in
   let ids = Netlist.Problem.nontrivial_net_ids problem in
   let base_order =
     Order.arrange config.Config.order ~seed:config.Config.seed problem ids
@@ -934,24 +667,16 @@ let route ?(config = Config.default) ?budget ?chaos ?guides problem =
         restart_order ~seed:config.Config.seed ~attempt:i
           ~last_failed:best.stats.failed_nets base_order
       in
-      let result = route_once config problem order ~budget ~chaos ~pool ~guides in
+      let result = route_once config problem order ~budget ~chaos ~guides in
       let best = if better result best then result else best in
       if best.completed then with_attempts best (i + 1)
       else attempts (i + 1) best
     end
   in
-  Fun.protect
-    ~finally:(fun () ->
-      match !pool_cell with
-      | Some p -> Util.Parallel.Pool.shutdown p
-      | None -> ())
-    (fun () ->
-      let first =
-        route_once config problem base_order ~budget ~chaos ~pool ~guides
-      in
-      finalize
-        (if first.completed || max_attempts = 1 then with_attempts first 1
-         else attempts 1 first))
+  let first = route_once config problem base_order ~budget ~chaos ~guides in
+  finalize
+    (if first.completed || max_attempts = 1 then with_attempts first 1
+     else attempts 1 first)
 
 let pp_stats fmt s =
   Format.fprintf fmt
@@ -960,9 +685,10 @@ let pp_stats fmt s =
     (String.concat "," (List.map string_of_int s.failed_nets))
     s.total_wirelength s.total_vias s.rips s.shoves s.searches
     Outcome.pp_effort s.effort;
-  (* Parallel/cache telemetry appears only when something happened, so
-     sequential cache-less runs render exactly as before. *)
-  if s.par <> Outcome.no_par then
-    Format.fprintf fmt " %a" Outcome.pp_par s.par;
+  (* Cache telemetry appears only when the cache fired, so cache-less runs
+     render exactly as before. *)
+  let { Outcome.cache_hits = hits; cache_stale = stale } = s.cache in
+  if hits + stale > 0 then
+    Format.fprintf fmt " cache=%d/%d" hits (hits + stale);
   if s.guide <> Outcome.no_guide then
     Format.fprintf fmt " %a" Outcome.pp_guide s.guide

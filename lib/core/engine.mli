@@ -47,9 +47,9 @@ type stats = {
       (** the same total split by escalation phase and by net, next to
           the work of failed searches, flood nodes and reused plans *)
   attempts : int;  (** restart attempts consumed (≥ 1) *)
-  par : Outcome.par_stats;
-      (** speculative-wave and failure-cache telemetry of the winning
-          attempt; all-zero for sequential cache-less runs *)
+  cache : Outcome.cache_stats;
+      (** failure-replay cache telemetry of the winning attempt; all-zero
+          for cache-less runs *)
   guide : Outcome.guide_stats;
       (** guided-search telemetry of the winning attempt; all-zero for
           unguided runs *)
@@ -81,25 +81,16 @@ val route :
     [Audit_off] the invariant auditor runs after each engine phase and
     raises {!Audit.Inconsistent} on any violation.
 
-    With [config.jobs] ≠ 1 the drain routes spatially independent queue
-    prefixes speculatively on a pool of domains and commits the plans in
-    deterministic queue order, validating each against the grid's dirty
-    journal; invalidated plans are re-routed sequentially at their slot.
-    On unbudgeted, chaos-free runs the layout {e and} the stats are
-    identical for every [jobs] value (see DESIGN.md §8 for the argument);
-    under a budget, trip timing may differ between jobs values (each value
-    still honors the budget).  Under fault injection speculation is
-    disabled.  The [config.cost_cache] failure-replay cache never changes
-    the layout — it only skips provably-replayed failures — and its
-    statistics are jobs-invariant too.
+    The [config.cost_cache] failure-replay cache never changes the layout:
+    it only skips a failed net's retry while the grid region its failed
+    attempt read is unwritten, which would replay the same failure.
 
     [guides] (per net index, [None] entries unguided) restricts each
     guided net's standard-phase searches to its guide rectangle via the
     certified probe of {!Maze.Search.run}'s {!Maze.Search.Guide} window: a
     certified probe is pop-order identical to the full search, an
     uncertified one falls back to the full window — so the layout is
-    byte-identical to the same run without guides, guided or not, at
-    every jobs value.  Requires
+    byte-identical to the same run without guides.  Requires
     [config.kernel = Buckets] and [config.window_margin = None] (raises
     [Invalid_argument] otherwise); escalation searches are never guided. *)
 

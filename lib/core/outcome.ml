@@ -43,32 +43,7 @@ let pp_effort fmt e =
     e.total_expanded e.maze_expanded e.weak_expanded e.strong_expanded
     e.failed_expanded e.flood_expanded e.reused e.reused_expanded
 
-type par_stats = {
-  waves : int;
-  speculated : int;
-  committed : int;
-  conflicts : int;
-  wasted_expanded : int;
-  cache_hits : int;
-  cache_stale : int;
-}
-
-let no_par =
-  {
-    waves = 0;
-    speculated = 0;
-    committed = 0;
-    conflicts = 0;
-    wasted_expanded = 0;
-    cache_hits = 0;
-    cache_stale = 0;
-  }
-
-let pp_par fmt p =
-  Format.fprintf fmt
-    "waves=%d speculated=%d committed=%d conflicts=%d wasted=%d cache=%d/%d"
-    p.waves p.speculated p.committed p.conflicts p.wasted_expanded p.cache_hits
-    (p.cache_hits + p.cache_stale)
+type cache_stats = { cache_hits : int; cache_stale : int }
 
 type guide_stats = { guided : int; hits : int; fallbacks : int }
 

@@ -64,32 +64,17 @@ val no_effort : nets:int -> effort
 
 val pp_effort : Format.formatter -> effort -> unit
 
-(** Telemetry of the speculative parallel drain and the dirty-region
-    failure cache.  All-zero on sequential cache-less runs; none of these
-    numbers affect the layout (see DESIGN.md §8). *)
-type par_stats = {
-  waves : int;  (** parallel waves executed *)
-  speculated : int;  (** nets routed speculatively on the domain pool *)
-  committed : int;  (** speculative routes committed unchanged *)
-  conflicts : int;
-      (** speculative routes invalidated by an earlier commit and re-routed
-          sequentially *)
-  wasted_expanded : int;
-      (** node expansions of discarded speculative plans (conflicts only;
-          failed speculations don't report their effort) *)
+(** Telemetry of the engine's dirty-region failure-replay cache.
+    All-zero on cache-less runs; neither number affects the layout. *)
+type cache_stats = {
   cache_hits : int;  (** failed route attempts skipped by the cache *)
   cache_stale : int;  (** cache entries invalidated by dirty regions *)
 }
 
-val no_par : par_stats
-
-val pp_par : Format.formatter -> par_stats -> unit
-
 (** Telemetry of guide-windowed routing (the flow pipeline's global-route
     guides).  A {e hit} is a standard-phase search whose guided probe was
     certified pop-order identical to the full search; a {e fallback} paid
-    a wasted probe and re-ran unwindowed.  Counted per search, identically
-    at every jobs value. *)
+    a wasted probe and re-ran unwindowed.  Counted per search. *)
 type guide_stats = {
   guided : int;  (** nets that carried a guide rectangle *)
   hits : int;

@@ -53,7 +53,7 @@ let summary problem (result : Engine.t) =
   (* Cache telemetry appears only when the caches actually fired, so
      cache-less runs render byte-identically to older reports. *)
   let cache_line =
-    let p = s.Engine.par in
+    let p = s.Engine.cache in
     if p.Outcome.cache_hits + p.Outcome.cache_stale = 0 then []
     else
       [

@@ -8,12 +8,12 @@
     guides as certified per-net search windows.  Guides never change
     the answer — an uncertified guided search falls back to the full
     window — so the final layout is byte-identical to routing the
-    realized problem without guides, at every [jobs] value.
+    realized problem without guides.
 
     The flow forces the detailed-route config onto the guide-compatible
     kernel ([Buckets], no [window_margin], A* on — the certificate works
     through the heuristic lower bound); everything else (order,
-    escalation, restarts, jobs, …) is taken from [config].  A shared
+    escalation, restarts, …) is taken from [config].  A shared
     {!Router.Budget} degrades the whole pipeline gracefully: the placer
     stops annealing at its best-so-far, the router returns a partial
     layout, and the flow still completes. *)

@@ -173,8 +173,8 @@ val via_count : t -> int
     becomes one rectangle).  Consumers take a {!mark} and later ask whether
     a region of a layer has been written since; once the journal's ring has
     wrapped past a mark the answer degrades to a conservative "yes".  This
-    is what lets the engine validate speculative routes and replay cached
-    failures without rescanning the grid. *)
+    is what lets the engine replay cached failures, and refinement skip
+    certified nets, without rescanning the grid. *)
 
 type mark
 (** A point in the journal's history (one sequence number per layer). *)
@@ -204,8 +204,8 @@ val dirtied_in_freeing : t -> since:mark -> layer:int -> Geom.Rect.t -> bool
 val seal : t -> unit
 (** Flush pending coalescing into the journal.  Callers that need journal
     evolution to be independent of {e when} queries happen (the engine
-    seals after every net, so sequential and parallel drains journal
-    identically) call this at their unit-of-work boundaries. *)
+    seals after every net) call this at their unit-of-work
+    boundaries. *)
 
 (** {1 Iteration and statistics} *)
 

@@ -30,9 +30,9 @@ val read_certs : Workspace.t -> Geom.Rect.t option array
 val region_clean :
   Grid.t -> since:Grid.mark -> Geom.Rect.t option array -> bool
 (** No journal write at all since [since] intersects any layer's
-    certificate — the {e route-replay} validity test (the engine's
-    speculative cache replays committed paths, which any write can
-    invalidate). *)
+    certificate — the {e failure-replay} validity test (the engine's
+    failure cache replays a failed attempt, which any write to the
+    region it read can invalidate). *)
 
 val verdict_clean :
   Grid.t -> since:Grid.mark -> Geom.Rect.t option array -> bool

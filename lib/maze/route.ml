@@ -45,8 +45,8 @@ let release_nodes g nodes = List.iter (Grid.release g) nodes
    nearest one.  Returns the found connections in order, each with its
    expansion count, and the pins still unconnected when a search failed
    or aborted ([] when every pin was reached). *)
-let plan ?kernel ?heuristic ?window ?stop ?memo ?flood ?work g ws ~cost
-    ~passable (net : Netlist.Net.t) =
+let plan ?kernel ?heuristic ?window ?stop ?memo g ws ~cost ~passable
+    (net : Netlist.Net.t) =
   match net.Netlist.Net.pins with
   | [] | [ _ ] -> ([], [])
   | first :: rest ->
@@ -55,8 +55,8 @@ let plan ?kernel ?heuristic ?window ?stop ?memo ?flood ?work g ws ~cost
         | [] -> (List.rev acc, [])
         | _ -> (
             match
-              Search.run ?kernel ?heuristic ?window ?stop ?memo ?flood ?work g
-                ws ~cost ~passable ~sources:tree
+              Search.run ?kernel ?heuristic ?window ?stop ?memo g ws ~cost
+                ~passable ~sources:tree
                 ~targets:(List.map fst remaining) ()
             with
             | None -> (List.rev acc, remaining)
@@ -77,12 +77,8 @@ let plan ?kernel ?heuristic ?window ?stop ?memo ?flood ?work g ws ~cost
    cells, which it makes self-owned — and the passability prices
    self-owned and free cells alike, so every later search sees identical
    passability either way. *)
-let plan_net ?kernel ?heuristic ?window ?stop ?memo ?flood ?work g ws ~cost
-    ~passable net =
-  match
-    plan ?kernel ?heuristic ?window ?stop ?memo ?flood ?work g ws ~cost
-      ~passable net
-  with
+let plan_net ?kernel ?heuristic ?window ?memo g ws ~cost ~passable net =
+  match plan ?kernel ?heuristic ?window ?memo g ws ~cost ~passable net with
   | segs, [] -> Some segs
   | _, _ :: _ -> None
 

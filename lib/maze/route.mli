@@ -3,7 +3,7 @@
     Pins are joined Prim-style: each {!Search.run} connects the grown tree
     to its nearest still-unconnected pin, which yields reasonable Steiner
     trees without a separate topology phase.  [plan_net] runs those
-    searches read-only (the speculative engine, refine's planner);
+    searches read-only (refine's planner);
     [route_net] plans and then occupies the planned paths (the workload
     generators' witness routes, test and bench harnesses). *)
 
@@ -37,10 +37,7 @@ val plan_net :
   ?kernel:Search.kernel ->
   ?heuristic:Search.heuristic ->
   ?window:Search.window ->
-  ?stop:(int -> bool) ->
   ?memo:bool ->
-  ?flood:bool ->
-  ?work:Search.work ->
   Grid.t ->
   Workspace.t ->
   cost:Cost.t ->
@@ -51,16 +48,11 @@ val plan_net :
     Prim-style connection searches of {!route_net} against the current
     grid but never occupies anything.  Returns the connection paths in
     order, each with its expansion count (including discarded windowed
-    and guide probes), or [None] if some connection fails or is aborted
-    by [stop].  When [passable] prices free and self-owned cells alike
-    (as {!passable_default} does), the searches — and thus the paths —
-    are exactly those a mutating run from the same grid state would
-    produce.  The speculative parallel engine runs this on worker domains
-    and commits the recorded paths later.  The search parameters are
-    forwarded to every {!Search.run}; a {!Search.Guide} window tallies
-    every connection's probe, and [work] every connection's nodes.
-    [flood] is off by default: only the engine's standard rung, which
-    this replays speculatively, turns it on. *)
+    and guide probes), or [None] if some connection fails.  When
+    [passable] prices free and self-owned cells alike (as
+    {!passable_default} does), the searches — and thus the paths — are
+    exactly those a mutating run from the same grid state would produce.
+    The search parameters are forwarded to every {!Search.run}. *)
 
 val route_net :
   ?passable:(int -> int option) ->

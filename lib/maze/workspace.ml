@@ -89,8 +89,6 @@ let begin_search ws =
   Util.Bucketq.clear ws.buckets;
   Util.Vec.clear ws.flood
 
-let reset = begin_search
-
 let dist ws n = if ws.dist_gen.(n) = ws.gen then ws.dist.(n) else max_int
 
 let set_dist ws n d =

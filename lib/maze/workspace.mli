@@ -20,12 +20,6 @@ val layers : t -> int
 val begin_search : t -> unit
 (** Invalidate all distances, parents and marks from previous searches. *)
 
-val reset : t -> unit
-(** Same O(1) invalidation as {!begin_search}, exposed for callers that
-    reuse one workspace across several grids of equal dimensions (the
-    parallel harness, track-sweep adapters): call [reset] when switching
-    grids so no stale state from the previous grid leaks through. *)
-
 val dist : t -> int -> int
 (** Tentative distance of a node in the current search; [max_int] when
     unvisited. *)

@@ -52,9 +52,6 @@ let max_vertical_cut p = Array.fold_left max 0 (vertical_cuts p)
 
 let max_horizontal_cut p = Array.fold_left max 0 (horizontal_cuts p)
 
-let net_bbox ?(halo = 0) (n : Net.t) =
-  Option.map (fun r -> Geom.Rect.inflate r halo) (Net.bounding_box n)
-
 let switchbox_track_lower_bound p =
   max (max_vertical_cut p) (max_horizontal_cut p)
 

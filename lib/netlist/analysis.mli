@@ -25,12 +25,6 @@ val max_vertical_cut : Problem.t -> int
 
 val max_horizontal_cut : Problem.t -> int
 
-val net_bbox : ?halo:int -> Net.t -> Geom.Rect.t option
-(** Pin bounding box grown by [halo] cells on every side ([None] for
-    pinless nets).  The speculative wave scheduler uses halo-inflated pin
-    boxes as a cheap spatial-independence predictor: nets whose inflated
-    boxes are disjoint rarely contend for cells. *)
-
 val switchbox_track_lower_bound : Problem.t -> int
 (** Max cut flow in either direction: a two-layer switchbox needs at least
     this many rows/columns available in the crossing direction. *)

@@ -1,7 +1,8 @@
 (** Live service telemetry: monotonic counters and latency histograms.
 
     One {!t} lives for the whole life of a server.  Every executed
-    request records its kind, outcome and wall-clock latency; admission
+    request records its kind, outcome and wall-clock latency (queue wait
+    included); admission
     control records sheds; the session layer records budget trips,
     injected faults and idle evictions.  Latencies go into per-kind
     histograms with log-linear microsecond buckets — each octave split
@@ -40,7 +41,9 @@ val merge : t list -> t
 
 val record : t -> kind:string -> ok:bool -> latency_s:float -> unit
 (** Account one executed request of wire kind [kind] (e.g. ["route"]).
-    [latency_s] is seconds of wall clock spent executing it. *)
+    [latency_s] is seconds of wall clock from the request's admission to
+    its reply: the time it waited in its shard's queue plus the time
+    spent executing it. *)
 
 val shed : t -> unit
 (** One request refused by admission control. *)

@@ -29,7 +29,9 @@ let default_config =
     shards = 1;
   }
 
-type item = { client : int; request : Proto.request }
+(* [admitted_at]: when [submit] queued the request, on the monotonic
+   clock. *)
+type item = { client : int; request : Proto.request; admitted_at : int64 }
 
 (* One shard: a registry partition, a bounded queue and a metrics store,
    owned by one executor at a time: its persistent worker domain, or the
@@ -154,8 +156,9 @@ let shutdown_requested t = Atomic.get t.shutdown
 
 (* How long a shed client should wait before retrying: the time the
    target shard's backlog will plausibly take to drain, from that
-   shard's observed mean request latency (falling back to the SLO, then
-   to a token 50ms before any request has executed).  Load-aware per
+   shard's observed mean execution time (falling back to the SLO, then
+   to a token 50ms before any request has executed).  Queue wait is left
+   out of the mean: the backlog factor already counts it.  Load-aware per
    shard: a client bounced off a deep queue gets a proportionally later
    retry slot than one bounced off a briefly-full shard. *)
 let retry_after_ms t shard =
@@ -260,8 +263,8 @@ let engine_stats_json (s : Router.Engine.stats) =
       ("searches", J.Int s.Router.Engine.searches);
       ("expanded", J.Int s.Router.Engine.expanded);
       ("attempts", J.Int s.Router.Engine.attempts);
-      ("cache_hits", J.Int s.Router.Engine.par.Router.Outcome.cache_hits);
-      ("cache_stale", J.Int s.Router.Engine.par.Router.Outcome.cache_stale);
+      ("cache_hits", J.Int s.Router.Engine.cache.Router.Outcome.cache_hits);
+      ("cache_stale", J.Int s.Router.Engine.cache.Router.Outcome.cache_stale);
     ]
 
 let place_stats_json (s : Place.stats) =
@@ -666,10 +669,12 @@ let exec_open t shard (req : Proto.request) op =
           error_reply ~rid Proto.Session_cap
             (Printf.sprintf "session cap reached (%d); close one first" n))
 
-(* Execute one request on its shard.  The caller holds [shard.lock].  The
-   latency comes from the monotonic clock, so a wall-clock step cannot
-   record a negative or inflated time. *)
-let execute t shard (req : Proto.request) =
+(* Execute one request on its shard.  The caller holds [shard.lock].
+   Times come from the monotonic clock, so a wall-clock step cannot
+   record a negative or inflated time.  The recorded latency runs from
+   [admitted_at] to the reply, so it includes the queue wait; the shed
+   hint's mean runs from the start of execution. *)
+let execute t shard ~admitted_at (req : Proto.request) =
   let t0 = Monotonic_clock.now () in
   let reply, ok_flag =
     match
@@ -691,11 +696,12 @@ let execute t shard (req : Proto.request) =
             (Printexc.to_string exn),
           false )
   in
-  let dt = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
+  let t1 = Monotonic_clock.now () in
+  let seconds since = Int64.to_float (Int64.sub t1 since) *. 1e-9 in
   shard.exec_count <- shard.exec_count + 1;
-  shard.exec_sum_s <- shard.exec_sum_s +. dt;
+  shard.exec_sum_s <- shard.exec_sum_s +. seconds t0;
   Metrics.record shard.metrics ~kind:(Proto.op_name req.Proto.op) ~ok:ok_flag
-    ~latency_s:dt;
+    ~latency_s:(seconds admitted_at);
   Metrics.evicted shard.metrics
     (List.length (Registry.tick shard.registry));
   reply
@@ -725,7 +731,8 @@ let submit t ~client line =
         let force = Proto.read_only request.Proto.op in
         let admitted =
           (force || Atomic.get t.queued < t.config.queue_cap)
-          && Sched.submit ~force shard.queue ~key { client; request }
+          && Sched.submit ~force shard.queue ~key
+               { client; request; admitted_at = Monotonic_clock.now () }
         in
         if admitted then begin
           Atomic.incr t.queued;
@@ -775,8 +782,10 @@ let next t shard ~block =
   if Option.is_some popped then Atomic.decr t.queued;
   popped
 
-let run t shard ~emit { client; request } =
-  emit client (Mutex.protect shard.lock (fun () -> execute t shard request));
+let run t shard ~emit { client; request; admitted_at } =
+  emit client
+    (Mutex.protect shard.lock (fun () ->
+         execute t shard ~admitted_at request));
   Mutex.lock shard.qmutex;
   shard.inflight <- false;
   Mutex.unlock shard.qmutex

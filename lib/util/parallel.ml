@@ -57,121 +57,6 @@ let map ?(jobs = 1) f xs =
 
 let run ?jobs tasks = map ?jobs (fun t -> t ()) tasks
 
-module Pool = struct
-  type 'w t = {
-    jobs : int;
-    init : int -> 'w;
-    (* Slot [i]'s state, created lazily inside the domain that owns the
-       slot (slot 0 is the calling domain) and only ever read there, so
-       no synchronization is needed. *)
-    states : 'w option array;
-    mutex : Mutex.t;
-    cond : Condition.t;
-    mutable task : (int -> unit) option;
-    mutable epoch : int;
-    mutable active : int; (* helper domains still inside current epoch *)
-    mutable stop : bool;
-    mutable domains : unit Domain.t array;
-  }
-
-  let worker t slot =
-    let rec loop last =
-      Mutex.lock t.mutex;
-      while t.epoch = last && not t.stop do
-        Condition.wait t.cond t.mutex
-      done;
-      if t.stop then Mutex.unlock t.mutex
-      else begin
-        let epoch = t.epoch in
-        let task = Option.get t.task in
-        Mutex.unlock t.mutex;
-        task slot;
-        Mutex.lock t.mutex;
-        t.active <- t.active - 1;
-        if t.active = 0 then Condition.broadcast t.cond;
-        Mutex.unlock t.mutex;
-        loop epoch
-      end
-    in
-    loop 0
-
-  let create ~jobs ~init =
-    let jobs = max 1 jobs in
-    let t =
-      {
-        jobs;
-        init;
-        states = Array.make jobs None;
-        mutex = Mutex.create ();
-        cond = Condition.create ();
-        task = None;
-        epoch = 0;
-        active = 0;
-        stop = false;
-        domains = [||];
-      }
-    in
-    t.domains <-
-      Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
-    t
-
-  let jobs t = t.jobs
-
-  let state t slot =
-    match t.states.(slot) with
-    | Some w -> w
-    | None ->
-        let w = t.init slot in
-        t.states.(slot) <- Some w;
-        w
-
-  let map t f xs =
-    let items = Array.of_list xs in
-    let n = Array.length items in
-    if n = 0 then []
-    else begin
-      let results = Array.make n None in
-      let next = Atomic.make 0 in
-      let task slot =
-        let w = state t slot in
-        let continue = ref true in
-        while !continue do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n then continue := false
-          else results.(i) <- Some (try Ok (f w items.(i)) with e -> Error e)
-        done
-      in
-      if t.jobs = 1 then task 0
-      else begin
-        Mutex.lock t.mutex;
-        t.task <- Some task;
-        t.epoch <- t.epoch + 1;
-        t.active <- t.jobs - 1;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.mutex;
-        task 0;
-        (* caller participates as slot 0 *)
-        Mutex.lock t.mutex;
-        while t.active > 0 do
-          Condition.wait t.cond t.mutex
-        done;
-        t.task <- None;
-        Mutex.unlock t.mutex
-      end;
-      collect results
-    end
-
-  let shutdown t =
-    if not t.stop then begin
-      Mutex.lock t.mutex;
-      t.stop <- true;
-      Condition.broadcast t.cond;
-      Mutex.unlock t.mutex;
-      Array.iter Domain.join t.domains;
-      t.domains <- [||]
-    end
-end
-
 module Shards = struct
   type t = { mutable domains : unit Domain.t array }
 

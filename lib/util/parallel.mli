@@ -28,40 +28,10 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count], the hardware-sized default for
     [--jobs 0] style flags. *)
 
-(** Persistent domain pool with per-slot worker state.
-
-    {!map} spawns and joins domains on every call — fine for bench-sized
-    tasks, too slow for the engine's per-wave fan-out.  A [Pool] keeps
-    [jobs - 1] helper domains parked on a condition variable and reuses
-    them across calls; the calling domain always participates as slot 0.
-    Each slot lazily builds one ['w] state (a {e workspace}) via [init]
-    inside the domain that owns it, and that state is handed back to every
-    task the slot executes — allocate-once, reset-per-use scratch space. *)
-module Pool : sig
-  type 'w t
-
-  val create : jobs:int -> init:(int -> 'w) -> 'w t
-  (** [create ~jobs ~init] starts a pool of [max 1 jobs] slots
-      ([jobs - 1] helper domains).  [init slot] is called at most once per
-      slot, lazily, inside the owning domain, on the slot's first task. *)
-
-  val jobs : 'w t -> int
-
-  val map : 'w t -> ('w -> 'a -> 'b) -> 'a list -> 'b list
-  (** [map pool f xs] applies [f state x] across the pool, preserving
-      input order.  Exception policy matches {!Parallel.map}: one failure
-      re-raises as-is, several raise {!Multiple}.  Not reentrant: do not
-      call [map] from inside a task of the same pool. *)
-
-  val shutdown : 'w t -> unit
-  (** Park, join and release the helper domains.  Idempotent; the pool
-      must not be used afterwards. *)
-end
-
 (** Long-lived {e shard} domains: one domain per shard, each running its
     own loop to completion — no barrier, no work stealing.
 
-    Where {!Pool} fans a shared task list over slots and joins per call,
+    Where {!map} fans a shared task list over domains and joins per call,
     a [Shards] group hands each domain a fixed identity ([run i]) and
     lets it live for the whole life of a service: the routing daemon
     parks one request-executing loop on each shard this way, with the

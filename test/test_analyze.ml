@@ -6,7 +6,7 @@
    - {e equivalence}: a problem carrying an explicit [layers 2 h v]
      directive is the same problem as one carrying none — byte-identical
      printed text, byte-identical routed layouts and renders at every
-     jobs/incremental setting, byte-identical snapshot bytes.  This pins
+     incremental setting, byte-identical snapshot bytes.  This pins
      the N-generalized grid to the historical 2-layer behaviour on all
      committed instances.
 
@@ -45,30 +45,27 @@ let check_layers2_identity problem =
   Alcotest.(check string)
     "re-printed text elides the directive" text
     (Netlist.Parse.to_string explicit);
-  (* Same routed layout, same renders, at every jobs/incremental
-     setting. *)
-  let config jobs incremental =
-    { Router.Config.default with Router.Config.jobs; incremental }
+  (* Same routed layout, same renders, at every incremental setting. *)
+  let config incremental =
+    { Router.Config.default with Router.Config.incremental }
   in
-  let reference = Router.Engine.route ~config:(config 1 true) problem in
+  let reference = Router.Engine.route ~config:(config true) problem in
   List.iter
-    (fun (jobs, incremental) ->
-      let c = config jobs incremental in
+    (fun incremental ->
+      let c = config incremental in
       let a = Router.Engine.route ~config:c problem in
       let b = Router.Engine.route ~config:c explicit in
       Testkit.check_true
-        (Printf.sprintf "layouts byte-equal (jobs=%d incremental=%b)" jobs
-           incremental)
+        (Printf.sprintf "layouts byte-equal (incremental=%b)" incremental)
         (Grid.equal a.Router.Engine.grid b.Router.Engine.grid);
       Testkit.check_true
-        (Printf.sprintf "jobs/incremental invariant (jobs=%d incremental=%b)"
-           jobs incremental)
+        (Printf.sprintf "incremental invariant (incremental=%b)" incremental)
         (Grid.equal reference.Router.Engine.grid a.Router.Engine.grid);
       Alcotest.(check string)
         "ascii renders byte-equal"
         (Viz.Ascii.render a.Router.Engine.grid)
         (Viz.Ascii.render b.Router.Engine.grid))
-    [ (1, true); (1, false); (2, true); (2, false) ]
+    [ true; false ]
 
 let test_layers2_committed () =
   List.iter

@@ -8,7 +8,7 @@
    - placement and class sections round-trip through the text format;
    - guides never change the answer: on every committed macro instance
      the flow's layout is byte-identical (Grid.equal) to the full-window
-     route of the realized problem, and identical across --jobs;
+     route of the realized problem;
    - the global router's capacity model is self-consistent and the class
      audit agrees with the overflow count. *)
 
@@ -136,14 +136,22 @@ let test_groute_audit_clean () =
       | Error msg -> Alcotest.failf "%s: audit failed: %s" name msg)
     [ "macro_48x40"; "macro_64x52" ]
 
-(* --- flow: guided = full-window, identical across jobs --- *)
+(* --- flow: guided = full-window --- *)
 
-let flow_config jobs = { Router.Config.default with Router.Config.jobs }
+(* The detailed-route config the flow forces, routed without guides: the
+   reference every guided layout must equal. *)
+let forced =
+  {
+    Router.Config.default with
+    Router.Config.kernel = Maze.Search.Buckets;
+    window_margin = None;
+    use_astar = true;
+  }
 
 let check_flow_instance name =
   let problem = Testkit.instance name in
   let f =
-    match Flow.run ~config:(flow_config 1) problem with
+    match Flow.run problem with
     | Ok f -> f
     | Error msg -> Alcotest.failf "%s: flow failed: %s" name msg
   in
@@ -154,41 +162,11 @@ let check_flow_instance name =
   if violations <> [] then
     Alcotest.failf "%s: DRC violations:\n%s" name (Drc.Check.explain violations);
   (* Same forced detailed-route config, no guides: byte-identical. *)
-  let forced =
-    {
-      (flow_config 1) with
-      Router.Config.kernel = Maze.Search.Buckets;
-      window_margin = None;
-      use_astar = true;
-    }
-  in
   let full = Router.Engine.route ~config:forced f.Flow.realized in
   Alcotest.(check bool)
     (Printf.sprintf "%s: guided layout = full-window layout" name)
     true
-    (Grid.equal f.Flow.result.Router.Engine.grid full.Router.Engine.grid);
-  (* And identical across jobs, guide telemetry included. *)
-  let f4 =
-    match Flow.run ~config:(flow_config 4) problem with
-    | Ok f -> f
-    | Error msg -> Alcotest.failf "%s: flow --jobs 4 failed: %s" name msg
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: layout identical across jobs" name)
-    true
-    (Grid.equal f.Flow.result.Router.Engine.grid
-       f4.Flow.result.Router.Engine.grid);
-  let g1 = f.Flow.result.Router.Engine.stats.Router.Engine.guide
-  and g4 = f4.Flow.result.Router.Engine.stats.Router.Engine.guide in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: guide tallies identical across jobs" name)
-    true (g1 = g4);
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: placed problem text identical across jobs" name)
-    true
-    (String.equal
-       (Netlist.Parse.to_string f.Flow.placed)
-       (Netlist.Parse.to_string f4.Flow.placed))
+    (Grid.equal f.Flow.result.Router.Engine.grid full.Router.Engine.grid)
 
 let test_flow_small () = List.iter check_flow_instance [ "macro_48x40" ]
 
@@ -201,17 +179,9 @@ let prop_flow_random_macro =
   Testkit.qcheck ~count:8 "flow routes random macro problems guided = full"
     QCheck2.Gen.(int_range 0 1_000)
     (fun seed ->
-      match Flow.run ~config:(flow_config 1) (gen_macro seed) with
+      match Flow.run (gen_macro seed) with
       | Error _ -> true (* an unplaceable random instance is not a bug *)
       | Ok f ->
-          let forced =
-            {
-              (flow_config 1) with
-              Router.Config.kernel = Maze.Search.Buckets;
-              window_margin = None;
-              use_astar = true;
-            }
-          in
           let full = Router.Engine.route ~config:forced f.Flow.realized in
           Grid.equal f.Flow.result.Router.Engine.grid full.Router.Engine.grid)
 

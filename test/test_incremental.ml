@@ -127,7 +127,7 @@ let fast_config =
   }
 
 let core_stats_equal (a : Router.Engine.stats) (b : Router.Engine.stats) =
-  { a with Router.Engine.par = b.Router.Engine.par } = b
+  { a with Router.Engine.cache = b.Router.Engine.cache } = b
 
 let check_instance name =
   let problem = Testkit.instance name in

@@ -577,7 +577,7 @@ let test_workspace_reset_explicit () =
   Maze.Workspace.begin_search ws;
   Maze.Workspace.mark ws 3;
   Util.Bucketq.push (Maze.Workspace.buckets ws) 1 3;
-  Maze.Workspace.reset ws;
+  Maze.Workspace.begin_search ws;
   Testkit.check_false "marks cleared" (Maze.Workspace.marked ws 3);
   Testkit.check_true "buckets cleared"
     (Util.Bucketq.is_empty (Maze.Workspace.buckets ws))
@@ -723,7 +723,7 @@ let test_self_cells_passable () =
   | Some r -> Testkit.check_int "straight through" 7 r.Maze.Search.total_cost
   | None -> Alcotest.fail "self-passable failed"
 
-(* --- the touched-region accumulator (read certificates, DESIGN.md §8) --- *)
+(* --- the touched-region accumulator (read certificates, DESIGN.md §11) --- *)
 
 let test_touched_accumulates_across_searches () =
   let g, ws = empty_grid () in

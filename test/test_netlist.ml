@@ -332,20 +332,49 @@ let test_parse_generated_problems () =
       Testkit.check_true "roundtrip equal" (Netlist.Parse.to_string q = text))
     (Workload.Hard.all_channels () @ Workload.Hard.all_switchboxes ())
 
+(* Every directive of the format, valid and malformed: all three problem
+   kinds, layer stacks, classes, instances and their pins.  Duplicates and
+   out-of-context lines (an ipin outside an inst block) come from drawing
+   lines twice or out of order. *)
+let fuzz_lines =
+  [
+    "problem p region 6 6"; "problem s switchbox 8 6"; "problem c channel 6 4";
+    "problem"; "problem q blob 4 4"; "layers 3"; "layers 3 h v h";
+    "layers 2 v"; "layers 1"; "layers 99999999"; "net a"; "net b"; "pin 1 2";
+    "pin 1 2 1"; "pin 1 2 2"; "pin x"; "pin 99 99"; "obstruct * 0 0 2 2";
+    "obstruct 9 1 1 1 1"; "prewire a fixed"; "prewire a loose"; "cell 0 1 1";
+    "class a clock"; "class b power"; "class a bogus"; "class zz signal";
+    "inst m1 2 2 free"; "inst m2 2 2 fixed 3 3"; "inst m3 2 2 loose";
+    "inst m4 0 2 free"; "inst m5 -1 2 fixed 0 0"; "ipin a 0 0";
+    "ipin b 2 1 1"; "ipin zz 0 0"; "ipin a 0 0 7"; "# note"; ""; "garbage";
+  ]
+
+(* Half the draws open with a valid header and net block, so some parses
+   succeed.  A parse never raises; a parsed problem prints to text that
+   re-parses and prints identically; an error names its source. *)
 let prop_parse_never_crashes =
-  Testkit.qcheck ~count:120 "parser never raises"
+  Testkit.qcheck ~count:5000 ~print:(String.concat "\n")
+    "parser never raises"
     QCheck2.Gen.(
-      list_size (int_range 0 12)
-        (oneofl
-           [
-             "problem p region 6 6"; "problem"; "net a"; "net b"; "pin 1 2";
-             "pin 1 2 1"; "pin x"; "obstruct * 0 0 2 2"; "obstruct 9 1 1 1 1";
-             "prewire a fixed"; "prewire a loose"; "cell 0 1 1"; "# note";
-             ""; "garbage"; "pin 99 99";
-           ]))
+      map2
+        (fun header lines ->
+          (if header then [ "problem p region 8 8"; "net a"; "pin 1 1" ]
+           else [])
+          @ lines)
+        bool
+        (list_size (int_range 0 12) (oneofl fuzz_lines)))
     (fun lines ->
-      let text = String.concat "\n" lines in
-      match Netlist.Parse.of_string text with Ok _ | Error _ -> true)
+      match Netlist.Parse.of_string ~src:"fuzz" (String.concat "\n" lines) with
+      | exception _ -> false
+      | Ok p -> (
+          let text = Netlist.Parse.to_string p in
+          match Netlist.Parse.of_string text with
+          | Ok q -> String.equal (Netlist.Parse.to_string q) text
+          | Error _ -> false)
+      | Error e ->
+          e.Netlist.Parse.src = "fuzz"
+          && String.starts_with ~prefix:"fuzz: "
+               (Netlist.Parse.error_to_string e))
 
 let prop_roundtrip_random_problems =
   Testkit.qcheck ~count:40 "random generated problems round-trip"

@@ -421,9 +421,9 @@ let test_cost_cache_transparent () =
     (on.Router.Engine.stats.Router.Engine.failed_nets
     = off.Router.Engine.stats.Router.Engine.failed_nets);
   Testkit.check_int "cache off never hits" 0
-    off.Router.Engine.stats.Router.Engine.par.Router.Outcome.cache_hits;
+    off.Router.Engine.stats.Router.Engine.cache.Router.Outcome.cache_hits;
   Testkit.check_true "cache on replays failures"
-    (on.Router.Engine.stats.Router.Engine.par.Router.Outcome.cache_hits > 0);
+    (on.Router.Engine.stats.Router.Engine.cache.Router.Outcome.cache_hits > 0);
   (* skipped searches are exactly the hits: never more searches with the
      cache than without *)
   Testkit.check_true "cache only skips work"

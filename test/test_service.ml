@@ -370,6 +370,30 @@ let test_shed_with_retry_after () =
   Testkit.check_int "metrics agree" 1
     (Service.Metrics.shed_count (Service.Server.metrics s))
 
+(* A request's recorded latency runs from its admission to its reply: a
+   render admitted, then left queued for 50 ms before the drain, reads
+   at least 50 ms. *)
+let test_latency_includes_queue_wait () =
+  let s = server () in
+  let problem = Testkit.instance "switchbox_12x10" in
+  List.iter
+    (fun line ->
+      Testkit.check_true ("admitted: " ^ line)
+        (Service.Server.submit s ~client:0 line = None))
+    [ open_line ~session:"q" problem; {|{"op":"render","session":"q"}|} ];
+  Unix.sleepf 0.05;
+  Testkit.check_true "both replied ok"
+    (List.for_all (fun (_, r) -> ok_of_reply r) (Service.Server.drain s));
+  let metrics =
+    match result_of_reply (one_reply s {|{"op":"stats"}|}) "metrics" with
+    | Some m -> m
+    | None -> Alcotest.fail "stats reply has no metrics"
+  in
+  let max_ms = row_ms (kind_row metrics "render") "max_ms" in
+  Testkit.check_true
+    (Printf.sprintf "render max_ms %.3f >= 50 (queue wait included)" max_ms)
+    (max_ms >= 50.0)
+
 (* Read-only requests ([analyze], [stats], [verify], …) bypass the
    queue-cap accounting: a shard saturated with mutations must still
    admit and answer them. *)
@@ -1195,6 +1219,8 @@ let () =
             test_shed_with_retry_after;
           Alcotest.test_case "read-only bypasses queue cap" `Quick
             test_read_only_bypasses_cap;
+          Alcotest.test_case "latency includes queue wait" `Quick
+            test_latency_includes_queue_wait;
         ] );
       ( "transactions",
         [
