@@ -1204,40 +1204,34 @@ let incremental_bench () =
 (* ------------------------------------------------------------------ *)
 
 (* Replays a generated multi-client trace against an in-process server
-   through the same submit/drain engine the transports use, so the
-   numbers measure the service layers (protocol, admission, scheduler,
-   sessions) without pipe noise — once per shard count in {1, 2, 4, 8}.
-   The queue cap is set below one round's burst size on purpose: a slice
-   of every burst is shed, which exercises (and measures) admission
-   control.  A shed line is retried (after letting the queue drain)
-   until admitted, mimicking a client honoring retry_after_ms; because
-   no session's next request is submitted before its previous one was
-   admitted, per-session execution order — and therefore every final
-   layout — is identical at every shard count, which the bench asserts
-   byte for byte. *)
+   through the same submit/drain engine the transports use, once per
+   shard count in {1, 2, 4, 8}.  The queue cap is set below one round's
+   burst size on purpose: a slice of every burst is shed, which
+   exercises admission control.  A shed line is retried (after letting
+   the queue drain) until admitted, mimicking a client honoring
+   retry_after_ms; because no session's next request is submitted before
+   its previous one was admitted, per-session execution order — and
+   therefore every final layout — is identical at every shard count,
+   which the bench asserts byte for byte.  Wall time, throughput, shed
+   counts and latencies move from run to run with the scheduling of the
+   domains, so the sweep reports none of them. *)
 
 type service_point = {
   sp_shards : int;
   sp_submitted : int;
-  sp_attempts : int;
   sp_executed : int;
-  sp_shed : int;
-  sp_wall_s : float;
-  sp_throughput : float;
-  sp_route_p50 : float;
-  sp_route_p95 : float;
-  sp_route_p99 : float;
-  sp_metrics : Util.Json.t;
+  sp_errors : int;
+  sp_budget_trips : int;
+  sp_faults : int;
   sp_layouts : (string * string) list;
 }
 
 let service_bench () =
   heading "service (json): N-client request trace against the daemon"
-    "Claim: the service layer adds microseconds to millisecond-scale\n\
-     routing requests; under a burst that overflows the queue, admission\n\
-     control sheds deterministically instead of hanging; sharding the\n\
-     sessions over persistent worker domains changes throughput, never\n\
-     results.  Written to BENCH_service.json.";
+    "Claim: bursts that overflow the queue never hang the trace (a shed\n\
+     line is retried until admitted), every request executes exactly once\n\
+     without an error, and sharding the sessions over persistent worker\n\
+     domains never changes a layout.  Written to BENCH_service.json.";
   let clients = 8 and rounds = 6 and queue_cap = 16 in
   let session c = Printf.sprintf "client%d" c in
   let is_shed line =
@@ -1285,13 +1279,12 @@ let service_bench () =
     in
     let server = Service.Server.create ~config:sconfig () in
     let workers = Service.Server.start_workers server ~emit:(fun _ _ -> ()) in
-    let submitted = ref 0 and attempts = ref 0 in
-    (* Shed-never-hang, measured: on a shed, let the backlog drain a
-       little and retry the same line until admitted. *)
+    let submitted = ref 0 in
+    (* Shed-never-hang: on a shed, let the backlog drain a little and
+       retry the same line until admitted. *)
     let submit_line line =
       incr submitted;
       let rec go () =
-        incr attempts;
         match Service.Server.submit server ~client:0 line with
         | None -> ()
         | Some reply when is_shed reply ->
@@ -1301,7 +1294,6 @@ let service_bench () =
       in
       go ()
     in
-    let t0 = Unix.gettimeofday () in
     List.iter submit_line opens;
     Service.Server.quiesce server;
     for round = 1 to rounds do
@@ -1309,12 +1301,14 @@ let service_bench () =
       Service.Server.quiesce server
     done;
     Service.Server.stop_workers server workers;
-    let wall_s = Unix.gettimeofday () -. t0 in
-    (* Read the counters before the (untimed) render probes below. *)
+    (* Read the counters before the render probes below. *)
     let m = Service.Server.metrics server in
     let snapshot = Service.Metrics.snapshot m in
-    let executed = Service.Metrics.requests m in
-    let shed = Service.Metrics.shed_count m in
+    let count name =
+      match Option.bind (Util.Json.member name snapshot) Util.Json.to_int_opt with
+      | Some v -> v
+      | None -> failwith ("stats snapshot carries no " ^ name)
+    in
     (* Workers joined: [handle_line] is safe again; the layouts must be
        byte-identical at every sweep point. *)
     let layouts =
@@ -1335,37 +1329,35 @@ let service_bench () =
               | None -> failwith "render reply carries no ascii")
           | _ -> failwith "render produced an unexpected reply count")
     in
-    let route_q name =
-      match
-        Option.bind (Util.Json.member "by_kind" snapshot) (fun k ->
-            Option.bind (Util.Json.member "route" k) (fun r ->
-                Option.bind (Util.Json.member name r) Util.Json.to_float_opt))
-      with
-      | Some v -> v
-      | None -> 0.0
-    in
     {
       sp_shards = shards;
       sp_submitted = !submitted;
-      sp_attempts = !attempts;
-      sp_executed = executed;
-      sp_shed = shed;
-      sp_wall_s = wall_s;
-      sp_throughput = float_of_int executed /. wall_s;
-      sp_route_p50 = route_q "p50_ms";
-      sp_route_p95 = route_q "p95_ms";
-      sp_route_p99 = route_q "p99_ms";
-      sp_metrics = snapshot;
+      sp_executed = Service.Metrics.requests m;
+      sp_errors = count "errors";
+      sp_budget_trips = count "budget_trips";
+      sp_faults = count "faults";
       sp_layouts = layouts;
     }
   in
   let host_cores = Util.Parallel.default_jobs () in
   let points = List.map run_point [ 1; 2; 4; 8 ] in
   let base = List.hd points in
-  (* The sweep's correctness claim: sharding changes which domain runs a
-     session, never what the session computes. *)
+  (* The sweep's correctness claims: every request ran once and cleanly,
+     and sharding changes which domain runs a session, never what the
+     session computes. *)
   List.iter
     (fun p ->
+      if
+        p.sp_executed <> p.sp_submitted
+        || p.sp_errors + p.sp_budget_trips + p.sp_faults > 0
+      then begin
+        Printf.eprintf
+          "FAIL: %d shards executed %d of %d requests with %d errors, %d \
+           budget trips, %d faults\n"
+          p.sp_shards p.sp_executed p.sp_submitted p.sp_errors
+          p.sp_budget_trips p.sp_faults;
+        exit 1
+      end;
       List.iter2
         (fun (name, a) (_, b) ->
           if not (String.equal a b) then begin
@@ -1381,30 +1373,18 @@ let service_bench () =
   List.iter
     (fun p ->
       Printf.printf
-        "shards %d  submitted %d (+%d retries)  executed %d  shed %d\n\
-        \  wall %ss  throughput %s req/s  route p50 %.3fms  p95 %.3fms  \
-         p99 %.3fms\n"
-        p.sp_shards p.sp_submitted
-        (p.sp_attempts - p.sp_submitted)
-        p.sp_executed p.sp_shed
-        (time_cell ~decimals:3 p.sp_wall_s)
-        (time_cell ~decimals:1 p.sp_throughput)
-        p.sp_route_p50 p.sp_route_p95 p.sp_route_p99)
+        "shards %d  submitted %d  executed %d  errors %d  budget trips %d  \
+         faults %d\n"
+        p.sp_shards p.sp_submitted p.sp_executed p.sp_errors p.sp_budget_trips
+        p.sp_faults)
     points;
   Printf.printf "layouts byte-identical across every shard count\n";
-  if host_cores = 1 then
-    Printf.printf
-      "note: host has 1 core (cpu_bound) — sharding cannot speed this up \
-       here\n";
   let point_json p =
     Printf.sprintf
-      "{ \"shards\": %d, \"submitted\": %d, \"attempts\": %d, \
-       \"executed\": %d, \"shed\": %d, \"shed_rate\": %.4f, \"wall_s\": \
-       %.3f, \"throughput_rps\": %.1f, \"route_p50_ms\": %.3f, \
-       \"route_p95_ms\": %.3f, \"route_p99_ms\": %.3f }"
-      p.sp_shards p.sp_submitted p.sp_attempts p.sp_executed p.sp_shed
-      (float_of_int p.sp_shed /. float_of_int p.sp_attempts)
-      p.sp_wall_s p.sp_throughput p.sp_route_p50 p.sp_route_p95 p.sp_route_p99
+      "{ \"shards\": %d, \"submitted\": %d, \"executed\": %d, \"errors\": \
+       %d, \"budget_trips\": %d, \"faults\": %d }"
+      p.sp_shards p.sp_submitted p.sp_executed p.sp_errors p.sp_budget_trips
+      p.sp_faults
   in
   let oc = open_out "BENCH_service.json" in
   Printf.fprintf oc
@@ -1412,33 +1392,17 @@ let service_bench () =
     \  \"bench\": \"service_trace\",\n\
     \  \"config\": \"%s\",\n\
     \  \"host_cores\": %d,\n\
-    \  \"cpu_bound\": %b,\n\
     \  \"clients\": %d,\n\
     \  \"rounds\": %d,\n\
     \  \"queue_cap\": %d,\n\
-    \  \"submitted\": %d,\n\
-    \  \"executed\": %d,\n\
-    \  \"shed\": %d,\n\
-    \  \"shed_rate\": %.4f,\n\
-    \  \"wall_s\": %.3f,\n\
-    \  \"throughput_rps\": %.1f,\n\
-    \  \"route_p50_ms\": %.3f,\n\
-    \  \"route_p95_ms\": %.3f,\n\
-    \  \"route_p99_ms\": %.3f,\n\
     \  \"layouts_identical_across_shards\": true,\n\
     \  \"shard_sweep\": [\n\
     \    %s\n\
-    \  ],\n\
-    \  \"metrics\": %s\n\
+    \  ]\n\
      }\n"
     (Router.Config.describe bench_router_config)
-    host_cores (host_cores = 1) clients rounds queue_cap base.sp_submitted
-    base.sp_executed base.sp_shed
-    (float_of_int base.sp_shed /. float_of_int base.sp_attempts)
-    base.sp_wall_s base.sp_throughput base.sp_route_p50 base.sp_route_p95
-    base.sp_route_p99
-    (String.concat ",\n    " (List.map point_json points))
-    (Util.Json.to_string base.sp_metrics);
+    host_cores clients rounds queue_cap
+    (String.concat ",\n    " (List.map point_json points));
   close_out oc;
   Printf.printf "wrote BENCH_service.json\n"
 
@@ -1587,17 +1551,9 @@ let flow_bench () =
      byte-identical to the full-window route.  Stage wall-clock split\n\
      and guide hit rate are written to BENCH_flow.json.";
   let instances = [ "macro_48x40"; "macro_64x52"; "macro_128x104" ] in
-  (* The flow forces the guide-compatible detailed-route config (bucket
-     kernel, no widen-retry windowing, A* on); the unguided reference must
-     route under the same forced config or the layouts are incomparable. *)
-  let forced =
-    {
-      bench_router_config with
-      Router.Config.kernel = Maze.Search.Buckets;
-      window_margin = None;
-      use_astar = true;
-    }
-  in
+  (* The unguided reference must route under the config the flow forces,
+     or the layouts are incomparable. *)
+  let forced = Flow.detailed_config bench_router_config in
   let table =
     Util.Table.create
       ~headers:

@@ -261,14 +261,15 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
       else begin
         Maze.Workspace.clear_touched ws;
         incr planned;
-        (* The planner is windowed A* over the bucket queue: cost-exact
-           versus a full-grid search (the window widens and retries until
-           its result is provably optimal), while keeping each visit's
-           read region — and with it the recorded certificate — local, so
-           a write elsewhere does not invalidate it. *)
+        (* The planner is the full-grid bucket A* that [Flow] forces.  A*
+           settles only nodes whose key is at most the connection's
+           cost, so each search, and with it the recorded certificate,
+           stays local without a window; a [Margin] window would discard
+           every probe whose cost exceeds its certificate and search
+           again. *)
         match
           Maze.Route.plan_net ~kernel:Maze.Search.Buckets
-            ~heuristic:Maze.Search.L1 ~window:(Maze.Search.Margin 4)
+            ~heuristic:Maze.Search.L1 ~window:Maze.Search.Full
             ~memo:incremental g ws ~cost ~passable netdef
         with
         | None ->

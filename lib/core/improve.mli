@@ -22,6 +22,13 @@
     replan would provably reproduce, so layouts, costs, pass counts and
     improved counts are byte-identical with the flag on or off.
 
+    A plan is one full-grid A* search per connection on the bucket queue
+    ({!Maze.Search.Buckets}, {!Maze.Search.L1}, {!Maze.Search.Full}),
+    the detailed-route setting [Flow] forces.  A* settles only nodes
+    whose key is at most the connection's cost, so each search, and
+    the certificate it records, stays local without a window, and no
+    search's work is discarded.
+
     This is the quality knob the ablation experiment E8 measures. *)
 
 type stats = {

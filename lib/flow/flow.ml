@@ -20,6 +20,18 @@ let timed f =
   let r = f () in
   (r, Int64.sub (Monotonic_clock.now ()) t0)
 
+(* Guides require the bucket kernel and no widen-retry windowing, and
+   certify through the A* lower bound (with h = 0 an escape is almost
+   never provably worse, so guides would never hit); everything else of
+   the caller's config applies unchanged. *)
+let detailed_config config =
+  {
+    config with
+    Router.Config.kernel = Maze.Search.Buckets;
+    window_margin = None;
+    use_astar = true;
+  }
+
 let run ?(config = Router.Config.default) ?budget ?seed ?tile
     ?(triage = false) problem =
   let seed = match seed with Some s -> s | None -> config.Router.Config.seed in
@@ -39,18 +51,7 @@ let run ?(config = Router.Config.default) ?budget ?seed ?tile
          cannot affect the layout, only the report. *)
       let pre = if triage then Some (Analyze.run ?tile realized) else None in
       let gr, groute_ns = timed @@ fun () -> Groute.run ?tile realized in
-      (* Guides require the bucket kernel and no widen-retry windowing,
-         and certify through the A* lower bound (with h = 0 an escape is
-         almost never provably worse, so guides would never hit);
-         everything else of the caller's config applies unchanged. *)
-      let config =
-        {
-          config with
-          Router.Config.kernel = Maze.Search.Buckets;
-          window_margin = None;
-          use_astar = true;
-        }
-      in
+      let config = detailed_config config in
       let result, route_ns =
         timed @@ fun () ->
         Router.Engine.route ~config ?budget ~guides:gr.Groute.guides realized

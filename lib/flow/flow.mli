@@ -11,8 +11,9 @@
     realized problem without guides.
 
     The flow forces the detailed-route config onto the guide-compatible
-    kernel ([Buckets], no [window_margin], A* on — the certificate works
-    through the heuristic lower bound); everything else (order,
+    kernel ({!detailed_config}: [Buckets], no [window_margin], A* on —
+    the certificate works through the heuristic lower bound); everything
+    else (order,
     escalation, restarts, …) is taken from [config].  A shared
     {!Router.Budget} degrades the whole pipeline gracefully: the placer
     stops annealing at its best-so-far, the router returns a partial
@@ -38,6 +39,13 @@ type t = {
   result : Router.Engine.t;  (** detailed-routing outcome *)
   stats : stats;
 }
+
+val detailed_config : Router.Config.t -> Router.Config.t
+(** The detailed-route config {!run} routes with: [config] on the
+    [Buckets] kernel, with no [window_margin] and A* on.  Refine's
+    planner searches the same way ({!Router.Improve}).  Routing a
+    realized problem without guides under this config gives the layout
+    a guided {!run} must equal. *)
 
 val run :
   ?config:Router.Config.t ->

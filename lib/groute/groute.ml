@@ -95,7 +95,8 @@ let route_net ~tiles_x ~tiles_y ~enter_cost pin_tiles =
         List.iter (fun t -> target.(t) <- true) !remaining;
         let reached = ref (-1) in
         while !reached < 0 && not (Util.Pqueue.is_empty q) do
-          let d, t = Util.Pqueue.pop q in
+          let d = Util.Pqueue.min_priority q in
+          let t = Util.Pqueue.pop q in
           if d <= dist.(t) then begin
             if target.(t) then reached := t
             else begin

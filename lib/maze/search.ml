@@ -19,9 +19,9 @@ type win = { x0 : int; y0 : int; x1 : int; y1 : int }
 let full_win g =
   { x0 = 0; y0 = 0; x1 = Grid.width g - 1; y1 = Grid.height g - 1 }
 
-let backtrace ws target =
+let backtrace (ws : Workspace.t) target =
   let rec loop n acc =
-    let p = Workspace.parent ws n in
+    let p = ws.parent.(n) in
     if p < 0 then n :: acc else loop p (n :: acc)
   in
   loop target []
@@ -33,11 +33,19 @@ let zero _ _ _ = 0
 
 (* The one expansion loop behind [run].  The frontier holds [g + h]
    priorities; [dist] holds settled/tentative [g].  Both kernels drive the
-   same loop through monomorphic int closures, so their relative cost is
-   purely the queue discipline: the binary heap pays O(log n) per
-   operation, the bucket queue O(1) (edge costs are small bounded ints —
-   the ideal Dial case; the A* heuristic is consistent, so popped
-   priorities stay monotone and the bucket span stays small).
+   same loop, so their relative cost is purely the queue discipline: the
+   binary heap pays O(log n) per operation, the bucket queue O(1) (edge
+   costs are small bounded ints — the ideal Dial case; the A* heuristic
+   is consistent, so popped priorities stay monotone and the bucket span
+   stays small).
+
+   The loop is the router's hot path, and the project builds with
+   [-opaque] in dune's default profile, so no call across a module
+   boundary is ever inlined.  The loop therefore binds the workspace's
+   arrays and generation once per search and indexes them directly,
+   calls the frontier directly on a loop-invariant kernel flag, reads a
+   pop's priority with [min_priority] instead of receiving a pair, and
+   ends on a bool: per node it allocates nothing.
 
    [win] restricts the search: relaxations into nodes outside it are
    rejected, and with [escape] each rejected relaxation is priced as the
@@ -67,21 +75,16 @@ let stop_interval = 64
 
 type work = { mutable settled : int; mutable flooded : int }
 
-let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
-    ~escape ~stop ~flood ~work =
+let core g (ws : Workspace.t) ~kernel ~cost ~passable ~sources ~targets
+    ~heuristic ~win ~escape ~stop ~flood ~work =
   Workspace.begin_search ws;
-  let push, pop, has_more =
-    match kernel with
-    | Binary_heap ->
-        let q = Workspace.heap ws in
-        ( (fun p n -> Util.Pqueue.push q p n),
-          (fun () -> Util.Pqueue.pop q),
-          fun () -> not (Util.Pqueue.is_empty q) )
-    | Buckets ->
-        let q = Workspace.buckets ws in
-        ( (fun p n -> Util.Bucketq.push q p n),
-          (fun () -> Util.Bucketq.pop q),
-          fun () -> not (Util.Bucketq.is_empty q) )
+  let gen = ws.gen in
+  let dist = ws.dist and dist_gen = ws.dist_gen in
+  let parent = ws.parent and mark_gen = ws.mark_gen in
+  let heap = ws.heap and buckets = ws.buckets in
+  let on_heap = match kernel with Binary_heap -> true | Buckets -> false in
+  let push p n =
+    if on_heap then Util.Pqueue.push heap p n else Util.Bucketq.push buckets p n
   in
   let w = Grid.width g and h = Grid.height g in
   let nl = Grid.layers g in
@@ -98,18 +101,22 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
           ~prefers_h:(Grid.prefers_horizontal g ~layer:l)
           ~horizontal:false)
   in
-  List.iter (fun t -> Workspace.mark ws t) targets;
+  let via = cost.Cost.via in
+  List.iter (fun t -> mark_gen.(t) <- gen) targets;
   List.iter
     (fun s ->
-      if Workspace.dist ws s > 0 then begin
-        Workspace.set_dist ws s 0;
-        Workspace.set_parent ws s (-1);
+      if dist_gen.(s) <> gen || dist.(s) > 0 then begin
+        dist.(s) <- 0;
+        dist_gen.(s) <- gen;
+        parent.(s) <- -1;
         push (heuristic s (Grid.node_x g s) (Grid.node_y g s)) s
       end)
     sources;
   let expanded = ref 0 in
   let found = ref None in
   let aborted = ref false in
+  (* Found, aborted or certified unreachable. *)
+  let finished = ref false in
   let f_min_out = ref max_int in
   (* Per-layer bbox of expanded and flooded nodes, merged into the
      workspace's touched accumulator at loop exit (so failed and aborted
@@ -119,31 +126,35 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
   let tx1 = Array.make nl min_int and ty1 = Array.make nl min_int in
   let full = win.x0 = 0 && win.y0 = 0 && win.x1 = w - 1 && win.y1 = h - 1 in
   (* The target-side flood: every target is queued unconditionally
-     (targets are already [mark]ed, which [flood_seen] also reports). *)
-  let fq = Workspace.flood_queue ws in
+     (targets are already marked, which counts as seen). *)
+  let fq = ws.flood in
   let flooding = ref (flood && full) in
   if !flooding then List.iter (Util.Vec.push fq) targets;
-  let fhead = ref 0 and flooded = ref 0 and certified = ref false in
+  let fhead = ref 0 and flooded = ref 0 in
   let flood_visit m =
-    if Workspace.dist ws m < max_int then flooding := false
-    else if (not (Workspace.flood_seen ws m)) && passable m <> None then begin
-      Workspace.flood_mark ws m;
-      Util.Vec.push fq m
-    end
+    if dist_gen.(m) = gen then flooding := false
+    else if abs mark_gen.(m) <> gen then
+      match passable m with
+      | None -> ()
+      | Some _ ->
+          mark_gen.(m) <- -gen;
+          Util.Vec.push fq m
   in
   let flood_step () =
-    if !fhead = Util.Vec.length fq then certified := true
+    if !fhead = Util.Vec.length fq then finished := true
     else begin
       let n = Util.Vec.get fq !fhead in
       incr fhead;
       incr flooded;
-      let layer = Grid.node_layer g n in
-      let x = Grid.node_x g n and y = Grid.node_y g n in
+      let layer = n / pc in
+      let p = n - (layer * pc) in
+      let y = p / w in
+      let x = p - (y * w) in
       if x < tx0.(layer) then tx0.(layer) <- x;
       if x > tx1.(layer) then tx1.(layer) <- x;
       if y < ty0.(layer) then ty0.(layer) <- y;
       if y > ty1.(layer) then ty1.(layer) <- y;
-      if Workspace.dist ws n < max_int then flooding := false
+      if dist_gen.(n) = gen then flooding := false
       else begin
         if x + 1 < w then flood_visit (n + 1);
         if x > 0 then flood_visit (n - 1);
@@ -154,15 +165,11 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
       end
     end
   in
-  let should_stop =
-    match stop with
-    | None -> fun _ -> false
-    | Some f ->
-        fun n -> n land (stop_interval - 1) = 0 && f (n + !flooded)
-  in
   (* One relax, called directly with the neighbour's planar coordinates
      [x], [y]: a full-grid search skips the window test on a
-     loop-invariant flag and never prices an escape. *)
+     loop-invariant flag and never prices an escape.  A node whose
+     [dist_gen] is not the current generation is unlabelled: its
+     distance is [max_int]. *)
   let in_window x y =
     x >= win.x0 && x <= win.x1 && y >= win.y0 && y <= win.y1
   in
@@ -172,9 +179,10 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
       | None -> ()
       | Some penalty ->
           let nd = gscore + extra + penalty in
-          if nd < Workspace.dist ws n then begin
-            Workspace.set_dist ws n nd;
-            Workspace.set_parent ws n from;
+          if dist_gen.(n) <> gen || nd < dist.(n) then begin
+            dist.(n) <- nd;
+            dist_gen.(n) <- gen;
+            parent.(n) <- from;
             push (nd + heuristic n x y) n
           end
     end
@@ -188,9 +196,19 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
               let key = gscore + extra + penalty + h_out n x y in
               if key < !f_min_out then f_min_out := key)
   in
-  while !found = None && (not !aborted) && (not !certified) && has_more () do
-    let prio, n = pop () in
-    let gscore = Workspace.dist ws n in
+  while
+    (not !finished)
+    &&
+    if on_heap then not (Util.Pqueue.is_empty heap)
+    else not (Util.Bucketq.is_empty buckets)
+  do
+    let prio =
+      if on_heap then Util.Pqueue.min_priority heap
+      else Util.Bucketq.min_priority buckets
+    in
+    let n = if on_heap then Util.Pqueue.pop heap else Util.Bucketq.pop buckets in
+    (* Every popped node was labelled when it was pushed. *)
+    let gscore = dist.(n) in
     (* Layer-major, row-major node numbering: two divisions. *)
     let layer = n / pc in
     let p = n - (layer * pc) in
@@ -203,9 +221,21 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
       if x > tx1.(layer) then tx1.(layer) <- x;
       if y < ty0.(layer) then ty0.(layer) <- y;
       if y > ty1.(layer) then ty1.(layer) <- y;
-      if should_stop !expanded then aborted := true
-      else if Workspace.marked ws n then
-        found := Some { path = backtrace ws n; total_cost = gscore; expanded = !expanded }
+      let stop_now =
+        match stop with
+        | None -> false
+        | Some f ->
+            !expanded land (stop_interval - 1) = 0 && f (!expanded + !flooded)
+      in
+      if stop_now then begin
+        aborted := true;
+        finished := true
+      end
+      else if mark_gen.(n) = gen then begin
+        found :=
+          Some { path = backtrace ws n; total_cost = gscore; expanded = !expanded };
+        finished := true
+      end
       else begin
         let horizontal_cost = hcost.(layer) in
         let vertical_cost = vcost.(layer) in
@@ -216,8 +246,8 @@ let core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic ~win
         (* Layer changes: one relaxation per adjacent layer — exactly one
            on a two-layer stack, preserving the historical frontier
            evolution (and with it Buckets pop-order byte-identity). *)
-        if layer + 1 < nl then relax n gscore (n + pc) x y cost.Cost.via;
-        if layer > 0 then relax n gscore (n - pc) x y cost.Cost.via;
+        if layer + 1 < nl then relax n gscore (n + pc) x y via;
+        if layer > 0 then relax n gscore (n - pc) x y via;
         if !flooding then flood_step ()
       end
     end
@@ -384,7 +414,7 @@ let l1 ~memo g ws ~wire ~targets =
   | _ ->
       let bx0, by0, bx1, by1 = bbox g targets in
       let w = Grid.width g in
-      let hf = Workspace.hfield ws in
+      let hf = ws.Workspace.hfield in
       let tplanar = List.map (fun t -> Grid.planar g t) targets in
       if not (memo && Workspace.hfield_memo_hit ws ~targets:tplanar) then begin
         let inf = max_int / 256 in
@@ -447,40 +477,44 @@ let run ?(kernel = Binary_heap) ?(heuristic = Zero) ?(window = Full) ?stop
       guided g ~rect ~tally ~sources ~targets (attempt ~escape:(Some h))
 
 (* Plain BFS wave expansion; dist doubles as the visited set. *)
-let run_lee g ws ~passable ~sources ~targets () =
+let run_lee g (ws : Workspace.t) ~passable ~sources ~targets () =
   Workspace.begin_search ws;
-  List.iter (fun t -> Workspace.mark ws t) targets;
+  let gen = ws.gen in
+  let dist = ws.dist and dist_gen = ws.dist_gen and parent = ws.parent in
+  List.iter (fun t -> ws.mark_gen.(t) <- gen) targets;
   let queue = Queue.create () in
   List.iter
     (fun s ->
-      if Workspace.dist ws s > 0 then begin
-        Workspace.set_dist ws s 0;
-        Workspace.set_parent ws s (-1);
+      if dist_gen.(s) <> gen || dist.(s) > 0 then begin
+        dist.(s) <- 0;
+        dist_gen.(s) <- gen;
+        parent.(s) <- -1;
         Queue.add s queue
       end)
     sources;
   let w = Grid.width g and h = Grid.height g in
   let expanded = ref 0 in
   let found = ref None in
-  while !found = None && not (Queue.is_empty queue) do
+  let searching = ref true in
+  while !searching && not (Queue.is_empty queue) do
     let n = Queue.pop queue in
     incr expanded;
-    if Workspace.marked ws n then
+    if ws.mark_gen.(n) = gen then begin
       found :=
-        Some
-          {
-            path = backtrace ws n;
-            total_cost = Workspace.dist ws n;
-            expanded = !expanded;
-          }
+        Some { path = backtrace ws n; total_cost = dist.(n); expanded = !expanded };
+      searching := false
+    end
     else begin
-      let d = Workspace.dist ws n in
+      let d = dist.(n) in
       let visit m =
-        if Workspace.dist ws m = max_int && passable m <> None then begin
-          Workspace.set_dist ws m (d + 1);
-          Workspace.set_parent ws m n;
-          Queue.add m queue
-        end
+        if dist_gen.(m) <> gen then
+          match passable m with
+          | None -> ()
+          | Some _ ->
+              dist.(m) <- d + 1;
+              dist_gen.(m) <- gen;
+              parent.(m) <- n;
+              Queue.add m queue
       in
       let x = Grid.node_x g n and y = Grid.node_y g n in
       let layer = Grid.node_layer g n in

@@ -18,6 +18,13 @@
       provably optimal, or a {!Guide} probe certified against the full
       search.
 
+    The loop allocates nothing per node: its allocation is the returned
+    path plus a fixed per-search overhead.  It reads the workspace's
+    arrays directly ({!Workspace.t} is a private record) and pops the
+    frontier without building a pair, because the project builds with
+    [-opaque] in dune's default profile and no cross-module call is ever
+    inlined.
+
     The [passable] callback prices entering a node: [Some 0] for an
     ordinary free (or self-owned) cell, [Some k] for a cell the caller is
     willing to cross at surcharge [k] (the rip-up scheduler prices foreign
@@ -66,9 +73,11 @@ type window =
           result is kept only when its cost provably cannot be beaten
           outside the window; otherwise (and on failure) the margin widens
           geometrically and the search retries, falling back to the full
-          grid.  The result is exactly as optimal and as complete as a
-          full search — blocked detours merely cost an extra probe — while
-          typical connections touch a small fraction of a large region. *)
+          grid.  The result is as complete as a full search and equal to
+          it in cost (a path can differ on an exact-cost tie outside the
+          window), but every discarded probe's expansions are wasted:
+          under {!L1} a full search already settles only nodes whose key
+          is at most the result's cost. *)
   | Guide of { rect : Geom.Rect.t; tally : guide_tally }
       (** A global router's prediction that the connection stays inside
           [rect].  One probe searches [rect] hulled with the endpoints and

@@ -81,42 +81,11 @@ let touched ws ~layer =
       (Geom.Rect.make ws.tx0.(layer) ws.ty0.(layer) ws.tx1.(layer)
          ws.ty1.(layer))
 
-let node_capacity ws = Array.length ws.dist
-
 let begin_search ws =
   ws.gen <- ws.gen + 1;
   Util.Pqueue.clear ws.heap;
   Util.Bucketq.clear ws.buckets;
   Util.Vec.clear ws.flood
-
-let dist ws n = if ws.dist_gen.(n) = ws.gen then ws.dist.(n) else max_int
-
-let set_dist ws n d =
-  ws.dist.(n) <- d;
-  ws.dist_gen.(n) <- ws.gen
-
-let parent ws n = if ws.dist_gen.(n) = ws.gen then ws.parent.(n) else -1
-
-let set_parent ws n p =
-  (* Parents are only meaningful alongside a distance of the same
-     generation; [set_dist] must have stamped the node already. *)
-  ws.parent.(n) <- p
-
-let mark ws n = ws.mark_gen.(n) <- ws.gen
-
-let marked ws n = ws.mark_gen.(n) = ws.gen
-
-let flood_mark ws n = ws.mark_gen.(n) <- -ws.gen
-
-let flood_seen ws n = abs ws.mark_gen.(n) = ws.gen
-
-let flood_queue ws = ws.flood
-
-let heap ws = ws.heap
-
-let buckets ws = ws.buckets
-
-let hfield ws = ws.hfield
 
 let hfield_memo_hit ws ~targets = targets <> [] && ws.hkey_targets = targets
 

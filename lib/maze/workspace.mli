@@ -5,78 +5,74 @@
     them in O(1) between searches with generation stamps, so the router can
     run thousands of searches without per-search allocation. *)
 
-type t
+type t = private {
+  dist : int array;
+      (** tentative cost of each node; valid only where [dist_gen] holds
+          the current [gen] *)
+  parent : int array;
+      (** predecessor on the cheapest path found so far ([-1] for a
+          source); valid only where [dist] is *)
+  dist_gen : int array;  (** generation that last wrote [dist] *)
+  mark_gen : int array;
+      (** [gen]: a target of the current search; [-gen]: a node the
+          current search's target-side flood has queued *)
+  mutable gen : int;  (** the current search's generation *)
+  heap : Util.Pqueue.t;  (** the binary-heap frontier *)
+  buckets : Util.Bucketq.t;  (** the bucket-queue frontier *)
+  flood : Util.Vec.t;
+      (** FIFO of the target-side flood; it grows to the largest flood
+          so far, nothing is sized to the grid up front *)
+  hfield : int array;
+      (** planar ([width × height]) scratch for the {!Search.L1}
+          heuristic's distance transform over the targets' bounding
+          box, owned and rebuilt by {!Search.run} *)
+  mutable hkey_targets : int list;
+      (** planar targets the [hfield] contents were built for; [] when
+          none *)
+  tx0 : int array;  (** touched-region accumulator, see below *)
+  ty0 : int array;
+  tx1 : int array;
+  ty1 : int array;
+  nlayers : int;
+}
+(** The record is [private] so that the search loop, the one hot loop of
+    the router, binds the arrays and [gen] once per search and indexes
+    them directly: the project builds with [-opaque] in dune's default
+    profile, so no cross-module accessor call is ever inlined.  The
+    current search's state is generation-stamped:
+
+    - a node's distance is [dist.(n)] when [dist_gen.(n) = gen] and
+      [max_int] otherwise, and a write stamps [dist_gen.(n) <- gen];
+    - a node is a target when [mark_gen.(n) = gen], and has been seen by
+      the target-side flood ({!Search.run}'s [flood]) when
+      [abs mark_gen.(n) = gen]: the flood marks [-gen] only on nodes it
+      has not seen, so it never unmarks a target.
+
+    Nothing but {!Search} writes into the arrays. *)
 
 val create : Grid.t -> t
-(** Workspace sized for the given grid (frontier queues sized to
+(** Workspace sized for the given grid (heap frontier sized to
     [node_count / 8], minimum 1024).  It may be reused for any grid of the
     same dimensions and layer stack. *)
-
-val node_capacity : t -> int
 
 val layers : t -> int
 (** Layer count of the grid this workspace was sized for. *)
 
 val begin_search : t -> unit
-(** Invalidate all distances, parents and marks from previous searches. *)
-
-val dist : t -> int -> int
-(** Tentative distance of a node in the current search; [max_int] when
-    unvisited. *)
-
-val set_dist : t -> int -> int -> unit
-
-val parent : t -> int -> int
-(** Predecessor node in the current search ([-1] for sources/unvisited). *)
-
-val set_parent : t -> int -> int -> unit
-
-val mark : t -> int -> unit
-(** Add a node to the current search's target/member set. *)
-
-val marked : t -> int -> bool
-
-(** {1 Target-side flood}
-
-    The breadth-first flood a search runs from its targets when asked to
-    ({!Search.run}'s [flood]) shares the mark array: a node carries a
-    target mark or a flood mark, and the flood marks only nodes that are
-    not yet {!flood_seen}, so it never unmarks a target. *)
-
-val flood_mark : t -> int -> unit
-(** Record a node as queued by the current search's flood. *)
-
-val flood_seen : t -> int -> bool
-(** The node is a target of the current search or was queued by its
-    flood. *)
-
-val flood_queue : t -> Util.Vec.t
-(** The flood's FIFO (cleared by {!begin_search}).  It grows to the
-    largest flood run so far; nothing is sized to the grid up front. *)
-
-val heap : t -> Util.Pqueue.t
-(** The binary-heap search frontier (cleared by {!begin_search}). *)
-
-val buckets : t -> Util.Bucketq.t
-(** The bucket-queue search frontier (cleared by {!begin_search}); used
-    when the search runs with the [Buckets] kernel. *)
-
-val hfield : t -> int array
-(** Planar scratch array ([width × height]) holding the precomputed
-    A* heuristic field (L1 distance to the nearest target, over the
-    targets' bounding box); owned and rebuilt by {!Search.run} under the
-    {!Search.L1} heuristic. *)
+(** Start a new generation, which invalidates every distance, parent and
+    mark of previous searches in O(1), and empty both frontiers and the
+    flood queue. *)
 
 val hfield_memo_hit : t -> targets:int list -> bool
-(** Whether the stored {!hfield} contents were computed for exactly this
+(** Whether the stored [hfield] contents were computed for exactly this
     non-empty planar target list.  The field is a pure function of it (it
     never reads grid occupancy or the search window, so no dirty-state
     check is needed), hence a hit means the transform can be reused
     verbatim — this is what lets repeated searches against an unchanged
-    target set, widening retries included, skip the recompute. *)
+    target set skip the recompute. *)
 
 val hfield_memo_store : t -> targets:int list -> unit
-(** Record the key the {!hfield} contents were just computed for. *)
+(** Record the key the [hfield] contents were just computed for. *)
 
 (** {1 Touched-region accumulator}
 

@@ -157,13 +157,34 @@ let recover_session t data name =
   let wal, records, torn =
     Wal.open_existing ~chaos:t.chaos ~fsync:data.fsync (wal_path data name)
   in
-  if torn then t.counters.torn_tails <- t.counters.torn_tails + 1;
+  let note msg = t.counters.last_error <- Some msg in
+  if torn then begin
+    t.counters.torn_tails <- t.counters.torn_tails + 1;
+    note
+      (Printf.sprintf "%s: dropped a damaged journal tail"
+         (provenance wal (List.length records)))
+  end;
+  (* Snapshots are renamed into place complete, so one that exists and
+     does not read is damaged: report it, whether or not the log can
+     stand in for it. *)
+  let snap = snap_path data name in
+  let snapshot = Snapshot.read snap in
+  let damaged_snapshot =
+    match snapshot with
+    | Error msg when Sys.file_exists snap ->
+        let msg = Printf.sprintf "snapshot:%s: %s" snap msg in
+        note msg;
+        Some msg
+    | Ok _ | Error _ -> None
+  in
   let close_and_fail msg =
     Wal.close wal;
-    Error msg
+    match damaged_snapshot with
+    | Some damage -> Error (damage ^ "; " ^ msg)
+    | None -> Error msg
   in
   let base =
-    match Snapshot.read (snap_path data name) with
+    match snapshot with
     | Ok info ->
         let session =
           Router.Session.of_checkpoint ~config:t.config ~chaos:t.chaos
@@ -193,7 +214,10 @@ let recover_session t data name =
                      (provenance wal 0))
             | Error msg ->
                 Error (Printf.sprintf "%s: %s" (provenance wal 0) msg))
-        | [] -> Error "no snapshot and empty log")
+        | [] ->
+            Error
+              (Printf.sprintf "%s: no snapshot and an empty log"
+                 (provenance wal 0)))
   in
   match base with
   | Error msg -> close_and_fail msg

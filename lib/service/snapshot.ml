@@ -28,12 +28,20 @@ let encode_body ~vias ~frozen problem =
   in
   meta ^ "\n" ^ Netlist.Parse.to_string problem
 
+(* Version 2's CRC covers the generation and the last request id as
+   well as the body, so no flipped bit in the header reads back as
+   another generation.  Version 1 covered the body alone; it is still
+   read. *)
+let checksum ~version ~gen ~last_rid body =
+  if version = 1 then Util.Crc.string body
+  else Util.Crc.string (Printf.sprintf "%d %d\n%s" gen last_rid body)
+
 let write ?(chaos = Router.Chaos.none) ~fsync ~gen ~last_rid ~vias ~frozen
     problem path =
   let body = encode_body ~vias ~frozen problem in
   let header =
-    Printf.sprintf "walsnap 1 %d %d %d %s\n" gen last_rid (String.length body)
-      (Util.Crc.to_hex (Util.Crc.string body))
+    Printf.sprintf "walsnap 2 %d %d %d %s\n" gen last_rid (String.length body)
+      (Util.Crc.to_hex (checksum ~version:2 ~gen ~last_rid body))
   in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
@@ -98,16 +106,18 @@ let read path =
                 (fun v gen rid len crc -> (v, gen, rid, len, crc))
             with
             | exception _ -> Error "bad snapshot header"
-            | v, _, _, _, _ when v <> 1 ->
+            | v, _, _, _, _ when v <> 1 && v <> 2 ->
                 Error (Printf.sprintf "unsupported snapshot version %d" v)
-            | _, gen, last_rid, len, crc_hex -> (
+            | version, gen, last_rid, len, crc_hex -> (
                 match really_input_string ic len with
                 | exception End_of_file -> Error "truncated snapshot body"
                 | body -> (
                     match Util.Crc.of_hex crc_hex with
                     | None -> Error "bad snapshot header"
                     | Some crc
-                      when not (Int32.equal crc (Util.Crc.string body)) ->
+                      when not
+                             (Int32.equal crc
+                                (checksum ~version ~gen ~last_rid body)) ->
                         Error "snapshot CRC mismatch"
                     | Some _ -> (
                         let meta_line, problem_text =

@@ -5,7 +5,7 @@
     counters:
 
     {v
-    walsnap 1 <gen> <last_rid> <len> <crc32 hex>
+    walsnap 2 <gen> <last_rid> <len> <crc32 hex>
     {"frozen":[...],"vias":[[x,y],[x,y,l],...]}
     <problem text, FORMAT.md syntax, wiring as pre-wires>
     v}
@@ -15,13 +15,15 @@
     byte-identical to the historical format); [[x,y,l]] records a via
     pair at layer [l] (joining layers [l] and [l+1]).
 
-    The header's [len]/[crc] cover the body (meta line + problem text),
-    so a torn or bit-flipped snapshot is detected on read and reported
-    as an error — recovery then falls back to replaying the WAL from
-    scratch.  Writes go to [<path>.tmp] and rename into place, so the
-    previous snapshot survives any crash before the rename: at every
-    instant the path holds either the old complete snapshot, the new
-    complete snapshot, or nothing (first ever write). *)
+    The header's [crc] covers [gen], [last_rid] and the body (meta line
+    + problem text), and [len] frames the body, so a torn or bit-flipped
+    snapshot is detected on read and reported as an error — recovery
+    then falls back to replaying the WAL from scratch.  Version 1
+    headers, whose CRC covered the body alone, are still read.  Writes
+    go to [<path>.tmp] and rename into place, so the previous snapshot
+    survives any crash before the rename: at every instant the path
+    holds either the old complete snapshot, the new complete snapshot,
+    or nothing (first ever write). *)
 
 type info = {
   gen : int;  (** session generation at capture time *)

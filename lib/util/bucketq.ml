@@ -2,8 +2,8 @@
    [hi - base < Array.length buckets] (a power of two).  The bucket of
    priority [p] is [p land mask], so consecutive priorities occupy
    consecutive circular slots and the slot of an in-range priority is
-   unique.  [base] is a lower bound for the minimum; [pop] advances it to
-   the first non-empty bucket. *)
+   unique.  [base] is a lower bound for the minimum; [min_priority] and
+   [pop] advance it to the first non-empty bucket. *)
 
 type t = {
   mutable buckets : Vec.t array;
@@ -74,17 +74,13 @@ let rec advance q =
     advance q
   end
 
+let min_priority q =
+  if q.size = 0 then invalid_arg "Bucketq.min_priority: empty";
+  advance q;
+  q.base
+
 let pop q =
   if q.size = 0 then invalid_arg "Bucketq.pop: empty";
   advance q;
-  let payload = Vec.pop q.buckets.(q.base land q.mask) in
   q.size <- q.size - 1;
-  (q.base, payload)
-
-let pop_opt q = if q.size = 0 then None else Some (pop q)
-
-let peek q =
-  if q.size = 0 then invalid_arg "Bucketq.peek: empty";
-  advance q;
-  let b = q.buckets.(q.base land q.mask) in
-  (q.base, Vec.get b (Vec.length b - 1))
+  Vec.pop q.buckets.(q.base land q.mask)

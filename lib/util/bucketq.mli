@@ -30,12 +30,14 @@ val clear : t -> unit
 val push : t -> int -> int -> unit
 (** [push q priority payload] inserts an element. *)
 
-val pop : t -> int * int
-(** Remove and return a [(priority, payload)] pair with the smallest
-    priority.  Equal priorities pop LIFO.
+val min_priority : t -> int
+(** The smallest stored priority: the priority of the element the next
+    {!pop} returns.  It advances the window to the first non-empty
+    bucket, which that {!pop} would do anyway.
     @raise Invalid_argument if the queue is empty. *)
 
-val pop_opt : t -> (int * int) option
-
-val peek : t -> int * int
-(** Like {!pop} without removing.  @raise Invalid_argument if empty. *)
+val pop : t -> int
+(** Remove an element with the smallest priority and return its
+    payload.  Equal priorities pop LIFO.  Neither {!pop} nor
+    {!min_priority} allocates.
+    @raise Invalid_argument if the queue is empty. *)

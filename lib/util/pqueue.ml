@@ -40,15 +40,13 @@ let push q priority payload =
   q.prio.(!i) <- priority;
   q.data.(!i) <- payload
 
-let peek q =
-  if q.size = 0 then invalid_arg "Pqueue.peek: empty";
-  (q.prio.(0), q.data.(0))
-
-let peek_opt q = if q.size = 0 then None else Some (q.prio.(0), q.data.(0))
+let min_priority q =
+  if q.size = 0 then invalid_arg "Pqueue.min_priority: empty";
+  q.prio.(0)
 
 let pop q =
   if q.size = 0 then invalid_arg "Pqueue.pop: empty";
-  let top = (q.prio.(0), q.data.(0)) in
+  let top = q.data.(0) in
   q.size <- q.size - 1;
   if q.size > 0 then begin
     (* Move the last element to the root and sift it down. *)
@@ -77,5 +75,3 @@ let pop q =
     q.data.(!i) <- payload
   end;
   top
-
-let pop_opt q = if q.size = 0 then None else Some (pop q)

@@ -140,13 +140,7 @@ let test_groute_audit_clean () =
 
 (* The detailed-route config the flow forces, routed without guides: the
    reference every guided layout must equal. *)
-let forced =
-  {
-    Router.Config.default with
-    Router.Config.kernel = Maze.Search.Buckets;
-    window_margin = None;
-    use_astar = true;
-  }
+let forced = Flow.detailed_config Router.Config.default
 
 let check_flow_instance name =
   let problem = Testkit.instance name in

@@ -571,16 +571,67 @@ let test_buckets_count_expansions () =
       Testkit.check_true "expanded counted" (r.Maze.Search.expanded > 0)
   | None -> Alcotest.fail "bucket search failed"
 
+(* The expansion loop allocates nothing per node: what a search
+   allocates is its path, its result and a fixed per-search overhead, so
+   a corner-to-corner search that settles thousands of nodes stays under
+   a few words per path node.  The warm-up search grows the frontiers
+   once; later searches reuse them. *)
+let test_search_allocates_per_path () =
+  let g = Grid.create ~width:128 ~height:104 () in
+  let ws = Maze.Workspace.create g in
+  let passable = free_passable g in
+  let a = Grid.node g ~layer:0 ~x:0 ~y:0
+  and b = Grid.node g ~layer:0 ~x:127 ~y:103 in
+  List.iter
+    (fun (kernel, heuristic, name) ->
+      let search () =
+        Maze.Search.run ~kernel ~heuristic g ws ~cost:Maze.Cost.default
+          ~passable ~sources:[ a ] ~targets:[ b ] ()
+      in
+      ignore (search ());
+      let before = Gc.minor_words () in
+      let r = search () in
+      let words = Gc.minor_words () -. before in
+      match r with
+      | None -> Alcotest.fail "corner-to-corner search failed"
+      | Some r ->
+          let len = List.length r.Maze.Search.path in
+          Testkit.check_true
+            (Printf.sprintf "%s: %.0f words for %d expansions, path %d" name
+               words r.Maze.Search.expanded len)
+            (words < float_of_int ((4 * len) + 1024)))
+    Maze.Search.
+      [
+        (Binary_heap, Zero, "heap dijkstra");
+        (Binary_heap, L1, "heap A*");
+        (Buckets, Zero, "buckets dijkstra");
+        (Buckets, L1, "buckets A*");
+      ]
+
+(* A search that reaches its target leaves the target marked and entries
+   on its frontier; [begin_search] clears both. *)
+let search_corner_to_corner ?kernel g ws =
+  let t = Grid.node g ~layer:0 ~x:3 ~y:3 in
+  ignore
+    (Maze.Search.run ?kernel g ws ~cost:Maze.Cost.uniform
+       ~passable:(free_passable g)
+       ~sources:[ Grid.node g ~layer:0 ~x:0 ~y:0 ]
+       ~targets:[ t ] ());
+  t
+
 let test_workspace_reset_explicit () =
   let g = Grid.create ~width:4 ~height:4 () in
   let ws = Maze.Workspace.create g in
+  let t = search_corner_to_corner ~kernel:Maze.Search.Buckets g ws in
+  Testkit.check_true "target marked"
+    (ws.Maze.Workspace.mark_gen.(t) = ws.Maze.Workspace.gen);
+  Testkit.check_false "frontier left"
+    (Util.Bucketq.is_empty ws.Maze.Workspace.buckets);
   Maze.Workspace.begin_search ws;
-  Maze.Workspace.mark ws 3;
-  Util.Bucketq.push (Maze.Workspace.buckets ws) 1 3;
-  Maze.Workspace.begin_search ws;
-  Testkit.check_false "marks cleared" (Maze.Workspace.marked ws 3);
+  Testkit.check_false "marks cleared"
+    (ws.Maze.Workspace.mark_gen.(t) = ws.Maze.Workspace.gen);
   Testkit.check_true "buckets cleared"
-    (Util.Bucketq.is_empty (Maze.Workspace.buckets ws))
+    (Util.Bucketq.is_empty ws.Maze.Workspace.buckets)
 
 let test_cost_model () =
   Testkit.check_int "preferred horizontal on L0" 1
@@ -595,12 +646,15 @@ let test_cost_model () =
 let test_workspace_marks_reset () =
   let g = Grid.create ~width:4 ~height:4 () in
   let ws = Maze.Workspace.create g in
+  let t = search_corner_to_corner g ws in
+  let current n = ws.Maze.Workspace.dist_gen.(n) = ws.Maze.Workspace.gen in
+  Testkit.check_true "marked"
+    (ws.Maze.Workspace.mark_gen.(t) = ws.Maze.Workspace.gen);
+  Testkit.check_true "dist labelled" (current t && ws.Maze.Workspace.dist.(t) = 6);
   Maze.Workspace.begin_search ws;
-  Maze.Workspace.mark ws 5;
-  Testkit.check_true "marked" (Maze.Workspace.marked ws 5);
-  Maze.Workspace.begin_search ws;
-  Testkit.check_false "reset clears marks" (Maze.Workspace.marked ws 5);
-  Testkit.check_true "dist reset" (Maze.Workspace.dist ws 5 = max_int)
+  Testkit.check_false "reset clears marks"
+    (ws.Maze.Workspace.mark_gen.(t) = ws.Maze.Workspace.gen);
+  Testkit.check_false "dist reset" (current t)
 
 (* --- net routing --- *)
 
@@ -799,6 +853,8 @@ let () =
           Alcotest.test_case "window widens" `Quick test_window_widens_on_failure;
           Alcotest.test_case "window unreachable" `Quick test_window_unreachable_returns_none;
           Alcotest.test_case "workspace reset" `Quick test_workspace_reset_explicit;
+          Alcotest.test_case "allocation per path, not per node" `Quick
+            test_search_allocates_per_path;
           prop_buckets_match_heap;
           prop_windowed_matches_full;
           prop_l1_exact;

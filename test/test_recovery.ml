@@ -108,8 +108,12 @@ let open_line ?(rid = 1) ~session problem =
 (* The full observable state of one session, as a comparable string:
    generation + last request id + canonical problem text (wiring as
    pre-wires) + via set + frozen set + rendered layout. *)
-let fingerprint server name =
-  match Service.Registry.find (Service.Server.registry server) name with
+let vias_text vias =
+  String.concat ";"
+    (List.map (fun (l, x, y) -> Printf.sprintf "%d,%d,%d" l x y) vias)
+
+let fingerprint_in registry name =
+  match Service.Registry.find registry name with
   | None -> "<missing>"
   | Some e ->
       let s = Service.Registry.session e in
@@ -118,10 +122,11 @@ let fingerprint server name =
         (Service.Registry.generation e)
         (Service.Registry.last_rid e)
         (Netlist.Parse.to_string problem)
-        (String.concat ";"
-           (List.map (fun (l, x, y) -> Printf.sprintf "%d,%d,%d" l x y) vias))
-        (String.concat "," frozen)
+        (vias_text vias) (String.concat "," frozen)
         (Viz.Ascii.render (Router.Session.grid s))
+
+let fingerprint server name =
+  fingerprint_in (Service.Server.registry server) name
 
 (* --- WAL unit tests --- *)
 
@@ -278,6 +283,44 @@ let test_snapshot_atomic_under_kill () =
   match Service.Snapshot.read path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated snapshot must not read back"
+
+(* Every single-bit flip of the header line reads back as an error or as
+   the unchanged snapshot: the CRC covers the generation and the last
+   request id, not only the body.  A version-1 file, whose CRC covers
+   the body alone, still reads. *)
+let test_snapshot_header_checksummed () =
+  with_dirs 1 @@ fun dirs ->
+  let path = Filename.concat (List.hd dirs) "h.snap" in
+  let problem =
+    Workload.Gen.routable_switchbox (prng 7) ~width:8 ~height:6
+  in
+  Service.Snapshot.write ~fsync:false ~gen:13 ~last_rid:25 ~vias:[]
+    ~frozen:[] problem path;
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let header_len = String.index data '\n' + 1 in
+  let overwrite bytes =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes)
+  in
+  for bit = 0 to (8 * header_len) - 1 do
+    let b = Bytes.of_string data in
+    Bytes.set b (bit / 8)
+      (Char.chr (Char.code data.[bit / 8] lxor (1 lsl (bit mod 8))));
+    overwrite (Bytes.to_string b);
+    match Service.Snapshot.read path with
+    | Error _ -> ()
+    | Ok info ->
+        Testkit.check_true
+          (Printf.sprintf "header bit %d: read back unchanged" bit)
+          (info.Service.Snapshot.gen = 13 && info.Service.Snapshot.last_rid = 25)
+  done;
+  let body = String.sub data header_len (String.length data - header_len) in
+  overwrite
+    (Printf.sprintf "walsnap 1 13 25 %d %s\n%s" (String.length body)
+       (Util.Crc.to_hex (Util.Crc.string body))
+       body);
+  match Service.Snapshot.read path with
+  | Ok info -> Testkit.check_int "version 1 still reads" 13 info.Service.Snapshot.gen
+  | Error msg -> Alcotest.failf "version 1 snapshot unreadable: %s" msg
 
 (* --- server restart (deterministic smoke) --- *)
 
@@ -474,6 +517,176 @@ let test_replay_error_provenance () =
     (Printf.sprintf "error %S names the journal record" err)
     (Testkit.contains err ("wal:" ^ path ^ "#0"))
 
+(* --- damaged bytes: one bit flip or one truncation of the journal or
+   the snapshot --- *)
+
+(* Protocol per case:
+   1. Run a random trace on one durable session, noting the session's
+      fingerprint at every generation.  In journal mode nothing is ever
+      snapshotted; in snapshot mode the run ends with [finalize], which
+      leaves one snapshot and an empty journal.
+   2. Flip one bit of that file, or cut it short.
+   3. The file must still read sanely: [Wal.load] returns a prefix of the
+      original records, [Snapshot.read] the original content or an
+      [Error].
+   4. A 2-shard server recovers the data directory without raising, and
+      its worker domains then answer a render and a stats request.
+   5. The recovered session is the state at the surviving prefix (the
+      last surviving record's generation; absent when nothing that can
+      open it survived), and whenever recovery dropped bytes it could
+      see were damaged, [stats.durability.last_error] names the file. *)
+let prop_damaged_bytes_recover_a_prefix =
+  Testkit.qcheck ~count:(count 40)
+    "bit flip or truncation of the journal or snapshot recovers a prefix"
+    QCheck2.Gen.(
+      quad (int_range 0 100_000) bool
+        (* Half the damage lands in the first 48 bytes: the snapshot
+           header and the first journal record's framing. *)
+        (pair bool
+           (frequency [ (1, int_range 0 383); (1, int_range 0 1_000_000) ]))
+        (list_size (int_range 1 8) (int_range 0 999)))
+    (fun (seed, snapshot_mode, (flip, where), codes) ->
+      with_dirs 1 @@ fun dirs ->
+      let dir = List.hd dirs in
+      let name = "s" in
+      let problem = Workload.Gen.switchbox (prng seed) ~width:10 ~height:8 ~nets:4 in
+      let lines =
+        let rng = prng (seed lxor 0xDA3A) in
+        open_line ~rid:1000 ~session:name problem
+        :: List.mapi (fun i _ -> trace_line rng i name) codes
+      in
+      (* 1: the live run, and the state at each generation. *)
+      let live =
+        durable_server ~dir
+          ~snapshot_every:(if snapshot_mode then 2 else 1_000_000)
+          ()
+      in
+      let states = Hashtbl.create 16 in
+      List.iter
+        (fun line ->
+          ignore (one_reply live line);
+          match Service.Registry.find (Service.Server.registry live) name with
+          | Some e ->
+              Hashtbl.replace states (Service.Registry.generation e)
+                (fingerprint live name)
+          | None -> ())
+        lines;
+      let final = fingerprint live name in
+      if snapshot_mode then Service.Server.finalize live;
+      let file =
+        Filename.concat dir
+          (Service.Wal.file_key name ^ if snapshot_mode then ".snap" else ".wal")
+      in
+      let describe (i : Service.Snapshot.info) =
+        Printf.sprintf "gen=%d rid=%d vias=%s frozen=%s\n%s" i.gen i.last_rid
+          (vias_text i.vias) (String.concat "," i.frozen)
+          (Netlist.Parse.to_string i.problem)
+      in
+      let original_records, original_snapshot =
+        if snapshot_mode then
+          match Service.Snapshot.read file with
+          | Ok info -> ([], describe info)
+          | Error msg -> Alcotest.failf "fresh snapshot unreadable: %s" msg
+        else
+          let records, _, _ = Service.Wal.load file in
+          (records, "")
+      in
+      (* 2: damage it. *)
+      let data = In_channel.with_open_bin file In_channel.input_all in
+      let len = String.length data in
+      let damaged =
+        if flip && len > 0 then begin
+          let b = Bytes.of_string data in
+          let bit = where mod (8 * len) in
+          Bytes.set b (bit / 8)
+            (Char.chr (Char.code data.[bit / 8] lxor (1 lsl (bit mod 8))));
+          Bytes.to_string b
+        end
+        else String.sub data 0 (where mod (len + 1))
+      in
+      Out_channel.with_open_bin file (fun oc ->
+          Out_channel.output_string oc damaged);
+      (* 3: the damaged file reads back sanely. *)
+      let detected, expected =
+        if snapshot_mode then
+          match Service.Snapshot.read file with
+          | Ok info ->
+              if describe info <> original_snapshot then
+                QCheck2.Test.fail_reportf
+                  "damaged snapshot read back changed:\n%s" (describe info);
+              (false, final)
+          | Error _ -> (true, "<missing>")
+        else begin
+          let records, _, torn = Service.Wal.load file in
+          let k = List.length records in
+          if records <> List.filteri (fun i _ -> i < k) original_records then
+            QCheck2.Test.fail_reportf "damaged journal is not a prefix";
+          match List.rev records with
+          | [] -> (true, "<missing>")
+          | last :: _ -> (torn, Hashtbl.find states last.Service.Wal.gen)
+        end
+      in
+      (* 4: recover on two shards and serve through live workers. *)
+      let s =
+        Service.Server.create
+          ~config:
+            {
+              Service.Server.default_config with
+              Service.Server.router = fast_config;
+              data_dir = Some dir;
+              fsync = false;
+              shards = 2;
+            }
+          ()
+      in
+      let replies = Array.make 2 [] in
+      let m = Mutex.create () in
+      let emit client reply =
+        Mutex.protect m (fun () -> replies.(client) <- reply :: replies.(client))
+      in
+      let workers = Service.Server.start_workers s ~emit in
+      List.iteri
+        (fun client line ->
+          Option.iter (emit client) (Service.Server.submit s ~client line))
+        [ Printf.sprintf {|{"id":1,"op":"render","session":"%s"}|} name;
+          {|{"id":2,"op":"stats"}|} ];
+      Service.Server.quiesce s;
+      Service.Server.stop_workers s workers;
+      let well_formed r =
+        match J.of_string r with
+        | Ok (J.Obj _ as j) -> Option.bind (J.member "ok" j) J.to_bool_opt <> None
+        | _ -> false
+      in
+      Array.iteri
+        (fun i rs ->
+          match rs with
+          | [ r ] when well_formed r -> ()
+          | _ ->
+              QCheck2.Test.fail_reportf "request %d got [%s]" i
+                (String.concat "; " rs))
+        replies;
+      (* 5: the surviving prefix, and the damage reported. *)
+      let recovered = fingerprint_in (Service.Server.registry_for s name) name in
+      if not (String.equal recovered expected) then
+        QCheck2.Test.fail_reportf
+          "recovered state is not the surviving prefix:\n%s\nexpected:\n%s"
+          recovered expected;
+      let last_error =
+        match J.of_string (List.hd replies.(1)) with
+        | Ok j ->
+            Option.bind (J.member "result" j) (J.member "durability")
+            |> Fun.flip Option.bind (J.member "last_error")
+            |> Fun.flip Option.bind J.to_string_opt
+        | Error _ -> None
+      in
+      (if detected then
+         match last_error with
+         | Some msg when Testkit.contains msg file -> ()
+         | Some msg ->
+             QCheck2.Test.fail_reportf "last_error %S does not name %s" msg file
+         | None -> QCheck2.Test.fail_reportf "damage to %s not reported" file);
+      true)
+
 (* --- the flagship qcheck property: crash anywhere, recover, converge --- *)
 
 (* Protocol per iteration:
@@ -566,6 +779,8 @@ let () =
         [
           Alcotest.test_case "atomic under kill" `Quick
             test_snapshot_atomic_under_kill;
+          Alcotest.test_case "header checksummed" `Quick
+            test_snapshot_header_checksummed;
         ] );
       ( "restart",
         [
@@ -584,5 +799,6 @@ let () =
           Alcotest.test_case "replay error provenance" `Quick
             test_replay_error_provenance;
         ] );
-      ( "chaos", [ prop_crash_anywhere_recovers ] );
+      ( "chaos",
+        [ prop_crash_anywhere_recovers; prop_damaged_bytes_recover_a_prefix ] );
     ]

@@ -85,6 +85,15 @@ let test_pick_member () =
 
 (* --- priority queue --- *)
 
+(* A pop with the priority of the popped element, read just before it. *)
+let pq_pop q =
+  let p = Util.Pqueue.min_priority q in
+  (p, Util.Pqueue.pop q)
+
+let bq_pop q =
+  let p = Util.Bucketq.min_priority q in
+  (p, Util.Bucketq.pop q)
+
 let test_pqueue_basic () =
   let q = Util.Pqueue.create () in
   Testkit.check_true "fresh empty" (Util.Pqueue.is_empty q);
@@ -92,10 +101,10 @@ let test_pqueue_basic () =
   Util.Pqueue.push q 1 10;
   Util.Pqueue.push q 3 30;
   Testkit.check_int "length" 3 (Util.Pqueue.length q);
-  Testkit.check_true "peek min" (Util.Pqueue.peek q = (1, 10));
-  Testkit.check_true "pop 1" (Util.Pqueue.pop q = (1, 10));
-  Testkit.check_true "pop 3" (Util.Pqueue.pop q = (3, 30));
-  Testkit.check_true "pop 5" (Util.Pqueue.pop q = (5, 50));
+  Testkit.check_int "min priority" 1 (Util.Pqueue.min_priority q);
+  Testkit.check_true "pop 1" (pq_pop q = (1, 10));
+  Testkit.check_true "pop 3" (pq_pop q = (3, 30));
+  Testkit.check_true "pop 5" (pq_pop q = (5, 50));
   Testkit.check_true "drained" (Util.Pqueue.is_empty q)
 
 let test_pqueue_empty_raises () =
@@ -103,18 +112,18 @@ let test_pqueue_empty_raises () =
   Alcotest.check_raises "pop on empty"
     (Invalid_argument "Pqueue.pop: empty") (fun () ->
       ignore (Util.Pqueue.pop q));
-  Alcotest.check_raises "peek on empty"
-    (Invalid_argument "Pqueue.peek: empty") (fun () ->
-      ignore (Util.Pqueue.peek q))
+  Alcotest.check_raises "min_priority on empty"
+    (Invalid_argument "Pqueue.min_priority: empty") (fun () ->
+      ignore (Util.Pqueue.min_priority q))
 
-let test_pqueue_opt () =
+let test_pqueue_min_priority () =
   let q = Util.Pqueue.create () in
-  Testkit.check_true "pop_opt empty" (Util.Pqueue.pop_opt q = None);
-  Testkit.check_true "peek_opt empty" (Util.Pqueue.peek_opt q = None);
-  Util.Pqueue.push q 2 20;
-  Testkit.check_true "peek_opt" (Util.Pqueue.peek_opt q = Some (2, 20));
-  Testkit.check_true "pop_opt" (Util.Pqueue.pop_opt q = Some (2, 20));
-  Testkit.check_true "drained" (Util.Pqueue.pop_opt q = None)
+  List.iter (fun p -> Util.Pqueue.push q p (10 * p)) [ 4; 2; 7 ];
+  Testkit.check_int "reads the minimum" 2 (Util.Pqueue.min_priority q);
+  Testkit.check_int "without removing it" 2 (Util.Pqueue.min_priority q);
+  Testkit.check_int "length kept" 3 (Util.Pqueue.length q);
+  Testkit.check_int "pop returns its payload" 20 (Util.Pqueue.pop q);
+  Testkit.check_int "then the next minimum" 4 (Util.Pqueue.min_priority q)
 
 let test_pqueue_clear () =
   let q = Util.Pqueue.create () in
@@ -125,7 +134,7 @@ let test_pqueue_clear () =
 let test_pqueue_duplicates () =
   let q = Util.Pqueue.create () in
   List.iter (fun p -> Util.Pqueue.push q p p) [ 2; 2; 2; 1; 1 ];
-  let pops = List.init 5 (fun _ -> fst (Util.Pqueue.pop q)) in
+  let pops = List.init 5 (fun _ -> fst (pq_pop q)) in
   Testkit.check_true "sorted with duplicates" (pops = [ 1; 1; 2; 2; 2 ])
 
 let test_pqueue_growth () =
@@ -136,7 +145,7 @@ let test_pqueue_growth () =
   Testkit.check_int "grew" 1000 (Util.Pqueue.length q);
   let prev = ref min_int in
   for _ = 1 to 1000 do
-    let p, _ = Util.Pqueue.pop q in
+    let p, _ = pq_pop q in
     Testkit.check_true "monotone" (p >= !prev);
     prev := p
   done
@@ -148,7 +157,7 @@ let prop_pqueue_heapsort =
       let q = Util.Pqueue.create () in
       List.iteri (fun i p -> Util.Pqueue.push q p i) priorities;
       let out =
-        List.init (List.length priorities) (fun _ -> fst (Util.Pqueue.pop q))
+        List.init (List.length priorities) (fun _ -> fst (pq_pop q))
       in
       out = List.sort Int.compare priorities)
 
@@ -161,10 +170,10 @@ let test_bucketq_basic () =
   Util.Bucketq.push q 1 10;
   Util.Bucketq.push q 3 30;
   Testkit.check_int "length" 3 (Util.Bucketq.length q);
-  Testkit.check_true "peek min" (Util.Bucketq.peek q = (1, 10));
-  Testkit.check_true "pop 1" (Util.Bucketq.pop q = (1, 10));
-  Testkit.check_true "pop 3" (Util.Bucketq.pop q = (3, 30));
-  Testkit.check_true "pop 5" (Util.Bucketq.pop q = (5, 50));
+  Testkit.check_int "min priority" 1 (Util.Bucketq.min_priority q);
+  Testkit.check_true "pop 1" (bq_pop q = (1, 10));
+  Testkit.check_true "pop 3" (bq_pop q = (3, 30));
+  Testkit.check_true "pop 5" (bq_pop q = (5, 50));
   Testkit.check_true "drained" (Util.Bucketq.is_empty q)
 
 let test_bucketq_empty_raises () =
@@ -172,17 +181,19 @@ let test_bucketq_empty_raises () =
   Alcotest.check_raises "pop on empty"
     (Invalid_argument "Bucketq.pop: empty") (fun () ->
       ignore (Util.Bucketq.pop q));
-  Testkit.check_true "pop_opt empty" (Util.Bucketq.pop_opt q = None)
+  Alcotest.check_raises "min_priority on empty"
+    (Invalid_argument "Bucketq.min_priority: empty") (fun () ->
+      ignore (Util.Bucketq.min_priority q))
 
 let test_bucketq_duplicates_lifo () =
   let q = Util.Bucketq.create () in
   List.iter (fun (p, x) -> Util.Bucketq.push q p x)
     [ (2, 1); (2, 2); (1, 3); (2, 4) ];
-  Testkit.check_true "min first" (Util.Bucketq.pop q = (1, 3));
+  Testkit.check_true "min first" (bq_pop q = (1, 3));
   (* equal priorities pop LIFO *)
-  Testkit.check_true "lifo 4" (Util.Bucketq.pop q = (2, 4));
-  Testkit.check_true "lifo 2" (Util.Bucketq.pop q = (2, 2));
-  Testkit.check_true "lifo 1" (Util.Bucketq.pop q = (2, 1))
+  Testkit.check_true "lifo 4" (bq_pop q = (2, 4));
+  Testkit.check_true "lifo 2" (bq_pop q = (2, 2));
+  Testkit.check_true "lifo 1" (bq_pop q = (2, 1))
 
 let test_bucketq_window_growth () =
   (* span 2 forces repeated rebucketing *)
@@ -193,7 +204,7 @@ let test_bucketq_window_growth () =
   Testkit.check_int "grew" 500 (Util.Bucketq.length q);
   let prev = ref min_int in
   for _ = 1 to 500 do
-    let p, _ = Util.Bucketq.pop q in
+    let p, _ = bq_pop q in
     Testkit.check_true "monotone" (p >= !prev);
     prev := p
   done
@@ -205,10 +216,10 @@ let test_bucketq_sliding_window () =
   let popped = ref [] in
   for p = 0 to 999 do
     Util.Bucketq.push q p p;
-    if p mod 2 = 1 then popped := fst (Util.Bucketq.pop q) :: !popped
+    if p mod 2 = 1 then popped := fst (bq_pop q) :: !popped
   done;
   while not (Util.Bucketq.is_empty q) do
-    popped := fst (Util.Bucketq.pop q) :: !popped
+    popped := fst (bq_pop q) :: !popped
   done;
   Testkit.check_true "all popped in order"
     (List.rev !popped |> List.sort Int.compare
@@ -219,9 +230,9 @@ let test_bucketq_negative_and_reanchor () =
   Util.Bucketq.push q 10 1;
   Util.Bucketq.push q (-5) 2;
   Util.Bucketq.push q 0 3;
-  Testkit.check_true "negative min" (Util.Bucketq.pop q = (-5, 2));
-  Testkit.check_true "then zero" (Util.Bucketq.pop q = (0, 3));
-  Testkit.check_true "then ten" (Util.Bucketq.pop q = (10, 1))
+  Testkit.check_true "negative min" (bq_pop q = (-5, 2));
+  Testkit.check_true "then zero" (bq_pop q = (0, 3));
+  Testkit.check_true "then ten" (bq_pop q = (10, 1))
 
 let test_bucketq_clear () =
   let q = Util.Bucketq.create () in
@@ -229,7 +240,7 @@ let test_bucketq_clear () =
   Util.Bucketq.clear q;
   Testkit.check_true "cleared" (Util.Bucketq.is_empty q);
   Util.Bucketq.push q 3 3;
-  Testkit.check_true "reusable" (Util.Bucketq.pop q = (3, 3))
+  Testkit.check_true "reusable" (bq_pop q = (3, 3))
 
 let prop_bucketq_matches_pqueue =
   Testkit.qcheck "bucketq pops same priorities as pqueue"
@@ -245,7 +256,7 @@ let prop_bucketq_matches_pqueue =
       let n = List.length priorities in
       List.for_all Fun.id
         (List.init n (fun _ ->
-             fst (Util.Bucketq.pop bq) = fst (Util.Pqueue.pop pq)))
+             fst (bq_pop bq) = fst (pq_pop pq)))
       && Util.Bucketq.is_empty bq)
 
 (* --- parallel --- *)
@@ -659,7 +670,7 @@ let () =
         [
           Alcotest.test_case "basic order" `Quick test_pqueue_basic;
           Alcotest.test_case "empty raises" `Quick test_pqueue_empty_raises;
-          Alcotest.test_case "opt variants" `Quick test_pqueue_opt;
+          Alcotest.test_case "min_priority" `Quick test_pqueue_min_priority;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           Alcotest.test_case "duplicates" `Quick test_pqueue_duplicates;
           Alcotest.test_case "growth and order" `Quick test_pqueue_growth;
