@@ -125,14 +125,6 @@ let config_term =
              (default), phase (after every engine phase), net (after \
              every net — slow).")
   in
-  let no_cost_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cost-cache" ]
-          ~doc:
-            "Disable the dirty-region failure-replay cache (retry sweeps \
-             re-run every failed search).")
-  in
   let incremental =
     Arg.(
       value
@@ -141,21 +133,19 @@ let config_term =
             ( true,
               info [ "incremental" ]
                 ~doc:
-                  "Enable incremental search reuse (default): memoized \
-                   heuristic transforms, and in refinement per-net \
+                  "Enable incremental refinement (default): per-net \
                    read-region certificates plus a closed-form cost floor \
-                   that skip nets a replan cannot improve.  Layouts are \
+                   skip nets a replan cannot improve.  Layouts are \
                    byte-identical either way." );
             ( false,
               info [ "no-incremental" ]
                 ~doc:
-                  "Disable incremental search reuse; every search \
-                   recomputes its heuristic and every refinement visit \
+                  "Disable incremental refinement; every refinement visit \
                    plans its net." );
           ])
   in
   let make strategy order restarts seed kernel window deadline
-      max_expanded max_searches audit no_cost_cache incremental =
+      max_expanded max_searches audit incremental =
     let base =
       match strategy with
       | `Full -> Router.Config.default
@@ -173,14 +163,12 @@ let config_term =
       max_expanded;
       max_searches;
       audit;
-      cost_cache = not no_cost_cache;
       incremental;
     }
   in
   Term.(
     const make $ strategy $ order $ restarts $ seed $ kernel $ window
-    $ deadline $ max_expanded $ max_searches $ audit $ no_cost_cache
-    $ incremental)
+    $ deadline $ max_expanded $ max_searches $ audit $ incremental)
 
 (* Parse errors already carry the source path since errors grew a [src]
    field — no prefixing needed here. *)
@@ -217,8 +205,9 @@ let route_cmd =
       value & flag
       & info [ "verbose" ]
           ~doc:
-            "Print the failure-replay cache's hits and stale entries, and \
-             with $(b,--refine) the refinement cache's counters.")
+            "With $(b,--refine), print the refinement cache's counters: \
+             nets planned, nets skipped on a clean certificate or at \
+             their cost floor, and stale certificates.")
   in
   let run path config svg ascii refine report verbose =
     match load path with
@@ -236,11 +225,6 @@ let route_cmd =
         Format.printf "completed: %b  (%.3fs)@." result.Router.Engine.completed
           elapsed;
         Format.printf "%a@." Router.Engine.pp_stats result.Router.Engine.stats;
-        if verbose then begin
-          let p = result.Router.Engine.stats.Router.Engine.cache in
-          Format.printf "cost-cache: %d hit(s), %d stale@."
-            p.Router.Outcome.cache_hits p.Router.Outcome.cache_stale
-        end;
         if refine && result.Router.Engine.completed then begin
           let s =
             Router.Improve.refine

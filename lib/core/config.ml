@@ -25,8 +25,7 @@ type t = {
   max_expanded : int option;
   max_searches : int option;
   audit : audit_level;
-  cost_cache : bool;  (* dirty-region failure-replay cache *)
-  incremental : bool;  (* incremental search reuse: hfield memo + improve cache *)
+  incremental : bool;  (* refine's certificate cache and cost-floor skip *)
 }
 
 let default =
@@ -47,7 +46,6 @@ let default =
     max_expanded = None;
     max_searches = None;
     audit = Audit_off;
-    cost_cache = true;
     incremental = true;
   }
 
@@ -97,5 +95,4 @@ let describe c =
     (match c.audit with
     | Audit_off -> ""
     | a -> Printf.sprintf ", audit=%s" (audit_name a))
-  ^ (if not c.cost_cache then ", no-cost-cache" else "")
   ^ if not c.incremental then ", no-incremental" else ""

@@ -65,19 +65,13 @@ type t = {
   audit : audit_level;
       (** paranoia level: run the invariant auditor during routing and
           raise {!Audit.Inconsistent} on any violation *)
-  cost_cache : bool;
-      (** dirty-region failure-replay cache (default [true]): a net whose
-          route attempt failed without side effects is skipped on retry
-          until the grid region its searches explored is written again *)
   incremental : bool;
-      (** incremental search reuse (default [true], DESIGN.md §11): the
-          engine memoizes the A* heuristic transform across searches with
-          an unchanged target set, and refinement keeps a per-net
-          {!Maze.Cache} of read-region certificates and skips nets at
-          their pins' closed-form cost floor, so nets a replan cannot
-          improve are skipped instead of replanned.  Value-exact either
-          way: layouts and costs are byte-identical with the flag on or
-          off *)
+      (** incremental refinement (default [true], DESIGN.md §11):
+          refinement keeps a per-net {!Maze.Cache} of read-region
+          certificates and skips nets at their pins' closed-form cost
+          floor, so nets a replan cannot improve are skipped instead of
+          replanned.  Value-exact either way: layouts and costs are
+          byte-identical with the flag on or off *)
 }
 
 val default : t

@@ -9,7 +9,6 @@ type stats = {
   expanded : int;
   effort : Outcome.effort;
   attempts : int;
-  cache : Outcome.cache_stats;
   guide : Outcome.guide_stats;
 }
 
@@ -21,16 +20,6 @@ type t = {
   completed : bool;
   status : Outcome.status;
   stats : stats;
-}
-
-(* A recorded route failure: the attempt had no side effects, and every
-   grid cell its searches could have read lies inside the per-layer
-   certificate rectangles.  Until one of those regions is written again
-   (checked against the grid's dirty journal from [since]), re-running the
-   attempt would replay the same failure — so it is skipped. *)
-type cache_entry = {
-  certs : Geom.Rect.t option array;  (* one rectangle per layer *)
-  since : Grid.mark;
 }
 
 type state = {
@@ -48,7 +37,6 @@ type state = {
   routed : bool array;
   in_queue : bool array;
   queue : int Queue.t;
-  cache : cache_entry option array;
   guides : Geom.Rect.t option array;
       (* per net index: global-route guide window; empty array = unguided *)
   heuristic : Maze.Search.heuristic;
@@ -67,8 +55,6 @@ type state = {
   mutable flood_expanded : int;
   mutable reused : int;
   mutable reused_expanded : int;
-  mutable cache_hits : int;
-  mutable cache_stale : int;
 }
 
 let is_protected st n = Bytes.get st.protected n <> '\000'
@@ -95,9 +81,6 @@ let make_state config problem ~budget ~chaos ~guides =
         let i = pw.Netlist.Problem.pre_net - 1 in
         route_nodes.(i) <- nodes @ route_nodes.(i))
     problem.Netlist.Problem.prewires;
-  (* Instantiation dirtied the journal; seal it so the drain starts from
-     a sealed journal, as it leaves one at every slot boundary. *)
-  Grid.seal g;
   {
     problem;
     config;
@@ -111,7 +94,6 @@ let make_state config problem ~budget ~chaos ~guides =
     routed = Array.make nets false;
     in_queue = Array.make nets false;
     queue = Queue.create ();
-    cache = Array.make nets None;
     guides;
     heuristic = (if config.Config.use_astar then Maze.Search.L1 else Zero);
     window =
@@ -132,8 +114,6 @@ let make_state config problem ~budget ~chaos ~guides =
     flood_expanded = 0;
     reused = 0;
     reused_expanded = 0;
-    cache_hits = 0;
-    cache_stale = 0;
   }
 
 let enqueue st id =
@@ -188,13 +168,11 @@ let run_search st ~phase ~net ~window ?(flood = false) ~passable ~sources
   guarded st (fun () ->
       st.searches <- st.searches + 1;
       let work = { Maze.Search.settled = 0; flooded = 0 } in
-      (* The heuristic-transform memo is value-exact, so gating it on
-         [incremental] only changes speed, never results. *)
       let result =
         Maze.Search.run ~kernel:st.config.Config.kernel
           ~heuristic:st.heuristic ~window
           ?stop:(Budget.stop_hook st.budget)
-          ~memo:st.config.Config.incremental ~flood ~work st.g st.ws
+          ~flood ~work st.g st.ws
           ~cost:st.config.Config.cost ~passable ~sources ~targets ()
       in
       Budget.note_search st.budget;
@@ -436,56 +414,8 @@ let audit_phase st ~where =
 let audit_net st ~where =
   if st.config.Config.audit = Config.Audit_net then run_audit st ~where
 
-(* ------------------------------------------------------------------ *)
-(* The failure-replay cache.                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Latched lookup at a routing slot: a stale entry is dropped (and
-   counted) exactly once.  Certificate construction and validation live
-   in [Maze.Cache]: the refinement pass shares the exact same read-region
-   semantics. *)
-let cache_lookup st id =
-  let i = id - 1 in
-  match st.cache.(i) with
-  | None -> `Miss
-  | Some e ->
-      if Maze.Cache.region_clean st.g ~since:e.since e.certs then `Hit
-      else begin
-        st.cache.(i) <- None;
-        st.cache_stale <- st.cache_stale + 1;
-        `Miss
-      end
-
-(* Route one net at its slot, recording a replayable failure when the
-   attempt provably had no side effects: no rips, no shoves, no budget
-   trip (an aborted search is not a proof of infeasibility), no fault
-   injection (the PRNG makes replay order-dependent).  The certificate is
-   everything the workspace's searches expanded during the attempt —
-   windowed probes and escalation searches included. *)
-let attempt_net st id =
-  let rips0 = st.rips and shoves0 = st.shoves in
-  let recordable =
-    st.config.Config.cost_cache && not (Chaos.enabled st.chaos)
-  in
-  if recordable then Maze.Workspace.clear_touched st.ws;
-  let ok = route_net st id in
-  if
-    (not ok) && recordable && st.rips = rips0 && st.shoves = shoves0
-    && Budget.tripped st.budget = None
-  then begin
-    (* Seal first: the attempt's rolled-back temporary writes must land in
-       the journal before [since], or they would self-invalidate the
-       entry. *)
-    Grid.seal st.g;
-    let certs = Maze.Cache.read_certs st.ws in
-    st.cache.(id - 1) <- Some { certs; since = Grid.mark st.g }
-  end;
-  ok
-
 (* Pop and route queued nets in order until the queue empties or the
-   budget trips; returns the nets that failed.  Every slot ends with a
-   journal seal, so a failure recorded at one slot is judged stale only
-   by writes of later slots. *)
+   budget trips; returns the nets that failed. *)
 let drain st =
   let failed = ref [] in
   while (not (Queue.is_empty st.queue)) && Budget.check st.budget = None do
@@ -493,18 +423,10 @@ let drain st =
     let i = id - 1 in
     st.in_queue.(i) <- false;
     if not st.routed.(i) then begin
-      let ok =
-        match cache_lookup st id with
-        | `Hit ->
-            st.cache_hits <- st.cache_hits + 1;
-            false
-        | `Miss -> attempt_net st id
-      in
-      if ok then failed := List.filter (fun f -> f <> id) !failed
+      if route_net st id then failed := List.filter (fun f -> f <> id) !failed
       else if not (List.mem id !failed) then failed := id :: !failed;
       audit_net st ~where:(Printf.sprintf "after net %d" id)
-    end;
-    Grid.seal st.g
+    end
   done;
   !failed
 
@@ -566,8 +488,6 @@ let route_once config problem order_ids ~budget ~chaos ~guides =
           reused_expanded = st.reused_expanded;
         };
       attempts = 1;
-      cache =
-        { Outcome.cache_hits = st.cache_hits; cache_stale = st.cache_stale };
       guide =
         {
           Outcome.guided =
@@ -685,10 +605,5 @@ let pp_stats fmt s =
     (String.concat "," (List.map string_of_int s.failed_nets))
     s.total_wirelength s.total_vias s.rips s.shoves s.searches
     Outcome.pp_effort s.effort;
-  (* Cache telemetry appears only when the cache fired, so cache-less runs
-     render exactly as before. *)
-  let { Outcome.cache_hits = hits; cache_stale = stale } = s.cache in
-  if hits + stale > 0 then
-    Format.fprintf fmt " cache=%d/%d" hits (hits + stale);
   if s.guide <> Outcome.no_guide then
     Format.fprintf fmt " %a" Outcome.pp_guide s.guide

@@ -47,9 +47,6 @@ type stats = {
       (** the same total split by escalation phase and by net, next to
           the work of failed searches, flood nodes and reused plans *)
   attempts : int;  (** restart attempts consumed (≥ 1) *)
-  cache : Outcome.cache_stats;
-      (** failure-replay cache telemetry of the winning attempt; all-zero
-          for cache-less runs *)
   guide : Outcome.guide_stats;
       (** guided-search telemetry of the winning attempt; all-zero for
           unguided runs *)
@@ -80,10 +77,6 @@ val route :
     hook is composed into the budget.  With [config.audit] above
     [Audit_off] the invariant auditor runs after each engine phase and
     raises {!Audit.Inconsistent} on any violation.
-
-    The [config.cost_cache] failure-replay cache never changes the layout:
-    it only skips a failed net's retry while the grid region its failed
-    attempt read is unwritten, which would replay the same failure.
 
     [guides] (per net index, [None] entries unguided) restricts each
     guided net's standard-phase searches to its guide rectangle via the

@@ -269,8 +269,8 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
            again. *)
         match
           Maze.Route.plan_net ~kernel:Maze.Search.Buckets
-            ~heuristic:Maze.Search.L1 ~window:Maze.Search.Full
-            ~memo:incremental g ws ~cost ~passable netdef
+            ~heuristic:Maze.Search.L1 ~window:Maze.Search.Full g ws ~cost
+            ~passable netdef
         with
         | None ->
             record_cert ();

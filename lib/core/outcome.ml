@@ -43,8 +43,6 @@ let pp_effort fmt e =
     e.total_expanded e.maze_expanded e.weak_expanded e.strong_expanded
     e.failed_expanded e.flood_expanded e.reused e.reused_expanded
 
-type cache_stats = { cache_hits : int; cache_stale : int }
-
 type guide_stats = { guided : int; hits : int; fallbacks : int }
 
 let no_guide = { guided = 0; hits = 0; fallbacks = 0 }

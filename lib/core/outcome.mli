@@ -64,13 +64,6 @@ val no_effort : nets:int -> effort
 
 val pp_effort : Format.formatter -> effort -> unit
 
-(** Telemetry of the engine's dirty-region failure-replay cache.
-    All-zero on cache-less runs; neither number affects the layout. *)
-type cache_stats = {
-  cache_hits : int;  (** failed route attempts skipped by the cache *)
-  cache_stale : int;  (** cache entries invalidated by dirty regions *)
-}
-
 (** Telemetry of guide-windowed routing (the flow pipeline's global-route
     guides).  A {e hit} is a standard-phase search whose guided probe was
     certified pop-order identical to the full search; a {e fallback} paid

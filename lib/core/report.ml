@@ -50,17 +50,6 @@ let summary problem (result : Engine.t) =
     | Outcome.Complete -> []
     | st -> [ Format.asprintf "status:               %a" Outcome.pp_status st ]
   in
-  (* Cache telemetry appears only when the caches actually fired, so
-     cache-less runs render byte-identically to older reports. *)
-  let cache_line =
-    let p = s.Engine.cache in
-    if p.Outcome.cache_hits + p.Outcome.cache_stale = 0 then []
-    else
-      [
-        Printf.sprintf "cost-cache hits:      %d (stale %d)"
-          p.Outcome.cache_hits p.Outcome.cache_stale;
-      ]
-  in
   (* Guide telemetry appears only on guided runs (flow pipeline), so
      plain routes render byte-identically. *)
   let guide_line =
@@ -134,7 +123,7 @@ let summary problem (result : Engine.t) =
         s.Engine.effort.Outcome.reused_expanded;
       Printf.sprintf "restart attempts:     %d" s.Engine.attempts;
       ]
-    @ cache_line @ guide_line @ class_lines)
+    @ guide_line @ class_lines)
 
 let render problem result =
   Util.Table.render (per_net_table problem result) ^ "\n" ^ summary problem result

@@ -1,20 +1,21 @@
-(* Dirty-region journal of one layer.  Mutations accumulate into a pending
-   rectangle that grows while writes stay near each other (a path being
-   occupied, a net being released) and is flushed into a bounded ring of
-   recent rectangles when writes jump elsewhere or a consumer queries.
+(* Dirty-region journal of one layer.  It records only freeing writes
+   (releases and via clears): an occupy, a via placement or an obstacle
+   can remove routes but never create a cheaper one, so its one consumer,
+   refine's "cannot improve" verdicts, never needs to see them.  Writes
+   accumulate into a pending rectangle that grows while they stay near
+   each other (a net being released) and is flushed into a bounded ring
+   of recent rectangles when writes jump elsewhere or a consumer queries.
    Consumers hold a [mark] (the ring sequence number at some instant) and
    ask whether a region was written since; once the ring has wrapped past
    a mark the answer is a conservative "yes". *)
 type dirt = {
   ring : Geom.Rect.t array;
-  freed : Bytes.t; (* parallel to [ring]: did the rect see a release? *)
   mutable seq : int; (* rectangles ever flushed; ring.(i mod cap) = rect i *)
   (* pending rectangle; px0 > px1 encodes empty *)
   mutable px0 : int;
   mutable py0 : int;
   mutable px1 : int;
   mutable py1 : int;
-  mutable pfreed : bool;
 }
 
 type mark = int array (* per-layer ring sequence numbers *)
@@ -33,10 +34,11 @@ type t = {
 let default_layers = 2
 
 (* Sized so that a handful of rip-up/reroute cycles between refinement
-   passes does not wrap the ring: a wrap forgets history and forces every
-   consumer (the engine's failure-replay cache, refine certificates) into
-   conservative full invalidation.  512 rects × layers is still tiny,
-   and validation scans only the entries written since the queried mark. *)
+   passes does not wrap the ring: a wrap forgets history and makes every
+   refine certificate older than it stale.  512 rects × layers is still
+   tiny, and validation scans only the entries written since the queried
+   mark; a larger ring costs more in those scans than it saves in plans
+   (DESIGN.md §11). *)
 let dirt_cap = 512
 
 let dirt_capacity = dirt_cap
@@ -44,39 +46,31 @@ let dirt_capacity = dirt_cap
 let make_dirt () =
   {
     ring = Array.make dirt_cap (Geom.Rect.make 0 0 0 0);
-    freed = Bytes.make dirt_cap '\000';
     seq = 0;
     px0 = 1;
     py0 = 1;
     px1 = 0;
     py1 = 0;
-    pfreed = false;
   }
 
 let dirt_flush d =
   if d.px0 <= d.px1 then begin
     d.ring.(d.seq mod dirt_cap) <- Geom.Rect.make d.px0 d.py0 d.px1 d.py1;
-    Bytes.set d.freed (d.seq mod dirt_cap) (if d.pfreed then '\001' else '\000');
     d.seq <- d.seq + 1;
     d.px0 <- 1;
-    d.px1 <- 0;
-    d.pfreed <- false
+    d.px1 <- 0
   end
 
 (* Coalesce writes within two cells of the pending rectangle (consecutive
-   cells of a path segment, a via stack, a shove); farther writes flush
+   cells of a released path segment, a via stack); farther writes flush
    the pending rectangle so the journal keeps per-segment granularity
-   instead of hulling distant mutations together.  The freeing flag is
-   OR-coalesced: a rectangle that mixes releases and occupies counts as
-   freeing — widening "freeing" is the conservative direction for every
-   consumer. *)
-let dirt_touch d ~freeing x y =
+   instead of hulling distant releases together. *)
+let dirt_touch d x y =
   if d.px0 > d.px1 then begin
     d.px0 <- x;
     d.py0 <- y;
     d.px1 <- x;
-    d.py1 <- y;
-    d.pfreed <- freeing
+    d.py1 <- y
   end
   else if
     x >= d.px0 - 2 && x <= d.px1 + 2 && y >= d.py0 - 2 && y <= d.py1 + 2
@@ -84,16 +78,14 @@ let dirt_touch d ~freeing x y =
     if x < d.px0 then d.px0 <- x;
     if x > d.px1 then d.px1 <- x;
     if y < d.py0 then d.py0 <- y;
-    if y > d.py1 then d.py1 <- y;
-    d.pfreed <- d.pfreed || freeing
+    if y > d.py1 then d.py1 <- y
   end
   else begin
     dirt_flush d;
     d.px0 <- x;
     d.py0 <- y;
     d.px1 <- x;
-    d.py1 <- y;
-    d.pfreed <- freeing
+    d.py1 <- y
   end
 
 let obstacle = -1
@@ -128,10 +120,7 @@ let copy g =
     g with
     occ = Array.copy g.occ;
     via = Bytes.copy g.via;
-    dirt =
-      Array.map
-        (fun d -> { d with ring = Array.copy d.ring; freed = Bytes.copy d.freed })
-        g.dirt;
+    dirt = Array.map (fun d -> { d with ring = Array.copy d.ring }) g.dirt;
   }
 
 (* n_vias is derived from the via bytes, so comparing occupancy and via
@@ -183,20 +172,10 @@ let owner g n =
   let v = g.occ.(n) in
   if v > 0 then Some v else None
 
-let touch g ~freeing n =
-  dirt_touch g.dirt.(n / (g.w * g.h)) ~freeing (node_x g n) (node_y g n)
-
-let touch_pair g ~freeing ~layer ~x ~y =
-  dirt_touch g.dirt.(layer) ~freeing x y;
-  dirt_touch g.dirt.(layer + 1) ~freeing x y
-
 let occupy g ~net n =
   if net <= 0 then invalid_arg "Surface.occupy: net ids are positive";
   let v = g.occ.(n) in
-  if v = free || v = net then begin
-    g.occ.(n) <- net;
-    if v = free then touch g ~freeing:false n
-  end
+  if v = free || v = net then g.occ.(n) <- net
   else if v = obstacle then invalid_arg "Surface.occupy: cell is an obstacle"
   else
     invalid_arg
@@ -236,7 +215,8 @@ let clear_via ?(layer = 0) g ~x ~y =
   if Bytes.get g.via p <> '\000' then begin
     Bytes.set g.via p '\000';
     g.n_vias <- g.n_vias - 1;
-    touch_pair g ~freeing:true ~layer ~x ~y
+    dirt_touch g.dirt.(layer) x y;
+    dirt_touch g.dirt.(layer + 1) x y
   end
 
 let set_via ?(layer = 0) g ~x ~y =
@@ -248,8 +228,7 @@ let set_via ?(layer = 0) g ~x ~y =
   let p = pair_index g ~layer ~x ~y in
   if Bytes.get g.via p = '\000' then begin
     Bytes.set g.via p '\001';
-    g.n_vias <- g.n_vias + 1;
-    touch_pair g ~freeing:false ~layer ~x ~y
+    g.n_vias <- g.n_vias + 1
   end
 
 let release g n =
@@ -257,8 +236,8 @@ let release g n =
   if v = obstacle then invalid_arg "Surface.release: cell is an obstacle";
   if v > 0 then begin
     g.occ.(n) <- free;
-    touch g ~freeing:true n;
     let x = node_x g n and y = node_y g n and l = node_layer g n in
+    dirt_touch g.dirt.(l) x y;
     (* A freed cell can no longer anchor either adjacent via pair. *)
     if l + 1 < g.nlayers && has_via_pair g ~layer:l ~x ~y then
       clear_via ~layer:l g ~x ~y;
@@ -270,10 +249,7 @@ let set_obstacle g ~layer ~x ~y =
   let n = node g ~layer ~x ~y in
   let v = g.occ.(n) in
   if v > 0 then invalid_arg "Surface.set_obstacle: cell owned by a net";
-  if v <> obstacle then begin
-    g.occ.(n) <- obstacle;
-    dirt_touch g.dirt.(layer) ~freeing:false x y
-  end
+  if v <> obstacle then g.occ.(n) <- obstacle
 
 let set_obstacle_all g ~x ~y =
   for layer = 0 to g.nlayers - 1 do
@@ -297,13 +273,11 @@ let block_rect g ?layer (r : Geom.Rect.t) =
         | Some l -> set_obstacle g ~layer:l ~x ~y
         | None -> set_obstacle_all g ~x ~y)
 
-let seal g = Array.iter dirt_flush g.dirt
-
 let mark g =
-  seal g;
+  Array.iter dirt_flush g.dirt;
   Array.map (fun d -> d.seq) g.dirt
 
-let dirtied_in g ~since ~layer (r : Geom.Rect.t) =
+let dirtied_in_freeing g ~since ~layer (r : Geom.Rect.t) =
   let d = g.dirt.(layer) in
   dirt_flush d;
   let s = since.(layer) in
@@ -313,30 +287,6 @@ let dirtied_in g ~since ~layer (r : Geom.Rect.t) =
     for i = s to d.seq - 1 do
       if (not !hit) && Geom.Rect.overlap d.ring.(i mod dirt_cap) r then
         hit := true
-    done;
-    !hit
-  end
-
-(* Freeing-only view of the journal.  A write that only turned free
-   cells into owned or obstructed ones (an occupy, a via placement, an
-   obstacle) can remove routes but never create a better one, so a
-   consumer whose cached answer is a "cannot improve" verdict (a refine
-   certificate) stays valid across it; only releases (and via clears) can
-   invalidate them.  The flag is conservative: any rectangle that
-   coalesced at least one release counts as freeing. *)
-let dirtied_in_freeing g ~since ~layer (r : Geom.Rect.t) =
-  let d = g.dirt.(layer) in
-  dirt_flush d;
-  let s = since.(layer) in
-  if d.seq - s > dirt_cap then true (* ring wrapped: be conservative *)
-  else begin
-    let hit = ref false in
-    for i = s to d.seq - 1 do
-      if
-        (not !hit)
-        && Bytes.get d.freed (i mod dirt_cap) <> '\000'
-        && Geom.Rect.overlap d.ring.(i mod dirt_cap) r
-      then hit := true
     done;
     !hit
   end

@@ -168,13 +168,17 @@ val via_count : t -> int
 
 (** {1 Dirty-region journal}
 
-    Every occupancy or via mutation is recorded, per layer, in a bounded
-    journal of dirty rectangles (nearby writes coalesce, so a path segment
-    becomes one rectangle).  Consumers take a {!mark} and later ask whether
-    a region of a layer has been written since; once the journal's ring has
-    wrapped past a mark the answer degrades to a conservative "yes".  This
-    is what lets the engine replay cached failures, and refinement skip
-    certified nets, without rescanning the grid. *)
+    Every {e freeing} write — a {!release} of an owned cell, a
+    {!clear_via} of a placed pair — is recorded, per layer, in a bounded
+    journal of dirty rectangles (nearby writes coalesce, so a released
+    path segment becomes one rectangle).  Occupies, via placements and
+    obstacles are not recorded: they can remove routes but never create a
+    cheaper one, so the journal's one consumer — refinement's "cannot
+    improve" certificates — never needs them.  Consumers take a {!mark} and
+    later ask whether a region of a layer has been freed since; once the
+    journal's ring has wrapped past a mark the answer degrades to a
+    conservative "yes".  This is what lets refinement skip certified nets
+    without rescanning the grid. *)
 
 type mark
 (** A point in the journal's history (one sequence number per layer). *)
@@ -186,26 +190,12 @@ val dirt_capacity : int
 val mark : t -> mark
 (** Flush pending coalescing and capture the current journal position. *)
 
-val dirtied_in : t -> since:mark -> layer:int -> Geom.Rect.t -> bool
-(** [dirtied_in g ~since ~layer r] is [true] iff some cell of layer
-    [layer] inside [r] may have been mutated after [since] was taken.
-    Never returns a false "clean"; may return a false "dirty" after ring
-    wrap-around or because of rectangle coalescing. *)
-
 val dirtied_in_freeing : t -> since:mark -> layer:int -> Geom.Rect.t -> bool
-(** Like {!dirtied_in}, but only counts {e freeing} rectangles — those
-    that coalesced at least one release or via clear.  Occupies,
-    via placements and obstacles can remove routes but never create a
-    cheaper one, so cached "cannot improve" verdicts survive them; only a freeing write can invalidate such a consumer.
-    Conservative in the same ways as {!dirtied_in} (wrap-around,
-    coalescing, and flag widening: a mixed rectangle counts as
-    freeing). *)
-
-val seal : t -> unit
-(** Flush pending coalescing into the journal.  Callers that need journal
-    evolution to be independent of {e when} queries happen (the engine
-    seals after every net) call this at their unit-of-work
-    boundaries. *)
+(** [dirtied_in_freeing g ~since ~layer r] is [false] only if no cell of
+    layer [layer] inside [r] was released (or lost a via) after [since]
+    was taken.  Never returns a false "clean"; may return a false
+    "dirty" after ring wrap-around or because of rectangle
+    coalescing. *)
 
 (** {1 Iteration and statistics} *)
 

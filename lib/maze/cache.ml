@@ -2,9 +2,9 @@
 
    Each net owns one read-region certificate: the per-layer bounding
    rectangles of everything the net's last planning searches read, plus
-   the journal mark taken when they finished.  While no grid write lands
-   inside the certificate, a replan is provably byte-identical to the
-   last one, so the whole net visit can be skipped.
+   the journal mark taken when they finished.  While no release lands
+   inside the certificate, a replan provably reaches the same verdict as
+   the last one, so the whole net visit can be skipped.
 
    The cache is bound to one physical grid value: [matches] compares by
    physical identity, because marks and journal history are meaningless
@@ -57,19 +57,6 @@ let read_certs ws =
       let below = if l > 0 then Workspace.touched ws ~layer:(l - 1) else None in
       join (join own above) below)
 
-let all_layers_clean ~dirty certs =
-  let nl = Array.length certs in
-  let rec loop l =
-    l >= nl
-    || (match certs.(l) with None -> true | Some r -> not (dirty ~layer:l r))
-       && loop (l + 1)
-  in
-  loop 0
-
-let region_clean g ~since certs =
-  all_layers_clean ~dirty:(fun ~layer r -> Grid.dirtied_in g ~since ~layer r)
-    certs
-
 (* A verdict certificate survives blocking writes: occupies and vias in
    the read region can remove candidate routes but never create a
    cheaper one, so "replanning cannot improve this net" stays true; only
@@ -79,9 +66,15 @@ let region_clean g ~since certs =
    mutation freeing rectangles cannot see: a net whose wiring grew with
    no release at all. *)
 let verdict_clean g ~since certs =
-  all_layers_clean
-    ~dirty:(fun ~layer r -> Grid.dirtied_in_freeing g ~since ~layer r)
-    certs
+  let nl = Array.length certs in
+  let rec loop l =
+    l >= nl
+    || (match certs.(l) with
+       | None -> true
+       | Some r -> not (Grid.dirtied_in_freeing g ~since ~layer:l r))
+       && loop (l + 1)
+  in
+  loop 0
 
 (* Latched certificate lookup: a stale entry is dropped (and counted)
    exactly once.  [owned] is the net's current cell count. *)

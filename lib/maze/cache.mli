@@ -27,18 +27,12 @@ val read_certs : Workspace.t -> Geom.Rect.t option array
     touched box dilated by one (planar neighbour reads) hulled with the
     adjacent layers' undilated boxes (via reads). *)
 
-val region_clean :
-  Grid.t -> since:Grid.mark -> Geom.Rect.t option array -> bool
-(** No journal write at all since [since] intersects any layer's
-    certificate — the {e failure-replay} validity test (the engine's
-    failure cache replays a failed attempt, which any write to the
-    region it read can invalidate). *)
-
 val verdict_clean :
   Grid.t -> since:Grid.mark -> Geom.Rect.t option array -> bool
-(** No {e freeing} journal write since [since] intersects any layer's
-    certificate — the {e verdict-replay} validity test ("replanning
-    cannot improve this net" survives blocking writes). *)
+(** No journal write since [since] intersects any layer's certificate.
+    The journal records only {e freeing} writes, so this is the
+    verdict-replay validity test: "replanning cannot improve this net"
+    survives the blocking writes the journal never sees. *)
 
 val cert_status : t -> net:int -> owned:int -> [ `Hit | `Miss ]
 (** Validate the net's certificate: {!verdict_clean} plus an unchanged
@@ -49,10 +43,9 @@ val cert_status : t -> net:int -> owned:int -> [ `Hit | `Miss ]
 
 val record_cert :
   t -> net:int -> certs:Geom.Rect.t option array -> owned:int -> unit
-(** Store a certificate with the journal mark taken now (the grid is
-    sealed as a side effect of taking the mark).  [owned] is the net's
-    cell count at verdict time; the certificates must cover everything
-    the verdict read, including the net's own wiring. *)
+(** Store a certificate with the journal mark taken now.  [owned] is
+    the net's cell count at verdict time; the certificates must cover
+    everything the verdict read, including the net's own wiring. *)
 
 val note_bound_skip : t -> unit
 

@@ -45,7 +45,7 @@ let release_nodes g nodes = List.iter (Grid.release g) nodes
    nearest one.  Returns the found connections in order, each with its
    expansion count, and the pins still unconnected when a search failed
    or aborted ([] when every pin was reached). *)
-let plan ?kernel ?heuristic ?window ?stop ?memo g ws ~cost ~passable
+let plan ?kernel ?heuristic ?window ?stop g ws ~cost ~passable
     (net : Netlist.Net.t) =
   match net.Netlist.Net.pins with
   | [] | [ _ ] -> ([], [])
@@ -55,7 +55,7 @@ let plan ?kernel ?heuristic ?window ?stop ?memo g ws ~cost ~passable
         | [] -> (List.rev acc, [])
         | _ -> (
             match
-              Search.run ?kernel ?heuristic ?window ?stop ?memo g ws ~cost
+              Search.run ?kernel ?heuristic ?window ?stop g ws ~cost
                 ~passable ~sources:tree
                 ~targets:(List.map fst remaining) ()
             with
@@ -77,19 +77,19 @@ let plan ?kernel ?heuristic ?window ?stop ?memo g ws ~cost ~passable
    cells, which it makes self-owned — and the passability prices
    self-owned and free cells alike, so every later search sees identical
    passability either way. *)
-let plan_net ?kernel ?heuristic ?window ?memo g ws ~cost ~passable net =
-  match plan ?kernel ?heuristic ?window ?memo g ws ~cost ~passable net with
+let plan_net ?kernel ?heuristic ?window g ws ~cost ~passable net =
+  match plan ?kernel ?heuristic ?window g ws ~cost ~passable net with
   | segs, [] -> Some segs
   | _, _ :: _ -> None
 
-let route_net ?passable ?kernel ?heuristic ?window ?stop ?memo g ws ~cost
+let route_net ?passable ?kernel ?heuristic ?window ?stop g ws ~cost
     (net : Netlist.Net.t) =
   let net_id = net.Netlist.Net.id in
   let passable =
     match passable with Some f -> f | None -> passable_default g ~net:net_id
   in
   match
-    plan ?kernel ?heuristic ?window ?stop ?memo g ws ~cost ~passable net
+    plan ?kernel ?heuristic ?window ?stop g ws ~cost ~passable net
   with
   | _, (_, unreached) :: _ -> Error { failed_net = net_id; unreached }
   | segs, [] ->

@@ -37,7 +37,6 @@ val plan_net :
   ?kernel:Search.kernel ->
   ?heuristic:Search.heuristic ->
   ?window:Search.window ->
-  ?memo:bool ->
   Grid.t ->
   Workspace.t ->
   cost:Cost.t ->
@@ -60,7 +59,6 @@ val route_net :
   ?heuristic:Search.heuristic ->
   ?window:Search.window ->
   ?stop:(int -> bool) ->
-  ?memo:bool ->
   Grid.t ->
   Workspace.t ->
   cost:Cost.t ->

@@ -402,13 +402,12 @@ let guided g ~rect ~tally ~sources ~targets attempt =
    nothing.
 
    The field is a pure function of the planar target list: it reads
-   neither grid occupancy nor the window.  With [memo] the workspace's
-   stored key is checked first and a matching field is reused verbatim,
-   so the repeated searches of an escalation loop (shove-and-retry
-   against the same target set) skip the rebuild.  The key is always
-   (re)stamped on a build, so memoized and unmemoized callers can
-   interleave safely.  No target means a constant heuristic. *)
-let l1 ~memo g ws ~wire ~targets =
+   neither grid occupancy nor the window.  The workspace's stored key is
+   checked first and a matching field is reused verbatim, so the
+   repeated searches of an escalation loop (shove-and-retry against the
+   same target set) skip the rebuild.  No target means a constant
+   heuristic. *)
+let l1 g ws ~wire ~targets =
   match targets with
   | [] -> zero
   | _ ->
@@ -416,7 +415,7 @@ let l1 ~memo g ws ~wire ~targets =
       let w = Grid.width g in
       let hf = ws.Workspace.hfield in
       let tplanar = List.map (fun t -> Grid.planar g t) targets in
-      if not (memo && Workspace.hfield_memo_hit ws ~targets:tplanar) then begin
+      if not (Workspace.hfield_memo_hit ws ~targets:tplanar) then begin
         let inf = max_int / 256 in
         for y = by0 to by1 do
           let row = y * w in
@@ -448,20 +447,19 @@ let l1 ~memo g ws ~wire ~targets =
         let cy = if y < by0 then by0 else if y > by1 then by1 else y in
         wire * (abs (x - cx) + abs (y - cy) + hf.((cy * w) + cx))
 
-let lower_bound ~memo g ws ~cost ~targets = function
+let lower_bound g ws ~cost ~targets = function
   | Zero -> zero
-  | L1 -> l1 ~memo g ws ~wire:cost.Cost.wire ~targets
+  | L1 -> l1 g ws ~wire:cost.Cost.wire ~targets
 
-let estimate ?(memo = false) g ws ~cost ~targets heuristic =
-  let h = lower_bound ~memo g ws ~cost ~targets heuristic in
+let estimate g ws ~cost ~targets heuristic =
+  let h = lower_bound g ws ~cost ~targets heuristic in
   fun n -> h n (Grid.node_x g n) (Grid.node_y g n)
 
 let run ?(kernel = Binary_heap) ?(heuristic = Zero) ?(window = Full) ?stop
-    ?(memo = false) ?(flood = false) ?work g ws ~cost ~passable ~sources
-    ~targets () =
+    ?(flood = false) ?work g ws ~cost ~passable ~sources ~targets () =
   (* One heuristic for the whole call: it orders the frontier of every
      attempt and prices the escapes a guide probe rejects. *)
-  let h = lower_bound ~memo g ws ~cost ~targets heuristic in
+  let h = lower_bound g ws ~cost ~targets heuristic in
   let attempt ~escape win =
     core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic:h ~win
       ~escape ~stop ~flood ~work

@@ -105,7 +105,6 @@ val run :
   ?heuristic:heuristic ->
   ?window:window ->
   ?stop:(int -> bool) ->
-  ?memo:bool ->
   ?flood:bool ->
   ?work:work ->
   Grid.t ->
@@ -147,17 +146,15 @@ val run :
     [work], when given, receives the call's forward and flood nodes
     (see {!work}) — the only account of a failed search's cost.
 
-    [memo] (default [false]) lets the {!L1} heuristic reuse the
-    workspace's stored transform when the planar target list is unchanged
-    — the transform reads neither grid occupancy nor the window, so the
-    reuse is value-exact and results are byte-identical with the flag on
-    or off.  Escalation loops and retry sweeps re-search the same target
-    set repeatedly and profit most.  Within one call the transform is
-    built at most once: every widening of a {!Margin} search and the
+    The {!L1} heuristic reuses the workspace's stored transform when the
+    planar target list is unchanged since it was built — the transform
+    reads neither grid occupancy nor the window, so the reuse is
+    value-exact.  Escalation loops and retry sweeps re-search the same
+    target set repeatedly and profit most.  Within one call the transform
+    is built at most once: every widening of a {!Margin} search and the
     escape pricing of a {!Guide} probe share it. *)
 
 val estimate :
-  ?memo:bool ->
   Grid.t ->
   Workspace.t ->
   cost:Cost.t ->
@@ -168,8 +165,8 @@ val estimate :
 (** [estimate g ws ~cost ~targets h] is the lower bound {!run} adds to a
     node's cost so far under [h], and the price it gives the escapes a
     {!Guide} probe rejects: [0] under {!Zero}, the wire cost times the
-    node's L1 distance to the nearest target under {!L1} (building the
-    workspace's transform, with [memo] as in {!run}).  The returned
+    node's L1 distance to the nearest target under {!L1} (building or
+    reusing the workspace's transform, as {!run} does).  The returned
     function reads the workspace's transform, so it is valid until the
     next {!L1} build on that workspace. *)
 

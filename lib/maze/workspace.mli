@@ -79,10 +79,10 @@ val hfield_memo_store : t -> targets:int list -> unit
     {!Search.run} records the per-layer bounding box of every node it
     expands (successful, failed and aborted searches alike).  Unlike the
     generation stamps this accumulator is {e not} cleared by
-    {!begin_search}: a net attempt spans several searches (windowed
-    probes, one search per connection) and the engine needs the union of
-    everything those searches read, so only an explicit {!clear_touched}
-    resets it. *)
+    {!begin_search}: planning a net spans several searches (one per
+    connection) and refinement's certificates ({!Cache.read_certs}) need
+    the union of everything those searches read, so only an explicit
+    {!clear_touched} resets it. *)
 
 val clear_touched : t -> unit
 

@@ -146,24 +146,19 @@ let apply_op session (op : Proto.op) =
   | Proto.Render | Proto.Stats | Proto.Close | Proto.Shutdown ->
       Error (Printf.sprintf "op %S cannot appear mid-log" (Proto.op_name op))
 
-let provenance wal idx = Printf.sprintf "wal:%s#%d" (Wal.path wal) idx
+let provenance path idx = Printf.sprintf "wal:%s#%d" path idx
 
 (* Rebuild one session from its on-disk state: newest valid snapshot if
    any, then the WAL tail (records with [gen] beyond the snapshot's —
    the gen filter makes a crash between snapshot rename and WAL
    truncation harmless, the overlapping records just skip).  Without a
-   snapshot the WAL must start with its [open] record. *)
+   snapshot the WAL must start with its [open] record.  The files are
+   only read until the replay succeeds: a refused session leaves them as
+   they were. *)
 let recover_session t data name =
-  let wal, records, torn =
-    Wal.open_existing ~chaos:t.chaos ~fsync:data.fsync (wal_path data name)
-  in
+  let file = wal_path data name in
+  let records, valid_bytes, torn = Wal.load file in
   let note msg = t.counters.last_error <- Some msg in
-  if torn then begin
-    t.counters.torn_tails <- t.counters.torn_tails + 1;
-    note
-      (Printf.sprintf "%s: dropped a damaged journal tail"
-         (provenance wal (List.length records)))
-  end;
   (* Snapshots are renamed into place complete, so one that exists and
      does not read is damaged: report it, whether or not the log can
      stand in for it. *)
@@ -177,8 +172,7 @@ let recover_session t data name =
         Some msg
     | Ok _ | Error _ -> None
   in
-  let close_and_fail msg =
-    Wal.close wal;
+  let fail msg =
     match damaged_snapshot with
     | Some damage -> Error (damage ^ "; " ^ msg)
     | None -> Error msg
@@ -199,7 +193,7 @@ let recover_session t data name =
             match Proto.op_of_json req with
             | Ok (Proto.Open { problem_text = Some text; _ }) -> (
                 match
-                  Netlist.Parse.of_string ~src:(provenance wal 0) text
+                  Netlist.Parse.of_string ~src:(provenance file 0) text
                 with
                 | Ok problem ->
                     Ok
@@ -211,16 +205,16 @@ let recover_session t data name =
             | Ok _ ->
                 Error
                   (Printf.sprintf "%s: log does not start with an open record"
-                     (provenance wal 0))
+                     (provenance file 0))
             | Error msg ->
-                Error (Printf.sprintf "%s: %s" (provenance wal 0) msg))
+                Error (Printf.sprintf "%s: %s" (provenance file 0) msg))
         | [] ->
             Error
               (Printf.sprintf "%s: no snapshot and an empty log"
-                 (provenance wal 0)))
+                 (provenance file 0)))
   in
   match base with
-  | Error msg -> close_and_fail msg
+  | Error msg -> fail msg
   | Ok (session, base_gen, base_rid) -> (
       let replay () =
         List.fold_left
@@ -230,7 +224,7 @@ let recover_session t data name =
                 else
                   match Proto.op_of_json req with
                   | Error msg ->
-                      Error (Printf.sprintf "%s: %s" (provenance wal idx) msg)
+                      Error (Printf.sprintf "%s: %s" (provenance file idx) msg)
                   | Ok op -> (
                       match apply_op session op with
                       | Ok () ->
@@ -239,14 +233,24 @@ let recover_session t data name =
                           Ok (gen, if rid <> 0 then rid else r)
                       | Error msg ->
                           Error
-                            (Printf.sprintf "%s: %s" (provenance wal idx) msg)
+                            (Printf.sprintf "%s: %s" (provenance file idx) msg)
                       )))
           (Ok (base_gen, base_rid))
           (List.mapi (fun i r -> (i, r)) records)
       in
       match Router.Chaos.with_paused t.chaos replay with
-      | Error msg -> close_and_fail msg
+      | Error msg -> fail msg
       | Ok (gen, rid) ->
+          if torn then begin
+            t.counters.torn_tails <- t.counters.torn_tails + 1;
+            note
+              (Printf.sprintf "%s: dropped a damaged journal tail"
+                 (provenance file (List.length records)))
+          end;
+          let wal =
+            Wal.reopen ~chaos:t.chaos ~fsync:data.fsync file ~valid_bytes
+              ~records:(List.length records)
+          in
           let e =
             {
               name;

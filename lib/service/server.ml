@@ -263,8 +263,6 @@ let engine_stats_json (s : Router.Engine.stats) =
       ("searches", J.Int s.Router.Engine.searches);
       ("expanded", J.Int s.Router.Engine.expanded);
       ("attempts", J.Int s.Router.Engine.attempts);
-      ("cache_hits", J.Int s.Router.Engine.cache.Router.Outcome.cache_hits);
-      ("cache_stale", J.Int s.Router.Engine.cache.Router.Outcome.cache_stale);
     ]
 
 let place_stats_json (s : Place.stats) =

@@ -87,11 +87,10 @@ let create ?(chaos = Router.Chaos.none) ~fsync path =
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path in
   { path; fsync; chaos; oc; records = 0 }
 
-let open_existing ?(chaos = Router.Chaos.none) ~fsync path =
-  let recs, valid_bytes, torn = load path in
-  if torn then Unix.truncate path valid_bytes;
+let reopen ?(chaos = Router.Chaos.none) ~fsync path ~valid_bytes ~records =
   let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path in
-  ({ path; fsync; chaos; oc; records = List.length recs }, recs, torn)
+  Unix.ftruncate (Unix.descr_of_out_channel oc) valid_bytes;
+  { path; fsync; chaos; oc; records }
 
 let append t record =
   Router.Chaos.kill_point t.chaos "wal:pre-append";

@@ -25,23 +25,25 @@ type t
 val path : t -> string
 
 val records : t -> int
-(** Records currently in the log (valid ones; after {!open_existing},
-    the torn tail is already excluded). *)
+(** Records currently in the log (valid ones; after {!reopen}, the torn
+    tail is already excluded). *)
 
 val create : ?chaos:Router.Chaos.t -> fsync:bool -> string -> t
 (** Open for append, truncating any previous content — used by a fresh
     [open] of a session name. *)
 
-val open_existing :
-  ?chaos:Router.Chaos.t -> fsync:bool -> string -> t * record list * bool
-(** Load the valid prefix of an existing log (missing file = empty log),
-    truncate the file to that prefix, and open it for append.  Returns
-    [(log, valid_records, torn)] where [torn] reports whether a corrupt
-    tail was dropped. *)
-
 val load : string -> record list * int * bool
 (** Read-only scan: [(valid_records, valid_bytes, torn)].  Missing file
     = [([], 0, false)]. *)
+
+val reopen :
+  ?chaos:Router.Chaos.t -> fsync:bool -> string -> valid_bytes:int ->
+  records:int -> t
+(** Open a log that {!load} has read for append: truncate the file to
+    the [valid_bytes] of its valid prefix (dropping a torn tail), or
+    create it empty when missing, and count its [records] valid
+    records.  Recovery calls it only once the replay has succeeded, so
+    a refused session's files stay as they were. *)
 
 val append : t -> record -> unit
 (** Write one record, flush, and (when [fsync]) push it to disk.  Kill

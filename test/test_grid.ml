@@ -293,38 +293,42 @@ let prop_random_ops_keep_invariants =
 
 (* --- dirty-region journal --- *)
 
+(* The journal records freeing writes only: releases and via clears. *)
+
 let rect_at x y = Geom.Rect.make x y x y
+
+let dirty g ~since ~layer r = Grid.dirtied_in_freeing g ~since ~layer r
 
 let test_dirty_basic () =
   let g = mk () in
+  let n = Grid.node g ~layer:0 ~x:2 ~y:2 in
+  Grid.occupy g ~net:3 n;
   let m = Grid.mark g in
   Testkit.check_false "clean after mark"
-    (Grid.dirtied_in g ~since:m ~layer:0 (Geom.Rect.make 0 0 7 5));
-  Grid.occupy g ~net:3 (Grid.node g ~layer:0 ~x:2 ~y:2);
-  Testkit.check_true "write dirties its cell"
-    (Grid.dirtied_in g ~since:m ~layer:0 (rect_at 2 2));
+    (dirty g ~since:m ~layer:0 (Geom.Rect.make 0 0 7 5));
+  Grid.release g n;
+  Testkit.check_true "release dirties its cell"
+    (dirty g ~since:m ~layer:0 (rect_at 2 2));
   Testkit.check_true "and any overlapping rect"
-    (Grid.dirtied_in g ~since:m ~layer:0 (Geom.Rect.make 0 0 3 3));
+    (dirty g ~since:m ~layer:0 (Geom.Rect.make 0 0 3 3));
   Testkit.check_false "other layer untouched"
-    (Grid.dirtied_in g ~since:m ~layer:1 (rect_at 2 2));
+    (dirty g ~since:m ~layer:1 (rect_at 2 2));
   Testkit.check_false "distant rect untouched"
-    (Grid.dirtied_in g ~since:m ~layer:0 (Geom.Rect.make 6 5 7 5));
+    (dirty g ~since:m ~layer:0 (Geom.Rect.make 6 5 7 5));
   let m2 = Grid.mark g in
   Testkit.check_false "new mark is clean"
-    (Grid.dirtied_in g ~since:m2 ~layer:0 (rect_at 2 2))
+    (dirty g ~since:m2 ~layer:0 (rect_at 2 2))
 
 let test_dirty_idempotent_writes_are_clean () =
   let g = mk () in
-  let n = Grid.node g ~layer:0 ~x:1 ~y:1 in
-  Grid.occupy g ~net:3 n;
+  Grid.occupy g ~net:3 (Grid.node g ~layer:0 ~x:1 ~y:1);
   let m = Grid.mark g in
-  Grid.occupy g ~net:3 n;
-  (* re-claiming an owned cell is a no-op *)
+  (* releasing a free cell and clearing an absent via are no-ops *)
   Grid.release g (Grid.node g ~layer:1 ~x:4 ~y:4);
-  (* releasing free too *)
+  Grid.clear_via g ~x:1 ~y:1;
   Testkit.check_false "no-op writes leave the journal alone"
-    (Grid.dirtied_in g ~since:m ~layer:0 (Geom.Rect.make 0 0 7 5)
-    || Grid.dirtied_in g ~since:m ~layer:1 (Geom.Rect.make 0 0 7 5))
+    (dirty g ~since:m ~layer:0 (Geom.Rect.make 0 0 7 5)
+    || dirty g ~since:m ~layer:1 (Geom.Rect.make 0 0 7 5))
 
 let test_dirty_release_and_via () =
   let g = mk () in
@@ -333,41 +337,78 @@ let test_dirty_release_and_via () =
   let m = Grid.mark g in
   Grid.release g n;
   Testkit.check_true "release dirties"
-    (Grid.dirtied_in g ~since:m ~layer:0 (rect_at 1 1));
-  let m = Grid.mark g in
+    (dirty g ~since:m ~layer:0 (rect_at 1 1));
   Grid.occupy g ~net:5 (Grid.node g ~layer:0 ~x:4 ~y:3);
   Grid.occupy g ~net:5 (Grid.node g ~layer:1 ~x:4 ~y:3);
   Grid.set_via g ~x:4 ~y:3;
-  Testkit.check_true "via dirties layer 0"
-    (Grid.dirtied_in g ~since:m ~layer:0 (rect_at 4 3));
-  Testkit.check_true "via dirties layer 1"
-    (Grid.dirtied_in g ~since:m ~layer:1 (rect_at 4 3))
+  let m = Grid.mark g in
+  Grid.clear_via g ~x:4 ~y:3;
+  Testkit.check_true "via clear dirties layer 0"
+    (dirty g ~since:m ~layer:0 (rect_at 4 3));
+  Testkit.check_true "via clear dirties layer 1"
+    (dirty g ~since:m ~layer:1 (rect_at 4 3));
+  (* releasing a via's upper cell clears the via, which dirties the
+     layer below too *)
+  Grid.set_via g ~x:4 ~y:3;
+  let m = Grid.mark g in
+  Grid.release g (Grid.node g ~layer:1 ~x:4 ~y:3);
+  Testkit.check_true "released via cell dirties layer 0"
+    (dirty g ~since:m ~layer:0 (rect_at 4 3))
 
 let test_dirty_coalescing_is_conservative () =
   let g = mk () in
-  let m = Grid.mark g in
-  (* a straight wire: nearby writes coalesce into one rectangle that
-     still covers every written cell *)
   for x = 0 to 7 do
     Grid.occupy g ~net:2 (Grid.node g ~layer:0 ~x ~y:2)
   done;
+  let m = Grid.mark g in
+  (* releasing a straight wire: nearby releases coalesce into one
+     rectangle that still covers every released cell *)
+  for x = 0 to 7 do
+    Grid.release g (Grid.node g ~layer:0 ~x ~y:2)
+  done;
   for x = 0 to 7 do
     Testkit.check_true "every cell of the wire is dirty"
-      (Grid.dirtied_in g ~since:m ~layer:0 (rect_at x 2))
+      (dirty g ~since:m ~layer:0 (rect_at x 2))
   done
 
 let test_dirty_ring_wrap_degrades_safely () =
   let g = Grid.create ~width:32 ~height:32 () in
   let m = Grid.mark g in
-  (* far-apart alternating writes defeat coalescing and wrap the ring *)
+  (* far-apart alternating releases defeat coalescing and wrap the ring *)
   for i = 0 to (2 * Grid.dirt_capacity) + 15 do
     let x = if i land 1 = 0 then 0 else 31 in
     let y = (7 * i) mod 32 in
     let n = Grid.node g ~layer:0 ~x ~y in
-    if Grid.is_free g n then Grid.occupy g ~net:1 n else Grid.release g n
+    Grid.occupy g ~net:1 n;
+    Grid.release g n
   done;
   Testkit.check_true "wrapped journal reports everything dirty"
-    (Grid.dirtied_in g ~since:m ~layer:0 (rect_at 16 16))
+    (dirty g ~since:m ~layer:0 (rect_at 16 16))
+
+(* Blocking writes never reach the journal: twice its capacity of
+   far-apart occupies, a via and an obstacle leave a region no release
+   touched clean, and the one release stays visible. *)
+let test_dirty_blocking_writes_not_journaled () =
+  let g = Grid.create ~width:64 ~height:64 () in
+  let m = Grid.mark g in
+  for i = 0 to (2 * Grid.dirt_capacity) + 15 do
+    let k = i / 2 in
+    let x = (if i land 1 = 0 then 0 else 40) + (k mod 20) in
+    let y = 2 * (k / 20) in
+    Grid.occupy g ~net:1 (Grid.node g ~layer:0 ~x ~y)
+  done;
+  Grid.occupy g ~net:2 (Grid.node g ~layer:0 ~x:60 ~y:60);
+  Grid.occupy g ~net:2 (Grid.node g ~layer:1 ~x:60 ~y:60);
+  Grid.set_via g ~x:60 ~y:60;
+  Grid.set_obstacle g ~layer:1 ~x:62 ~y:62;
+  Grid.release g (Grid.node g ~layer:0 ~x:0 ~y:0);
+  let untouched = Geom.Rect.make 20 0 63 63 in
+  Testkit.check_false "region without a release is clean (layer 0)"
+    (dirty g ~since:m ~layer:0 untouched);
+  Testkit.check_false "region without a release is clean (layer 1)"
+    (dirty g ~since:m ~layer:1 untouched);
+  Testkit.check_true "the release is still seen"
+    (dirty g ~since:m ~layer:0 (rect_at 0 0))
 
 let () =
   Alcotest.run "grid"
@@ -399,6 +440,8 @@ let () =
             test_dirty_coalescing_is_conservative;
           Alcotest.test_case "ring wrap conservative" `Quick
             test_dirty_ring_wrap_degrades_safely;
+          Alcotest.test_case "blocking writes not journaled" `Quick
+            test_dirty_blocking_writes_not_journaled;
         ] );
       ( "path",
         [

@@ -255,7 +255,7 @@ let prop_buckets_match_heap =
       else begin
         let with_kernel kernel astar =
           let heuristic = if astar then Maze.Search.L1 else Maze.Search.Zero in
-          Maze.Search.run ~kernel ~heuristic ~memo:false g ws
+          Maze.Search.run ~kernel ~heuristic g ws
             ~cost:Maze.Cost.default ~passable:(free_passable g)
             ~sources:[ a ] ~targets:[ b ] ()
         in
@@ -345,8 +345,8 @@ let prop_l1_exact =
       let g, ts1, ts2, rect, source = l1_instance seed in
       let ws = Maze.Workspace.create g in
       let cost = { Maze.Cost.default with Maze.Cost.wire } in
-      let estimate ~memo targets =
-        Maze.Search.estimate ~memo g ws ~cost ~targets Maze.Search.L1
+      let estimate targets =
+        Maze.Search.estimate g ws ~cost ~targets Maze.Search.L1
       in
       let exact targets h =
         let ok = ref true in
@@ -367,29 +367,27 @@ let prop_l1_exact =
         Grid.iter_nodes g (fun n -> if h n <> v then ok := false);
         !ok
       in
-      let search ?(memo = false) window targets =
+      let search window targets =
         Maze.Search.run ~kernel:Maze.Search.Buckets ~heuristic:Maze.Search.L1
-          ~window ~memo g ws ~cost ~passable:(free_passable g)
+          ~window g ws ~cost ~passable:(free_passable g)
           ~sources:[ source ] ~targets ()
       in
       (* A guide probe, then what it must satisfy: a certified probe is
          the full search, path and effort included. *)
       let probe targets =
         let tally = { Maze.Search.hits = 0; fallbacks = 0 } in
-        let guided =
-          search ~memo:true (Maze.Search.Guide { rect; tally }) targets
-        in
-        let priced = exact targets (estimate ~memo:true targets) in
+        let guided = search (Maze.Search.Guide { rect; tally }) targets in
+        let priced = exact targets (estimate targets) in
         priced
         && (tally.Maze.Search.hits = 0
            || guided = search Maze.Search.Full targets)
       in
-      exact ts1 (estimate ~memo:false ts1)
-      && exact ts1 (estimate ~memo:true ts1)
-      && exact ts2 (estimate ~memo:true ts2)
-      && exact ts1 (estimate ~memo:true ts1)
-      && constant (estimate ~memo:true [])
-      && exact ts1 (estimate ~memo:true ts1)
+      exact ts1 (estimate ts1)
+      && exact ts1 (estimate ts1)
+      && exact ts2 (estimate ts2)
+      && exact ts1 (estimate ts1)
+      && constant (estimate [])
+      && exact ts1 (estimate ts1)
       && probe ts2 && probe ts1)
 
 (* --- the target-side flood --- *)

@@ -400,36 +400,6 @@ let test_engine_edge_configs () =
   Testkit.check_true "equals maze-only"
     (both_off.Router.Engine.completed = maze.Router.Engine.completed)
 
-let test_cost_cache_transparent () =
-  (* The failure-replay cache may only skip work, never change the
-     result: layouts and failure sets with and without it are identical,
-     and on an overfull box whose failed nets get re-attempted against an
-     unchanged grid it actually fires. *)
-  let p =
-    Workload.Gen.dense_switchbox ~fill:0.9 (Util.Prng.create 4242) ~width:12
-      ~height:10
-  in
-  let on = Router.Engine.route ~config:Router.Config.maze_only p in
-  let off =
-    Router.Engine.route
-      ~config:{ Router.Config.maze_only with Router.Config.cost_cache = false }
-      p
-  in
-  Testkit.check_true "identical layout"
-    (Grid.equal on.Router.Engine.grid off.Router.Engine.grid);
-  Testkit.check_true "identical failures"
-    (on.Router.Engine.stats.Router.Engine.failed_nets
-    = off.Router.Engine.stats.Router.Engine.failed_nets);
-  Testkit.check_int "cache off never hits" 0
-    off.Router.Engine.stats.Router.Engine.cache.Router.Outcome.cache_hits;
-  Testkit.check_true "cache on replays failures"
-    (on.Router.Engine.stats.Router.Engine.cache.Router.Outcome.cache_hits > 0);
-  (* skipped searches are exactly the hits: never more searches with the
-     cache than without *)
-  Testkit.check_true "cache only skips work"
-    (on.Router.Engine.stats.Router.Engine.searches
-    <= off.Router.Engine.stats.Router.Engine.searches)
-
 let test_engine_deterministic () =
   let p = Workload.Hard.burstein_like () in
   let r1 = Router.Engine.route p and r2 = Router.Engine.route p in
@@ -1084,8 +1054,6 @@ let () =
             test_engine_major_allocation;
           Alcotest.test_case "L-shaped region" `Quick test_engine_routes_l_shaped_region;
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic;
-          Alcotest.test_case "cost cache transparent" `Quick
-            test_cost_cache_transparent;
           Alcotest.test_case "edge configs" `Quick test_engine_edge_configs;
           prop_shove_preserves_invariants;
           prop_engine_random_switchboxes;
@@ -1160,10 +1128,10 @@ let () =
             (test_refine_stats_pinned "chip_320x224_l3"
                [ 16185; 15552; 2082; 1990; 999; 46; 3 ]);
           Alcotest.test_case "stats pinned chip_288x192_l4" `Slow
-            (* Four more plans than under the [Margin 4] planner:
-               certificates are now the full searches' expanded boxes,
-               and four more of them go stale. *)
+            (* 47 fewer plans than when every occupy went into the dirty
+               journal: those entries wrapped its ring and made clean
+               certificates read stale.  The layout is unchanged. *)
             (test_refine_stats_pinned "chip_288x192_l4"
-               [ 16905; 15660; 2646; 2432; 1183; 119; 3 ]);
+               [ 16905; 15660; 2646; 2432; 1136; 119; 3 ]);
         ] );
     ]
