@@ -840,14 +840,12 @@ let micro_kernels () =
         | _ -> None)
       (Netlist.Problem.nontrivial_net_ids problem)
   in
-  let passable net n =
-    let v = Grid.occ g n in
-    if v = Grid.free || v = net then Some 0 else None
-  in
   let pass search =
     List.fold_left
       (fun (cost, expanded) (net, source, targets) ->
-        match search ~passable:(passable net) ~sources:[ source ] ~targets with
+        match
+          search ~passable:(Maze.Search.Own net) ~sources:[ source ] ~targets
+        with
         | Some (r : Maze.Search.result) ->
             (cost + r.Maze.Search.total_cost, expanded + r.Maze.Search.expanded)
         | None -> failwith "micro: kernel search failed")
@@ -947,7 +945,9 @@ let micro () =
   let ws = Maze.Workspace.create g in
   let corner_a = Grid.node g ~layer:0 ~x:0 ~y:0
   and corner_b = Grid.node g ~layer:0 ~x:31 ~y:31 in
-  let passable n = if Grid.is_free g n then Some 0 else None in
+  let passable =
+    Maze.Search.Custom (fun n -> if Grid.is_free g n then Some 0 else None)
+  in
   let search_bench () =
     ignore
       (Maze.Search.run g ws ~cost:Maze.Cost.default ~passable

@@ -92,7 +92,7 @@ let route_with spec ~tracks assignment =
         if !ok then
           match
             Maze.Search.run g ws ~cost
-              ~passable:(branch_passable g reservations ~net)
+              ~passable:(Custom (branch_passable g reservations ~net))
               ~sources ~targets ()
           with
           | Some r -> ignore (Maze.Route.occupy_path g ~net r.Maze.Search.path)

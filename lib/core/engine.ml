@@ -122,20 +122,18 @@ let enqueue st id =
     Queue.add id st.queue
   end
 
-(* Passability for the plain search mode: free or self-owned cells only. *)
-let passable_block st ~net n =
-  let v = Grid.occ st.g n in
-  if v = Grid.free || v = net then Some 0 else None
-
 (* Passability for planning through foreign nets (weak planning and strong
-   modification): foreign rippable cells cost an escalating penalty. *)
-let passable_penalized st ~net n =
-  let v = Grid.occ st.g n in
-  if v = Grid.free || v = net then Some 0
-  else if v = Grid.obstacle then None
-  else if is_protected st n then None
-  else
-    Some (st.config.Config.ripup_penalty * (1 + st.rip_count.(v - 1)))
+   modification): foreign rippable cells cost an escalating penalty,
+   read from the live rip counts.  The plain search mode passes only
+   free or self-owned cells ([Own net]). *)
+let foreign st ~net =
+  Maze.Search.Foreign
+    {
+      net;
+      protected = st.protected;
+      rips = st.rip_count;
+      penalty = st.config.Config.ripup_penalty;
+    }
 
 (* The standard-mode search window of a net: a probe of its global-route
    guide, tallied into [tally], when it has one; the configured window
@@ -220,7 +218,7 @@ let foreign_owners st ~net path =
 let weak_pass st ~net ~sources ~targets =
   match
     run_search st ~phase:Weak ~net ~window:st.window
-      ~passable:(passable_penalized st ~net)
+      ~passable:(foreign st ~net)
       ~sources ~targets ()
   with
   | None -> `Stuck None
@@ -269,7 +267,7 @@ let connect st ~net ~sources ~targets =
   let standard () =
     run_search st ~phase:Maze ~net
       ~window:(standard_window st ~tally:st.tally net)
-      ~flood:true ~passable:(passable_block st ~net) ~sources ~targets ()
+      ~flood:true ~passable:(Own net) ~sources ~targets ()
   in
   match standard () with
   | Some r -> Some (r, [])
@@ -295,7 +293,7 @@ let connect st ~net ~sources ~targets =
               | `Reuse plan -> reuse_plan st plan
               | `Search ->
                   run_search st ~phase:Strong ~net ~window:st.window
-                    ~passable:(passable_penalized st ~net)
+                    ~passable:(foreign st ~net)
                     ~sources ~targets ()
             in
             Option.map

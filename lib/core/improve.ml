@@ -216,7 +216,6 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
       let old_cost = net_cost net in
       let pins = pin_nodes net in
       let netdef = Netlist.Problem.net problem net in
-      let passable = Maze.Route.passable_default g ~net in
       (* Closed-form floor under the wire=1 objective, any pin count: a
          connected set containing all pins crosses every planar column
          and row boundary of the pin bounding box (at least half-perimeter
@@ -270,7 +269,7 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
         match
           Maze.Route.plan_net ~kernel:Maze.Search.Buckets
             ~heuristic:Maze.Search.L1 ~window:Maze.Search.Full g ws ~cost
-            ~passable netdef
+            ~passable:(Own net) netdef
         with
         | None ->
             record_cert ();

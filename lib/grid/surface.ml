@@ -162,6 +162,8 @@ let in_bounds g ~x ~y = x >= 0 && x < g.w && y >= 0 && y < g.h
 
 let occ g n = g.occ.(n)
 
+let occupancy g = g.occ
+
 let occ_at g ~layer ~x ~y = g.occ.(node g ~layer ~x ~y)
 
 let is_free g n = g.occ.(n) = free

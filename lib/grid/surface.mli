@@ -97,6 +97,14 @@ val in_bounds : t -> x:int -> y:int -> bool
 val occ : t -> int -> int
 (** Occupancy value at a packed node. *)
 
+val occupancy : t -> int array
+(** The live occupancy array itself, indexed by packed node: {!free},
+    {!obstacle} or the owning net id.  It is a read-only view: every
+    write must go through {!occupy}, {!release} and the obstacle
+    setters, which keep the via flags and the dirty journal in step.
+    The maze search binds it once per search and reads cells without a
+    call per cell. *)
+
 val occ_at : t -> layer:int -> x:int -> y:int -> int
 
 val is_free : t -> int -> bool

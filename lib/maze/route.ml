@@ -7,10 +7,6 @@ type success = {
   expanded : int;
 }
 
-let passable_default g ~net n =
-  let v = Grid.occ g n in
-  if v = Grid.free || v = net then Some 0 else None
-
 let pin_node g (pin : Netlist.Net.pin) =
   Grid.node g ~layer:pin.Netlist.Net.layer ~x:pin.Netlist.Net.x ~y:pin.Netlist.Net.y
 
@@ -86,7 +82,7 @@ let route_net ?passable ?kernel ?heuristic ?window ?stop g ws ~cost
     (net : Netlist.Net.t) =
   let net_id = net.Netlist.Net.id in
   let passable =
-    match passable with Some f -> f | None -> passable_default g ~net:net_id
+    match passable with Some p -> p | None -> Search.Own net_id
   in
   match
     plan ?kernel ?heuristic ?window ?stop g ws ~cost ~passable net

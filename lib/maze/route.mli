@@ -19,10 +19,6 @@ type success = {
   expanded : int;  (** total nodes settled over all searches *)
 }
 
-val passable_default : Grid.t -> net:int -> int -> int option
-(** The standard passability: free cells and cells already owned by [net]
-    cost 0 extra; everything else is impassable. *)
-
 val occupy_path : Grid.t -> net:int -> Grid.Path.t -> int list
 (** Claim every node of the path for the net and place vias at layer
     changes; returns the nodes that were newly occupied (already-owned nodes
@@ -40,7 +36,7 @@ val plan_net :
   Grid.t ->
   Workspace.t ->
   cost:Cost.t ->
-  passable:(int -> int option) ->
+  passable:Search.passable ->
   Netlist.Net.t ->
   (Grid.Path.t * int) list option
 (** Read-only twin of a standard (non-escalating) net route: runs the
@@ -49,12 +45,12 @@ val plan_net :
     order, each with its expansion count (including discarded windowed
     and guide probes), or [None] if some connection fails.  When
     [passable] prices free and self-owned cells alike (as
-    {!passable_default} does), the searches — and thus the paths — are
+    [Search.Own net] does), the searches — and thus the paths — are
     exactly those a mutating run from the same grid state would produce.
     The search parameters are forwarded to every {!Search.run}. *)
 
 val route_net :
-  ?passable:(int -> int option) ->
+  ?passable:Search.passable ->
   ?kernel:Search.kernel ->
   ?heuristic:Search.heuristic ->
   ?window:Search.window ->
@@ -68,7 +64,8 @@ val route_net :
     planned paths.  On success the grid is updated; on failure (a
     connection found no path, or [stop] aborted it) the grid is left
     untouched.  Nets with fewer than two pins succeed trivially.
-    [passable] defaults to {!passable_default}; it must price free and
-    self-owned cells alike (planning does not occupy between
-    connections), and must never price foreign cells if the result is to
-    be committed directly. *)
+    [passable] defaults to [Search.Own] of the net's id: free and
+    self-owned cells at no surcharge, everything else blocked.  It must
+    price free and self-owned cells alike (planning does not occupy
+    between connections), and must never price foreign cells if the
+    result is to be committed directly. *)

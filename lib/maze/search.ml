@@ -13,6 +13,242 @@ type window =
   | Margin of int
   | Guide of { rect : Geom.Rect.t; tally : guide_tally }
 
+type passable =
+  | Own of int
+  | Foreign of {
+      net : int;
+      protected : Bytes.t;
+      rips : int array;
+      penalty : int;
+    }
+  | Custom of (int -> int option)
+
+(* The price of entering a cell under a [passable] rule, decoded once per
+   search: the loop reads the grid's occupancy array itself, so pricing
+   a cell calls nothing across a module boundary and allocates nothing
+   unless the rule is [Custom]. *)
+type pricing = {
+  occ : int array;
+  own : int;
+  foreign : bool;  (* price other nets' unprotected cells *)
+  protected : Bytes.t;
+  rips : int array;
+  penalty : int;
+  custom : (int -> int option) option;
+}
+
+(* The price of a cell nothing may enter. *)
+let blocked = -1
+
+let pricing g passable =
+  let free_only =
+    {
+      occ = Grid.occupancy g;
+      own = 0;
+      foreign = false;
+      protected = Bytes.empty;
+      rips = [||];
+      penalty = 0;
+      custom = None;
+    }
+  in
+  match passable with
+  | Own net -> { free_only with own = net }
+  | Foreign { net; protected; rips; penalty } ->
+      { free_only with own = net; foreign = true; protected; rips; penalty }
+  | Custom f -> { free_only with custom = Some f }
+
+(* [Grid.free] is 0 and [Grid.obstacle] -1; any other value is the
+   owning net's id. *)
+let price pr n =
+  match pr.custom with
+  | Some f -> ( match f n with None -> blocked | Some k -> k)
+  | None ->
+      let v = pr.occ.(n) in
+      if v = 0 || v = pr.own then 0
+      else if
+        pr.foreign && v > 0 && Bytes.unsafe_get pr.protected n = '\000'
+      then pr.penalty * (1 + pr.rips.(v - 1))
+      else blocked
+
+(* The search's queues, operated beside the loop (see search.mli).  The
+   heap keeps [Util.Pqueue]'s sift rules exactly, comparing priorities
+   only, so ties land where they would there.  A packed key is
+   [(p lsl bits) lor node], so with [mask = 2^bits - 1]:
+   [prio a > prio b] iff [a > b lor mask], and [prio a < prio b] iff
+   [a < b land lnot mask]. *)
+module Frontier = struct
+  type t = Workspace.frontier
+
+  let create ~nodes = Workspace.make_frontier ~nodes
+
+  let clear = Workspace.clear_frontier
+
+  (* [a] copied into an array twice as long. *)
+  let doubled a =
+    let n = Array.length a in
+    let b = Array.make (2 * n) 0 in
+    Array.blit a 0 b 0 n;
+    b
+
+  let heap_push (f : t) p n =
+    let bits = f.node_bits in
+    let k = (p lsl bits) lor n in
+    if k asr bits <> p then
+      invalid_arg "Search.Frontier: priority out of range";
+    if f.size = Array.length f.keys then f.keys <- doubled f.keys;
+    let keys = f.keys in
+    let top = k lor ((1 lsl bits) - 1) in
+    let i = ref f.size in
+    f.size <- f.size + 1;
+    let continue = ref true in
+    while !continue && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      let kp = keys.(parent) in
+      if kp > top then begin
+        keys.(!i) <- kp;
+        i := parent
+      end
+      else continue := false
+    done;
+    keys.(!i) <- k
+
+  let heap_pop (f : t) =
+    if f.size = 0 then invalid_arg "Search.Frontier.pop: empty";
+    let keys = f.keys in
+    let mask = (1 lsl f.node_bits) - 1 in
+    let top = keys.(0) in
+    let size = f.size - 1 in
+    f.size <- size;
+    if size > 0 then begin
+      (* Move the last entry to the root and sift it down. *)
+      let k = keys.(size) in
+      let lo = k land lnot mask in
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 in
+        let r = l + 1 in
+        let smallest = if l < size && keys.(l) < lo then l else !i in
+        let smallest =
+          if
+            r < size
+            && keys.(r)
+               < if smallest = !i then lo else keys.(smallest) land lnot mask
+          then r
+          else smallest
+        in
+        if smallest = !i then continue := false
+        else begin
+          keys.(!i) <- keys.(smallest);
+          i := smallest
+        end
+      done;
+      keys.(!i) <- k
+    end;
+    top land mask
+
+  let rec pow2_above n k = if k > n then k else pow2_above n (2 * k)
+
+  (* Re-anchor the bucket window to [lo, hi], which holds every stored
+     priority, growing the slot array so the span fits.  Before the grow
+     each stored priority owns a unique slot, so the stacks move whole. *)
+  let rebucket (f : t) ~lo ~hi =
+    let old = f.heads in
+    let omask = Array.length old - 1 in
+    let n = pow2_above (hi - lo + 1) (2 * (omask + 1)) in
+    let heads = Array.make n (-1) in
+    let mask = n - 1 in
+    for p = f.base to f.hi do
+      let e = old.(p land omask) in
+      if e >= 0 then heads.(p land mask) <- e
+    done;
+    f.heads <- heads;
+    f.base <- lo;
+    f.hi <- hi
+
+  let bucket_push (f : t) p n =
+    if f.count = 0 then begin
+      f.base <- p;
+      f.hi <- p
+    end
+    else begin
+      let lo = if p < f.base then p else f.base in
+      let hi = if p > f.hi then p else f.hi in
+      if hi - lo >= Array.length f.heads then rebucket f ~lo ~hi
+      else begin
+        f.base <- lo;
+        f.hi <- hi
+      end
+    end;
+    let e =
+      if f.free >= 0 then begin
+        let e = f.free in
+        f.free <- f.entry_next.(e);
+        e
+      end
+      else begin
+        if f.fresh = Array.length f.entry_node then begin
+          f.entry_node <- doubled f.entry_node;
+          f.entry_next <- doubled f.entry_next
+        end;
+        let e = f.fresh in
+        f.fresh <- e + 1;
+        e
+      end
+    in
+    let heads = f.heads in
+    let slot = p land (Array.length heads - 1) in
+    f.entry_node.(e) <- n;
+    f.entry_next.(e) <- heads.(slot);
+    heads.(slot) <- e;
+    f.count <- f.count + 1
+
+  (* Advance [base] to the first non-empty slot, which holds the minimum;
+     the queue must not be empty. *)
+  let advance (f : t) =
+    let heads = f.heads in
+    let mask = Array.length heads - 1 in
+    while heads.(f.base land mask) < 0 do
+      f.base <- f.base + 1
+    done
+
+  let bucket_min (f : t) =
+    if f.count = 0 then invalid_arg "Search.Frontier.min_priority: empty";
+    advance f;
+    f.base
+
+  let bucket_pop (f : t) =
+    if f.count = 0 then invalid_arg "Search.Frontier.pop: empty";
+    advance f;
+    let heads = f.heads in
+    let slot = f.base land (Array.length heads - 1) in
+    let e = heads.(slot) in
+    heads.(slot) <- f.entry_next.(e);
+    f.entry_next.(e) <- f.free;
+    f.free <- e;
+    f.count <- f.count - 1;
+    f.entry_node.(e)
+
+  let is_empty kernel (f : t) =
+    match kernel with Binary_heap -> f.size = 0 | Buckets -> f.count = 0
+
+  let push kernel f p n =
+    match kernel with
+    | Binary_heap -> heap_push f p n
+    | Buckets -> bucket_push f p n
+
+  let min_priority kernel (f : t) =
+    match kernel with
+    | Binary_heap ->
+        if f.size = 0 then invalid_arg "Search.Frontier.min_priority: empty";
+        f.keys.(0) asr f.node_bits
+    | Buckets -> bucket_min f
+
+  let pop kernel f =
+    match kernel with Binary_heap -> heap_pop f | Buckets -> bucket_pop f
+end
+
 (* Inclusive search window in planar coordinates. *)
 type win = { x0 : int; y0 : int; x1 : int; y1 : int }
 
@@ -43,9 +279,11 @@ let zero _ _ _ = 0
    [-opaque] in dune's default profile, so no call across a module
    boundary is ever inlined.  The loop therefore binds the workspace's
    arrays and generation once per search and indexes them directly,
-   calls the frontier directly on a loop-invariant kernel flag, reads a
-   pop's priority with [min_priority] instead of receiving a pair, and
-   ends on a bool: per node it allocates nothing.
+   runs the frontier of this module on a loop-invariant kernel flag,
+   prices cells with [price] (reading the occupancy array unless the
+   rule is [Custom]), reads a pop's priority before its node instead of
+   receiving a pair, and ends on a bool: per node it allocates
+   nothing.
 
    [win] restricts the search: relaxations into nodes outside it are
    rejected, and with [escape] each rejected relaxation is priced as the
@@ -55,8 +293,8 @@ let zero _ _ _ = 0
 
    With [flood] on a full-grid attempt, a breadth-first flood from the
    targets runs in lockstep with the expansion: one flood node per
-   settled node.  It reads only the [None]/[Some] answer of [passable],
-   and it stops for good as soon as it meets a node the forward search
+   settled node.  It reads only whether [price] blocks a node, and it
+   stops for good as soon as it meets a node the forward search
    has labelled.  Sources are labelled before the loop starts, so a
    flood whose queue empties first has closed the targets' whole
    component without meeting a source: no target is reachable, and the
@@ -75,17 +313,14 @@ let stop_interval = 64
 
 type work = { mutable settled : int; mutable flooded : int }
 
-let core g (ws : Workspace.t) ~kernel ~cost ~passable ~sources ~targets
+let core g (ws : Workspace.t) ~kernel ~cost ~pricing:pr ~sources ~targets
     ~heuristic ~win ~escape ~stop ~flood ~work =
   Workspace.begin_search ws;
   let gen = ws.gen in
   let dist = ws.dist and dist_gen = ws.dist_gen in
   let parent = ws.parent and mark_gen = ws.mark_gen in
-  let heap = ws.heap and buckets = ws.buckets in
-  let on_heap = match kernel with Binary_heap -> true | Buckets -> false in
-  let push p n =
-    if on_heap then Util.Pqueue.push heap p n else Util.Bucketq.push buckets p n
-  in
+  let fr = ws.frontier in
+  let push p n = Frontier.push kernel fr p n in
   let w = Grid.width g and h = Grid.height g in
   let nl = Grid.layers g in
   let pc = Grid.planar_cells g in
@@ -125,25 +360,28 @@ let core g (ws : Workspace.t) ~kernel ~cost ~passable ~sources ~targets
   let tx0 = Array.make nl max_int and ty0 = Array.make nl max_int in
   let tx1 = Array.make nl min_int and ty1 = Array.make nl min_int in
   let full = win.x0 = 0 && win.y0 = 0 && win.x1 = w - 1 && win.y1 = h - 1 in
-  (* The target-side flood: every target is queued unconditionally
-     (targets are already marked, which counts as seen). *)
-  let fq = ws.flood in
+  (* The target-side flood, a FIFO in [fr.fifo] between [fhead] and
+     [ftail]: every target is queued unconditionally (targets are
+     already marked, which counts as seen). *)
   let flooding = ref (flood && full) in
-  if !flooding then List.iter (Util.Vec.push fq) targets;
-  let fhead = ref 0 and flooded = ref 0 in
+  let fhead = ref 0 and ftail = ref 0 and flooded = ref 0 in
+  let fifo_push m =
+    if !ftail = Array.length fr.fifo then fr.fifo <- Frontier.doubled fr.fifo;
+    fr.fifo.(!ftail) <- m;
+    incr ftail
+  in
+  if !flooding then List.iter fifo_push targets;
   let flood_visit m =
     if dist_gen.(m) = gen then flooding := false
-    else if abs mark_gen.(m) <> gen then
-      match passable m with
-      | None -> ()
-      | Some _ ->
-          mark_gen.(m) <- -gen;
-          Util.Vec.push fq m
+    else if abs mark_gen.(m) <> gen && price pr m <> blocked then begin
+      mark_gen.(m) <- -gen;
+      fifo_push m
+    end
   in
   let flood_step () =
-    if !fhead = Util.Vec.length fq then finished := true
+    if !fhead = !ftail then finished := true
     else begin
-      let n = Util.Vec.get fq !fhead in
+      let n = fr.fifo.(!fhead) in
       incr fhead;
       incr flooded;
       let layer = n / pc in
@@ -175,38 +413,30 @@ let core g (ws : Workspace.t) ~kernel ~cost ~passable ~sources ~targets
   in
   let relax from gscore n x y extra =
     if full || in_window x y then begin
-      match passable n with
-      | None -> ()
-      | Some penalty ->
-          let nd = gscore + extra + penalty in
-          if dist_gen.(n) <> gen || nd < dist.(n) then begin
-            dist.(n) <- nd;
-            dist_gen.(n) <- gen;
-            parent.(n) <- from;
-            push (nd + heuristic n x y) n
-          end
+      let penalty = price pr n in
+      if penalty <> blocked then begin
+        let nd = gscore + extra + penalty in
+        if dist_gen.(n) <> gen || nd < dist.(n) then begin
+          dist.(n) <- nd;
+          dist_gen.(n) <- gen;
+          parent.(n) <- from;
+          push (nd + heuristic n x y) n
+        end
+      end
     end
     else
       match escape with
       | None -> ()
-      | Some h_out -> (
-          match passable n with
-          | None -> ()
-          | Some penalty ->
-              let key = gscore + extra + penalty + h_out n x y in
-              if key < !f_min_out then f_min_out := key)
+      | Some h_out ->
+          let penalty = price pr n in
+          if penalty <> blocked then begin
+            let key = gscore + extra + penalty + h_out n x y in
+            if key < !f_min_out then f_min_out := key
+          end
   in
-  while
-    (not !finished)
-    &&
-    if on_heap then not (Util.Pqueue.is_empty heap)
-    else not (Util.Bucketq.is_empty buckets)
-  do
-    let prio =
-      if on_heap then Util.Pqueue.min_priority heap
-      else Util.Bucketq.min_priority buckets
-    in
-    let n = if on_heap then Util.Pqueue.pop heap else Util.Bucketq.pop buckets in
+  while (not !finished) && not (Frontier.is_empty kernel fr) do
+    let prio = Frontier.min_priority kernel fr in
+    let n = Frontier.pop kernel fr in
     (* Every popped node was labelled when it was pushed. *)
     let gscore = dist.(n) in
     (* Layer-major, row-major node numbering: two divisions. *)
@@ -460,8 +690,9 @@ let run ?(kernel = Binary_heap) ?(heuristic = Zero) ?(window = Full) ?stop
   (* One heuristic for the whole call: it orders the frontier of every
      attempt and prices the escapes a guide probe rejects. *)
   let h = lower_bound g ws ~cost ~targets heuristic in
+  let pricing = pricing g passable in
   let attempt ~escape win =
-    core g ws ~kernel ~cost ~passable ~sources ~targets ~heuristic:h ~win
+    core g ws ~kernel ~cost ~pricing ~sources ~targets ~heuristic:h ~win
       ~escape ~stop ~flood ~work
   in
   match window with
@@ -477,6 +708,7 @@ let run ?(kernel = Binary_heap) ?(heuristic = Zero) ?(window = Full) ?stop
 (* Plain BFS wave expansion; dist doubles as the visited set. *)
 let run_lee g (ws : Workspace.t) ~passable ~sources ~targets () =
   Workspace.begin_search ws;
+  let pr = pricing g passable in
   let gen = ws.gen in
   let dist = ws.dist and dist_gen = ws.dist_gen and parent = ws.parent in
   List.iter (fun t -> ws.mark_gen.(t) <- gen) targets;
@@ -505,14 +737,12 @@ let run_lee g (ws : Workspace.t) ~passable ~sources ~targets () =
     else begin
       let d = dist.(n) in
       let visit m =
-        if dist_gen.(m) <> gen then
-          match passable m with
-          | None -> ()
-          | Some _ ->
-              dist.(m) <- d + 1;
-              dist_gen.(m) <- gen;
-              parent.(m) <- n;
-              Queue.add m queue
+        if dist_gen.(m) <> gen && price pr m <> blocked then begin
+          dist.(m) <- d + 1;
+          dist_gen.(m) <- gen;
+          parent.(m) <- n;
+          Queue.add m queue
+        end
       in
       let x = Grid.node_x g n and y = Grid.node_y g n in
       let layer = Grid.node_layer g n in

@@ -8,9 +8,9 @@
     in three parameters:
 
     - [kernel], the frontier: the classical binary heap, or a Dial bucket
-      queue ({!Util.Bucketq}) that exploits the small bounded integer edge
-      costs for O(1) queue operations.  Both kernels return equal-cost
-      (though possibly different) paths.
+      queue that exploits the small bounded integer edge costs for O(1)
+      queue operations.  Both kernels return equal-cost (though possibly
+      different) paths.
     - [heuristic], the lower bound on the remaining cost that orders the
       frontier: {!Zero} (Dijkstra) or {!L1}.
     - [window], the part of the grid searched: the {!Full} grid, a
@@ -18,19 +18,20 @@
       provably optimal, or a {!Guide} probe certified against the full
       search.
 
-    The loop allocates nothing per node: its allocation is the returned
-    path plus a fixed per-search overhead.  It reads the workspace's
-    arrays directly ({!Workspace.t} is a private record) and pops the
-    frontier without building a pair, because the project builds with
-    [-opaque] in dune's default profile and no cross-module call is ever
-    inlined.
+    A relaxation calls nothing across a module boundary and allocates
+    nothing, because the project builds with [-opaque] in dune's default
+    profile and no cross-module call is ever inlined.  The loop reads the
+    workspace's arrays directly ({!Workspace.t} is a private record),
+    runs both frontiers inside this module ({!Frontier}) and prices cells
+    from data ({!passable}) by reading the grid's occupancy array
+    ({!Grid.occupancy}).  Under {!Own} and {!Foreign} a search allocates
+    its returned path plus a fixed per-search overhead, never per node.
 
-    The [passable] callback prices entering a node: [Some 0] for an
-    ordinary free (or self-owned) cell, [Some k] for a cell the caller is
-    willing to cross at surcharge [k] (the rip-up scheduler prices foreign
-    nets this way), and [None] for an impassable cell (obstacle, foreign
-    pin, fixed wiring).  Sources must themselves be passable or owned.
-    [passable] must be pure: the search may call it in any order. *)
+    The {!passable} rule prices entering a node: [0] for an ordinary free
+    (or self-owned) cell, a surcharge [k] for a cell the caller is willing
+    to cross at that price (the rip-up scheduler prices foreign nets this
+    way), or blocked for an impassable cell (obstacle, foreign pin, fixed
+    wiring).  Sources must themselves be passable or owned. *)
 
 type result = {
   path : Grid.Path.t;  (** source-to-target node sequence, both inclusive *)
@@ -42,13 +43,70 @@ type result = {
 }
 
 type kernel =
-  | Binary_heap  (** {!Util.Pqueue}: O(log n) per operation, any costs *)
+  | Binary_heap
+      (** a binary heap of packed keys: O(log n) per operation, any
+          costs; it pops exactly as {!Util.Pqueue} would *)
   | Buckets
-      (** {!Util.Bucketq}: O(1) per operation for the bounded integer
-          costs of the routing cost model *)
+      (** a Dial bucket queue, LIFO within a priority: O(1) per operation
+          for the bounded integer costs of the routing cost model *)
 
 val kernel_name : kernel -> string
 (** ["heap"] or ["buckets"] — the CLI/bench spelling. *)
+
+type passable =
+  | Own of int
+      (** free cells and the given net's own cells cost nothing extra;
+          every other cell is blocked *)
+  | Foreign of {
+      net : int;
+      protected : Bytes.t;  (** ['\000'] per node unless protected *)
+      rips : int array;  (** per net index ([id - 1]): its rip count *)
+      penalty : int;
+    }
+      (** as {!Own}, plus another net [v]'s cell that is not
+          [protected] at surcharge [penalty * (1 + rips.(v - 1))];
+          obstacles and protected cells are blocked.  [rips] is read
+          live, so the prices follow rips made between searches. *)
+  | Custom of (int -> int option)
+      (** any other rule: [Some k] enters at surcharge [k >= 0], [None]
+          is blocked.  It must be pure: the search may call it in any
+          order.  Each call is a closure call, and the rule may
+          allocate; the router's own searches use {!Own} and
+          {!Foreign}. *)
+(** How a search prices entering a node, decoded once per search. *)
+
+(** The search's two frontiers, as the loop runs them, exposed so that
+    tests can pin their pop order.  Both hold integer payloads (node
+    indices below the [nodes] they were made for) under integer
+    priorities.  [Binary_heap] pops exactly as {!Util.Pqueue} does
+    (same sift rules; ties land where they land there).  [Buckets] pops
+    the smallest priority, LIFO among equal ones, from a circular window
+    of priority slots that re-anchors and doubles when a push falls
+    outside it.  Neither pop nor push allocates except to grow storage.
+    Pushing a priority that does not fit above the node bits of a heap
+    key raises [Invalid_argument]. *)
+module Frontier : sig
+  type t = Workspace.frontier
+
+  val create : nodes:int -> t
+  (** Empty queues for payloads in [[0, nodes)]. *)
+
+  val clear : t -> unit
+  (** Empty both queues ({!Workspace.clear_frontier}). *)
+
+  val is_empty : kernel -> t -> bool
+
+  val push : kernel -> t -> int -> int -> unit
+  (** [push kernel f priority payload] *)
+
+  val min_priority : kernel -> t -> int
+  (** The priority of the entry the next {!pop} returns.
+      @raise Invalid_argument if that queue is empty. *)
+
+  val pop : kernel -> t -> int
+  (** Remove an entry of the smallest priority and return its payload.
+      @raise Invalid_argument if that queue is empty. *)
+end
 
 type heuristic =
   | Zero  (** no heuristic: plain Dijkstra *)
@@ -110,7 +168,7 @@ val run :
   Grid.t ->
   Workspace.t ->
   cost:Cost.t ->
-  passable:(int -> int option) ->
+  passable:passable ->
   sources:int list ->
   targets:int list ->
   unit ->
@@ -132,7 +190,7 @@ val run :
     search, the last widening of a {!Margin} search, a {!Guide}
     fallback — a breadth-first flood from the targets runs in lockstep
     with the expansion, one flood node per settled node, reading only
-    the [None]/[Some] answer of [passable] over the 6-neighbourhood.  It
+    whether [passable] blocks a node of the 6-neighbourhood.  It
     stops for good when it meets a node the search has labelled (the
     sources are labelled first).  If its queue empties first, the
     targets' component contains no source, and the search returns
@@ -173,22 +231,22 @@ val estimate :
 val run_lee :
   Grid.t ->
   Workspace.t ->
-  passable:(int -> int option) ->
+  passable:passable ->
   sources:int list ->
   targets:int list ->
   unit ->
   result option
 (** The original Lee (1961) wave expansion: plain breadth-first search with
     unit step costs and no cost model — every passable node costs 1 to
-    enter regardless of direction, layer or the penalty returned by
-    [passable] (only its [None]/[Some] blocking decision is used).  Finds a
+    enter regardless of direction, layer or the surcharge [passable]
+    prices (only whether it blocks a node is used).  Finds a
     minimum-step path; kept as the historical baseline the weighted search
     is compared against in the micro-benchmarks. *)
 
 val reachable :
   Grid.t ->
   Workspace.t ->
-  passable:(int -> int option) ->
+  passable:passable ->
   sources:int list ->
   targets:int list ->
   bool

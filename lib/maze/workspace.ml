@@ -1,3 +1,59 @@
+(* The search's queues.  Only [Search] reads or writes them; they live
+   here so that one workspace carries them from search to search. *)
+type frontier = {
+  node_bits : int;
+  mutable keys : int array;
+  mutable size : int;
+  mutable heads : int array;
+  mutable base : int;
+  mutable hi : int;
+  mutable count : int;
+  mutable entry_node : int array;
+  mutable entry_next : int array;
+  mutable free : int;
+  mutable fresh : int;
+  mutable fifo : int array;
+}
+
+let rec bits_for n b = if 1 lsl b >= n then b else bits_for n (b + 1)
+
+let make_frontier ~nodes =
+  {
+    node_bits = bits_for (max 1 nodes) 0;
+    (* Sized to the grid: a search frontier rarely exceeds a small
+       fraction of the node count, so n/8 avoids every grow on large
+       grids without over-allocating on small ones. *)
+    keys = Array.make (max 1024 (nodes / 8)) 0;
+    size = 0;
+    heads = Array.make 16 (-1);
+    base = 0;
+    hi = 0;
+    count = 0;
+    (* The bucket entries and the flood's FIFO grow by doubling to the
+       largest search so far; a small grid never needs many. *)
+    entry_node = Array.make 64 0;
+    entry_next = Array.make 64 0;
+    free = -1;
+    fresh = 0;
+    fifo = Array.make 64 0;
+  }
+
+(* Every stored bucket priority lies in [base, hi], so only those slots
+   can hold a stack. *)
+let clear_frontier f =
+  f.size <- 0;
+  if f.count > 0 then begin
+    let mask = Array.length f.heads - 1 in
+    for p = f.base to f.hi do
+      f.heads.(p land mask) <- -1
+    done
+  end;
+  f.base <- 0;
+  f.hi <- 0;
+  f.count <- 0;
+  f.free <- -1;
+  f.fresh <- 0
+
 type t = {
   dist : int array;
   parent : int array;
@@ -6,9 +62,7 @@ type t = {
       (* [gen]: a target of the current search; [-gen]: a node the
          current search's target-side flood has queued *)
   mutable gen : int;
-  heap : Util.Pqueue.t;
-  buckets : Util.Bucketq.t;
-  flood : Util.Vec.t;  (* FIFO of the target-side flood, grown on demand *)
+  frontier : frontier;
   hfield : int array;  (* planar heuristic field for array-based A* *)
   (* Memo key of the hfield contents: the field is a pure function of
      the planar targets (and the grid width) and independent of grid
@@ -37,12 +91,7 @@ let create g =
     dist_gen = Array.make n 0;
     mark_gen = Array.make n 0;
     gen = 0;
-    (* Sized to the grid: a search frontier rarely exceeds a small fraction
-       of the node count, so n/8 avoids every grow on large grids without
-       over-allocating on small ones. *)
-    heap = Util.Pqueue.create ~capacity:(max 1024 (n / 8)) ();
-    buckets = Util.Bucketq.create ();
-    flood = Util.Vec.create ();
+    frontier = make_frontier ~nodes:n;
     hfield = Array.make (Grid.planar_cells g) 0;
     hkey_targets = [];
     tx0 = Array.make nl 1;
@@ -83,9 +132,7 @@ let touched ws ~layer =
 
 let begin_search ws =
   ws.gen <- ws.gen + 1;
-  Util.Pqueue.clear ws.heap;
-  Util.Bucketq.clear ws.buckets;
-  Util.Vec.clear ws.flood
+  clear_frontier ws.frontier
 
 let hfield_memo_hit ws ~targets = targets <> [] && ws.hkey_targets = targets
 

@@ -5,6 +5,49 @@
     them in O(1) between searches with generation stamps, so the router can
     run thousands of searches without per-search allocation. *)
 
+(** The search's queues: a binary heap, a Dial bucket queue and the
+    target-side flood's FIFO.  Their operations live in {!Search}, beside
+    the expansion loop, so that a push or a pop is a call inside one
+    compilation unit (see {!Search.Frontier}); the record lives here so
+    that a workspace carries the storage from search to search.  Nothing
+    but {!Search} reads or writes it, and {!begin_search} empties it. *)
+type frontier = {
+  node_bits : int;
+      (** bits a node index takes in a packed heap key: the least [b]
+          with [2{^b}] at least the node count *)
+  mutable keys : int array;
+      (** the binary heap, one packed key per entry:
+          [(priority lsl node_bits) lor node] *)
+  mutable size : int;  (** heap entries *)
+  mutable heads : int array;
+      (** per circular priority slot (a power of two of them): the
+          entry on top of that priority's LIFO stack, [-1] when empty *)
+  mutable base : int;
+      (** lower bound of the stored bucket priorities; every stored
+          priority lies in [[base, hi]] and [hi - base] is below the slot
+          count *)
+  mutable hi : int;
+  mutable count : int;  (** bucket entries stored *)
+  mutable entry_node : int array;  (** per bucket entry: its node *)
+  mutable entry_next : int array;
+      (** per bucket entry: the entry below it on its stack, or the next
+          free entry *)
+  mutable free : int;  (** head of the free-entry list, [-1] when none *)
+  mutable fresh : int;  (** entries at or above this index were never used *)
+  mutable fifo : int array;
+      (** the target-side flood's queue; it grows to the largest flood
+          so far, nothing is sized to the grid up front *)
+}
+
+val make_frontier : nodes:int -> frontier
+(** Empty queues for node indices below [nodes]: the heap sized to
+    [nodes / 8] (minimum 1024), the bucket entries and the FIFO to 64;
+    each doubles when full. *)
+
+val clear_frontier : frontier -> unit
+(** Empty all three queues, keeping their storage: O(1) for the heap
+    and the FIFO, O(priority span) for the buckets. *)
+
 type t = private {
   dist : int array;
       (** tentative cost of each node; valid only where [dist_gen] holds
@@ -17,11 +60,7 @@ type t = private {
       (** [gen]: a target of the current search; [-gen]: a node the
           current search's target-side flood has queued *)
   mutable gen : int;  (** the current search's generation *)
-  heap : Util.Pqueue.t;  (** the binary-heap frontier *)
-  buckets : Util.Bucketq.t;  (** the bucket-queue frontier *)
-  flood : Util.Vec.t;
-      (** FIFO of the target-side flood; it grows to the largest flood
-          so far, nothing is sized to the grid up front *)
+  frontier : frontier;  (** the search's queues *)
   hfield : int array;
       (** planar ([width × height]) scratch for the {!Search.L1}
           heuristic's distance transform over the targets' bounding
@@ -48,11 +87,11 @@ type t = private {
       [abs mark_gen.(n) = gen]: the flood marks [-gen] only on nodes it
       has not seen, so it never unmarks a target.
 
-    Nothing but {!Search} writes into the arrays. *)
+    Nothing but {!Search} writes into the arrays or the frontier. *)
 
 val create : Grid.t -> t
-(** Workspace sized for the given grid (heap frontier sized to
-    [node_count / 8], minimum 1024).  It may be reused for any grid of the
+(** Workspace sized for the given grid (its frontier made by
+    {!make_frontier} for the grid's node count).  It may be reused for any grid of the
     same dimensions and layer stack. *)
 
 val layers : t -> int
@@ -60,8 +99,8 @@ val layers : t -> int
 
 val begin_search : t -> unit
 (** Start a new generation, which invalidates every distance, parent and
-    mark of previous searches in O(1), and empty both frontiers and the
-    flood queue. *)
+    mark of previous searches in O(1), and empty the frontier
+    ({!clear_frontier}). *)
 
 val hfield_memo_hit : t -> targets:int list -> bool
 (** Whether the stored [hfield] contents were computed for exactly this

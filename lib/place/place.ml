@@ -61,21 +61,50 @@ module Internal = struct
   let bin_range st lo hi =
     (lo / st.bin, hi / st.bin)
 
-  (* Add [d] to the coverage of every bin the box overlaps, returning the
+  (* Add [d] to the coverage of bin [i], returning its penalty delta. *)
+  let bump st i d =
+    let c = st.cover.(i) in
+    st.cover.(i) <- c + d;
+    pen st (c + d) - pen st c
+
+  (* Add [d] to the coverage of every bin in [bx0..bx1] x [by0..by1] that
+     lies outside the bins [sx0..sx1] x [sy0..sy1], returning the
      congestion-cost delta. *)
-  let adjust_cover st (r : Geom.Rect.t) d =
-    let bx0, bx1 = bin_range st r.Geom.Rect.x0 r.Geom.Rect.x1 in
-    let by0, by1 = bin_range st r.Geom.Rect.y0 r.Geom.Rect.y1 in
+  let adjust_bins st ~bx0 ~by0 ~bx1 ~by1 ~sx0 ~sy0 ~sx1 ~sy1 d =
     let delta = ref 0 in
     for by = by0 to by1 do
-      for bx = bx0 to bx1 do
-        let i = (by * st.bins_x) + bx in
-        let c = st.cover.(i) in
-        st.cover.(i) <- c + d;
-        delta := !delta + pen st (c + d) - pen st c
-      done
+      let row = by * st.bins_x in
+      if by < sy0 || by > sy1 then
+        for bx = bx0 to bx1 do
+          delta := !delta + bump st (row + bx) d
+        done
+      else begin
+        for bx = bx0 to if bx1 < sx0 then bx1 else sx0 - 1 do
+          delta := !delta + bump st (row + bx) d
+        done;
+        for bx = if bx0 > sx1 then bx0 else sx1 + 1 to bx1 do
+          delta := !delta + bump st (row + bx) d
+        done
+      end
     done;
     st.cw * !delta
+
+  (* Move a net's coverage from bounding box [old] to [nb].  Only the
+     bins the two bin ranges do not share change: equal ranges, the
+     common case for chip-spanning nets, cost nothing.  Every bin's
+     penalty depends on its own count alone, so the delta and the final
+     counts equal removing [old] whole and then adding [nb] whole. *)
+  let move_cover st old nb =
+    let bins = function
+      | Some (r : Geom.Rect.t) ->
+          (r.x0 / st.bin, r.y0 / st.bin, r.x1 / st.bin, r.y1 / st.bin)
+      | None -> (max_int, max_int, min_int, min_int)
+    in
+    let ox0, oy0, ox1, oy1 = bins old and nx0, ny0, nx1, ny1 = bins nb in
+    adjust_bins st ~bx0:ox0 ~by0:oy0 ~bx1:ox1 ~by1:oy1 ~sx0:nx0 ~sy0:ny0
+      ~sx1:nx1 ~sy1:ny1 (-1)
+    + adjust_bins st ~bx0:nx0 ~by0:ny0 ~bx1:nx1 ~by1:ny1 ~sx0:ox0 ~sy0:oy0
+        ~sx1:ox1 ~sy1:oy1 1
 
   let net_geometry st n =
     let x0 = ref max_int and y0 = ref max_int in
@@ -98,12 +127,7 @@ module Internal = struct
   let update_net st n =
     let nb = net_geometry st n in
     if nb <> st.bbox.(n) then begin
-      (match st.bbox.(n) with
-      | Some r -> st.cost <- st.cost + adjust_cover st r (-1)
-      | None -> ());
-      (match nb with
-      | Some r -> st.cost <- st.cost + adjust_cover st r 1
-      | None -> ());
+      st.cost <- st.cost + move_cover st st.bbox.(n) nb;
       let h = match nb with Some r -> Geom.Rect.half_perimeter r | None -> 0 in
       st.cost <- st.cost + h - st.hpwl.(n);
       st.bbox.(n) <- nb;
@@ -228,33 +252,43 @@ module Internal = struct
      [realize] would reject. *)
   let conflict_free st ?(skip = -1) i x y =
     let n = Array.length st.xs in
-    let ri = Geom.Rect.make x y (x + st.fw.(i) - 1) (y + st.fh.(i) - 1) in
+    let x1 = x + st.fw.(i) - 1 and y1 = y + st.fh.(i) - 1 in
+    let s = st.spacing in
+    let pins_i = st.ipins.(i) in
     let ok = ref true in
     let j = ref 0 in
     while !ok && !j < n do
-      if !j <> i && !j <> skip && st.xs.(!j) >= 0 then begin
-        let rj =
-          Geom.Rect.make st.xs.(!j) st.ys.(!j)
-            (st.xs.(!j) + st.fw.(!j) - 1)
-            (st.ys.(!j) + st.fh.(!j) - 1)
-        in
-        if Geom.Rect.overlap (Geom.Rect.inflate ri st.spacing) rj then
+      let jj = !j in
+      if jj <> i && jj <> skip && st.xs.(jj) >= 0 then begin
+        let jx0 = st.xs.(jj) and jy0 = st.ys.(jj) in
+        let jx1 = jx0 + st.fw.(jj) - 1 and jy1 = jy0 + st.fh.(jj) - 1 in
+        if x - s <= jx1 && jx0 <= x1 + s && y - s <= jy1 && jy0 <= y1 + s then
           ok := false
         else begin
-          Array.iter
-            (fun (_, dx, dy) ->
-              if Geom.Rect.mem rj (x + dx) (y + dy) then ok := false)
-            st.ipins.(i);
-          Array.iter
-            (fun (_, dx, dy) ->
-              let px = st.xs.(!j) + dx and py = st.ys.(!j) + dy in
-              if Geom.Rect.mem ri px py then ok := false
-              else
-                Array.iter
-                  (fun (_, idx, idy) ->
-                    if x + idx = px && y + idy = py then ok := false)
-                  st.ipins.(i))
-            st.ipins.(!j)
+          let k = ref 0 in
+          while !ok && !k < Array.length pins_i do
+            let _, dx, dy = pins_i.(!k) in
+            let px = x + dx and py = y + dy in
+            if jx0 <= px && px <= jx1 && jy0 <= py && py <= jy1 then
+              ok := false;
+            incr k
+          done;
+          let pins_j = st.ipins.(jj) in
+          let k = ref 0 in
+          while !ok && !k < Array.length pins_j do
+            let _, dx, dy = pins_j.(!k) in
+            let px = jx0 + dx and py = jy0 + dy in
+            if x <= px && px <= x1 && y <= py && py <= y1 then ok := false
+            else begin
+              let m = ref 0 in
+              while !ok && !m < Array.length pins_i do
+                let _, idx, idy = pins_i.(!m) in
+                if x + idx = px && y + idy = py then ok := false;
+                incr m
+              done
+            end;
+            incr k
+          done
         end
       end;
       incr j
@@ -408,12 +442,7 @@ module Internal = struct
           u.u_insts;
         List.iter
           (fun un ->
-            (match st.bbox.(un.un_net) with
-            | Some r -> ignore (adjust_cover st r (-1))
-            | None -> ());
-            (match un.un_bbox with
-            | Some r -> ignore (adjust_cover st r 1)
-            | None -> ());
+            ignore (move_cover st st.bbox.(un.un_net) un.un_bbox);
             st.bbox.(un.un_net) <- un.un_bbox;
             st.hpwl.(un.un_net) <- un.un_hpwl)
           u.u_nets;

@@ -7,7 +7,8 @@
     conflict (footprint overlap, pin-on-footprint, or coincident pin
     cells).  Legality against the static geometry is precomputed once per
     instance as a legal-anchor table; conflicts between instances are
-    checked per move.
+    checked per move, on plain integer coordinates, stopping at the
+    first conflict.
 
     The objective is total half-perimeter wirelength over all nets (fixed
     pins and instance pins together) plus a congestion penalty: net
@@ -16,6 +17,10 @@
     distance-limited displacements to legal anchors and swaps of
     equal-footprint instances, both with exact undo; the distance limit
     and temperature shrink together on a geometric cooling schedule.
+    A move (and its undo) moves each touched net's coverage from its old
+    bin range to its new one, writing only the bins the two ranges do
+    not share; the cost delta equals removing the old range and adding
+    the new one whole.
 
     Everything is driven by a {!Util.Prng} stream, so equal seeds yield
     equal placements.  An optional {!Router.Budget} bounds the run: when
@@ -79,5 +84,6 @@ module Internal : sig
       state then holds the move for {!undo}). *)
 
   val undo : state -> unit
-  (** Revert the last applied move exactly.  No-op if none pending. *)
+  (** Revert the last applied move exactly, coverage counts included.
+      No-op if none pending. *)
 end

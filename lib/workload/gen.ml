@@ -179,7 +179,8 @@ let routable_switchbox ?(name = "routable-switchbox") ?(fill = 0.9)
           in
           let net = Netlist.Net.make ~id ~name:(Printf.sprintf "n%d" id) pins in
           (match
-             Maze.Route.route_net ~passable g ws ~cost:Maze.Cost.default net
+             Maze.Route.route_net ~passable:(Custom passable) g ws
+               ~cost:Maze.Cost.default net
            with
           | Ok _ -> kept := (id, chosen) :: !kept
           | Error _ ->
@@ -302,7 +303,8 @@ let routable_chip ?(name = "routable-chip") ?(macro_cols = 3) ?(macro_rows = 2)
           in
           let net = Netlist.Net.make ~id ~name:(Printf.sprintf "n%d" id) pins in
           (match
-             Maze.Route.route_net ~passable g ws ~cost:Maze.Cost.default net
+             Maze.Route.route_net ~passable:(Custom passable) g ws
+               ~cost:Maze.Cost.default net
            with
           | Ok _ -> kept := (id, pins) :: !kept
           | Error _ ->
@@ -414,8 +416,9 @@ let chip_scale ?(name = "chip-scale") ?(macro_cols = 7) ?(macro_rows = 5)
         in
         let net = Netlist.Net.make ~id ~name:(Printf.sprintf "n%d" id) pins in
         (match
-           Maze.Route.route_net ~passable ~window:(Maze.Search.Margin window) g
-             ws ~cost:Maze.Cost.default net
+           Maze.Route.route_net ~passable:(Custom passable)
+             ~window:(Maze.Search.Margin window) g ws ~cost:Maze.Cost.default
+             net
          with
         | Ok _ -> kept := (id, pins) :: !kept
         | Error _ ->

@@ -5,6 +5,8 @@
    - the placer's incremental objective is exact: any applied move keeps
      the running cost equal to a from-scratch recompute, and undo
      restores it to the byte;
+   - the committed macros' placements and flow wirelengths, so that an
+     annealer change that moves a placement fails here;
    - placement and class sections round-trip through the text format;
    - guides never change the answer: on every committed macro instance
      the flow's layout is byte-identical (Grid.equal) to the full-window
@@ -25,26 +27,65 @@ let placed_of seed =
 
 (* --- placer: move/undo exactness --- *)
 
+(* macro_128x104 as the flow places it: its nets span the most bins, so
+   its moves shift the longest bin ranges. *)
+let placed_128x104 =
+  lazy
+    (match Place.place ~seed:1 (Testkit.instance "macro_128x104") with
+    | Ok (p, _) -> p
+    | Error msg -> Alcotest.failf "placer failed on macro_128x104: %s" msg)
+
+let undo_exact placed seed =
+  let st = Place.Internal.init placed in
+  let prng = Util.Prng.create (seed + 1) in
+  let ok = ref (Place.Internal.cost st = Place.Internal.recompute_cost st) in
+  for i = 1 to 40 do
+    let before = Place.Internal.cost st in
+    let applied = Place.Internal.random_move st prng ~range:8 in
+    (* Applied or not, the incremental cost must match a recompute. *)
+    if Place.Internal.cost st <> Place.Internal.recompute_cost st then
+      ok := false;
+    if applied && i mod 2 = 0 then begin
+      (* Undo half the applied moves: exact restoration. *)
+      Place.Internal.undo st;
+      if Place.Internal.cost st <> before then ok := false
+    end
+  done;
+  !ok
+
 let prop_move_undo_exact =
   Testkit.qcheck ~count:60 "placer undo restores the objective exactly"
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
-      let st = Place.Internal.init (placed_of seed) in
-      let prng = Util.Prng.create (seed + 1) in
-      let ok = ref (Place.Internal.cost st = Place.Internal.recompute_cost st) in
-      for i = 1 to 40 do
-        let before = Place.Internal.cost st in
-        let applied = Place.Internal.random_move st prng ~range:8 in
-        (* Applied or not, the incremental cost must match a recompute. *)
-        if Place.Internal.cost st <> Place.Internal.recompute_cost st then
-          ok := false;
-        if applied && i mod 2 = 0 then begin
-          (* Undo half the applied moves: exact restoration. *)
-          Place.Internal.undo st;
-          if Place.Internal.cost st <> before then ok := false
-        end
-      done;
-      !ok)
+      undo_exact (placed_of seed) seed
+      && undo_exact (Lazy.force placed_128x104) seed)
+
+(* Moves, accepted moves and final cost of each committed macro's
+   placement, and the wirelength its flow routes. *)
+let test_committed_placements () =
+  List.iter
+    (fun (name, (moves, accepted, final_cost), wirelength) ->
+      match Flow.run (Testkit.instance name) with
+      | Error msg -> Alcotest.failf "%s: flow failed: %s" name msg
+      | Ok f ->
+          let p =
+            match f.Flow.stats.Flow.place with
+            | Some p -> p
+            | None -> Alcotest.failf "%s: nothing placed" name
+          in
+          Alcotest.(check (triple int int int))
+            (name ^ ": moves, accepted, final cost")
+            (moves, accepted, final_cost)
+            (p.Place.moves, p.Place.accepted, p.Place.final_cost);
+          Alcotest.(check int)
+            (name ^ ": flow wirelength")
+            wirelength
+            f.Flow.result.Router.Engine.stats.Router.Engine.total_wirelength)
+    [
+      ("macro_48x40", (1032, 222, 348), 404);
+      ("macro_64x52", (2120, 346, 554), 979);
+      ("macro_128x104", (4480, 891, 4367), 2961);
+    ]
 
 (* --- parse round-trip of placement + class sections --- *)
 
@@ -183,7 +224,12 @@ let () =
   Alcotest.run "flow"
     [
       ( "place",
-        [ prop_move_undo_exact; prop_place_deterministic ] );
+        [
+          prop_move_undo_exact;
+          prop_place_deterministic;
+          Alcotest.test_case "committed placements pinned" `Quick
+            test_committed_placements;
+        ] );
       ("format", [ prop_macro_roundtrip; prop_placed_roundtrip ]);
       ( "groute",
         [

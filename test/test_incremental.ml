@@ -126,24 +126,14 @@ let fast_config =
     window_margin = Some 4;
   }
 
+(* [Config.incremental] steers refine only ([Engine.route] never reads
+   it), so each instance is routed once and refined both ways from
+   copies of that one layout. *)
 let check_instance name =
   let problem = Testkit.instance name in
-  let on =
-    Router.Engine.route
-      ~config:{ fast_config with Router.Config.incremental = true }
-      problem
-  in
-  let off =
-    Router.Engine.route
-      ~config:{ fast_config with Router.Config.incremental = false }
-      problem
-  in
-  Testkit.check_true (name ^ ": identical routed layout")
-    (Grid.equal on.Router.Engine.grid off.Router.Engine.grid);
-  Testkit.check_true (name ^ ": identical stats")
-    (on.Router.Engine.stats = off.Router.Engine.stats);
-  let g_on = Grid.copy on.Router.Engine.grid in
-  let g_off = Grid.copy on.Router.Engine.grid in
+  let routed = Router.Engine.route ~config:fast_config problem in
+  let g_on = Grid.copy routed.Router.Engine.grid in
+  let g_off = Grid.copy routed.Router.Engine.grid in
   let cache =
     Maze.Cache.create g_on ~nets:(Netlist.Problem.net_count problem)
   in

@@ -1,6 +1,6 @@
 (* Tests for the maze search and net routing: optimality, obstacle
-   handling, via/wrong-way costs, A-star agreement, tree routing and
-   rollback. *)
+   handling, via/wrong-way costs, A-star agreement, the search's two
+   frontiers and its data pricing rules, tree routing and rollback. *)
 
 let pin = Netlist.Net.pin
 
@@ -8,12 +8,15 @@ let empty_grid ?(w = 12) ?(h = 10) () =
   let g = Grid.create ~width:w ~height:h () in
   (g, Maze.Workspace.create g)
 
-let free_passable g n =
-  if Grid.is_free g n then Some 0 else None
+let free_rule g n = if Grid.is_free g n then Some 0 else None
 
-let self_passable g ~net n =
-  let v = Grid.occ g n in
-  if v = Grid.free || v = net then Some 0 else None
+let free_passable g = Maze.Search.Custom (free_rule g)
+
+let self_passable g ~net =
+  Maze.Search.Custom
+    (fun n ->
+      let v = Grid.occ g n in
+      if v = Grid.free || v = net then Some 0 else None)
 
 let run ?(cost = Maze.Cost.uniform) g ws ~sources ~targets () =
   Maze.Search.run g ws ~cost ~passable:(free_passable g) ~sources ~targets ()
@@ -124,8 +127,8 @@ let test_penalty_prices_foreign_cells () =
     if v = Grid.free then Some 0 else if v = 9 then Some 50 else None
   in
   match
-    Maze.Search.run g ws ~cost:Maze.Cost.uniform ~passable ~sources:[ a ]
-      ~targets:[ b ] ()
+    Maze.Search.run g ws ~cost:Maze.Cost.uniform ~passable:(Custom passable)
+      ~sources:[ a ] ~targets:[ b ] ()
   with
   | Some r ->
       Testkit.check_int "wire(6) + one crossing(50)" 56 r.Maze.Search.total_cost
@@ -452,9 +455,9 @@ let neighbours g n =
     [ (layer, x + 1, y); (layer, x - 1, y); (layer, x, y + 1);
       (layer, x, y - 1); (layer + 1, x, y); (layer - 1, x, y) ]
 
-(* Every node reachable from [seeds] through passable cells, the seeds
-   included — one side of a cut as the search sees it. *)
-let component g ~passable seeds =
+(* Every node reachable from [seeds] through cells [rule] passes, the
+   seeds included — one side of a cut as the search sees it. *)
+let component g ~rule seeds =
   let seen = Hashtbl.create 64 in
   let rec visit = function
     | [] -> ()
@@ -462,7 +465,7 @@ let component g ~passable seeds =
         let next =
           List.filter
             (fun m ->
-              (not (Hashtbl.mem seen m)) && passable m <> None
+              (not (Hashtbl.mem seen m)) && rule m <> None
               && (Hashtbl.replace seen m (); true))
             (neighbours g n)
         in
@@ -485,7 +488,8 @@ let prop_flood_is_invisible =
       let window =
         if window = 0 then Maze.Search.Full else Margin (window - 1)
       in
-      let passable = free_passable g in
+      let rule = free_rule g in
+      let passable = Maze.Search.Custom rule in
       let search ~flood ~work =
         Maze.Search.run ~kernel ~heuristic ~window ~flood ~work g ws
           ~cost:Maze.Cost.default ~passable ~sources ~targets ()
@@ -514,12 +518,12 @@ let prop_flood_is_invisible =
             with
             | Some r -> Geom.Rect.mem r (Grid.node_x g n) (Grid.node_y g n)
             | None -> false)
-          (component g ~passable targets)
+          (component g ~rule targets)
       in
       let certified =
         flooded = None && window = Maze.Search.Full
         && work.Maze.Search.settled
-           < List.length (component g ~passable sources)
+           < List.length (component g ~rule sources)
       in
       same
       && work.Maze.Search.flooded <= work.Maze.Search.settled
@@ -573,38 +577,65 @@ let test_buckets_count_expansions () =
    allocates is its path, its result and a fixed per-search overhead, so
    a corner-to-corner search that settles thousands of nodes stays under
    a few words per path node.  The warm-up search grows the frontiers
-   once; later searches reuse them. *)
+   once; later searches reuse them.  Besides a free-cells rule on an
+   empty grid, the router's two data rules run on a grid where net 2
+   walls off most of the middle: [Own 1] detours around it and [Foreign]
+   prices every wall cell it relaxes into (a closure answering
+   [Some price] there would allocate per cell). *)
 let test_search_allocates_per_path () =
   let g = Grid.create ~width:128 ~height:104 () in
   let ws = Maze.Workspace.create g in
-  let passable = free_passable g in
+  let walled = Grid.create ~width:128 ~height:104 () in
+  for layer = 0 to 1 do
+    for y = 0 to 90 do
+      for x = 40 to 87 do
+        Grid.occupy walled ~net:2 (Grid.node walled ~layer ~x ~y)
+      done
+    done
+  done;
+  let foreign =
+    Maze.Search.Foreign
+      {
+        net = 1;
+        protected = Bytes.make (Grid.node_count walled) '\000';
+        rips = [| 0; 3 |];
+        penalty = 2;
+      }
+  in
   let a = Grid.node g ~layer:0 ~x:0 ~y:0
   and b = Grid.node g ~layer:0 ~x:127 ~y:103 in
   List.iter
-    (fun (kernel, heuristic, name) ->
-      let search () =
-        Maze.Search.run ~kernel ~heuristic g ws ~cost:Maze.Cost.default
-          ~passable ~sources:[ a ] ~targets:[ b ] ()
-      in
-      ignore (search ());
-      let before = Gc.minor_words () in
-      let r = search () in
-      let words = Gc.minor_words () -. before in
-      match r with
-      | None -> Alcotest.fail "corner-to-corner search failed"
-      | Some r ->
-          let len = List.length r.Maze.Search.path in
-          Testkit.check_true
-            (Printf.sprintf "%s: %.0f words for %d expansions, path %d" name
-               words r.Maze.Search.expanded len)
-            (words < float_of_int ((4 * len) + 1024)))
-    Maze.Search.
-      [
-        (Binary_heap, Zero, "heap dijkstra");
-        (Binary_heap, L1, "heap A*");
-        (Buckets, Zero, "buckets dijkstra");
-        (Buckets, L1, "buckets A*");
-      ]
+    (fun (g, passable, rule) ->
+      List.iter
+        (fun (kernel, heuristic, name) ->
+          let search () =
+            Maze.Search.run ~kernel ~heuristic g ws ~cost:Maze.Cost.default
+              ~passable ~sources:[ a ] ~targets:[ b ] ()
+          in
+          ignore (search ());
+          let before = Gc.minor_words () in
+          let r = search () in
+          let words = Gc.minor_words () -. before in
+          match r with
+          | None -> Alcotest.fail "corner-to-corner search failed"
+          | Some r ->
+              let len = List.length r.Maze.Search.path in
+              Testkit.check_true
+                (Printf.sprintf "%s, %s: %.0f words for %d expansions, path %d"
+                   rule name words r.Maze.Search.expanded len)
+                (words < float_of_int ((4 * len) + 1024)))
+        Maze.Search.
+          [
+            (Binary_heap, Zero, "heap dijkstra");
+            (Binary_heap, L1, "heap A*");
+            (Buckets, Zero, "buckets dijkstra");
+            (Buckets, L1, "buckets A*");
+          ])
+    [
+      (g, free_passable g, "free cells");
+      (walled, Maze.Search.Own 1, "own");
+      (walled, foreign, "foreign");
+    ]
 
 (* A search that reaches its target leaves the target marked and entries
    on its frontier; [begin_search] clears both. *)
@@ -624,12 +655,269 @@ let test_workspace_reset_explicit () =
   Testkit.check_true "target marked"
     (ws.Maze.Workspace.mark_gen.(t) = ws.Maze.Workspace.gen);
   Testkit.check_false "frontier left"
-    (Util.Bucketq.is_empty ws.Maze.Workspace.buckets);
+    (Maze.Search.Frontier.is_empty Buckets ws.Maze.Workspace.frontier);
   Maze.Workspace.begin_search ws;
   Testkit.check_false "marks cleared"
     (ws.Maze.Workspace.mark_gen.(t) = ws.Maze.Workspace.gen);
   Testkit.check_true "buckets cleared"
-    (Util.Bucketq.is_empty ws.Maze.Workspace.buckets)
+    (Maze.Search.Frontier.is_empty Buckets ws.Maze.Workspace.frontier)
+
+(* --- the search's frontiers --- *)
+
+module F = Maze.Search.Frontier
+
+(* A pop with the priority of the popped entry, read just before it. *)
+let frontier_pop kernel f =
+  let p = F.min_priority kernel f in
+  (p, F.pop kernel f)
+
+let pq_pop q =
+  let p = Util.Pqueue.min_priority q in
+  (p, Util.Pqueue.pop q)
+
+let bq_pop = frontier_pop Maze.Search.Buckets
+
+let bq_push f p x = F.push Maze.Search.Buckets f p x
+
+let bq_empty f = F.is_empty Maze.Search.Buckets f
+
+let test_bucketq_basic () =
+  let q = F.create ~nodes:1024 in
+  Testkit.check_true "fresh empty" (bq_empty q);
+  bq_push q 5 50;
+  bq_push q 1 10;
+  bq_push q 3 30;
+  Testkit.check_int "length" 3 q.Maze.Workspace.count;
+  Testkit.check_int "min priority" 1 (F.min_priority Buckets q);
+  Testkit.check_true "pop 1" (bq_pop q = (1, 10));
+  Testkit.check_true "pop 3" (bq_pop q = (3, 30));
+  Testkit.check_true "pop 5" (bq_pop q = (5, 50));
+  Testkit.check_true "drained" (bq_empty q)
+
+let test_bucketq_empty_raises () =
+  let q = F.create ~nodes:1024 in
+  Alcotest.check_raises "pop on empty"
+    (Invalid_argument "Search.Frontier.pop: empty") (fun () ->
+      ignore (F.pop Buckets q));
+  Alcotest.check_raises "min_priority on empty"
+    (Invalid_argument "Search.Frontier.min_priority: empty") (fun () ->
+      ignore (F.min_priority Buckets q))
+
+let test_bucketq_duplicates_lifo () =
+  let q = F.create ~nodes:1024 in
+  List.iter (fun (p, x) -> bq_push q p x) [ (2, 1); (2, 2); (1, 3); (2, 4) ];
+  Testkit.check_true "min first" (bq_pop q = (1, 3));
+  (* equal priorities pop LIFO *)
+  Testkit.check_true "lifo 4" (bq_pop q = (2, 4));
+  Testkit.check_true "lifo 2" (bq_pop q = (2, 2));
+  Testkit.check_true "lifo 1" (bq_pop q = (2, 1))
+
+let test_bucketq_window_growth () =
+  (* a span of 1500 from 16 slots forces repeated re-bucketing *)
+  let q = F.create ~nodes:1024 in
+  for i = 500 downto 1 do
+    bq_push q (i * 3) i
+  done;
+  Testkit.check_int "grew" 500 q.Maze.Workspace.count;
+  let prev = ref min_int in
+  for _ = 1 to 500 do
+    let p, _ = bq_pop q in
+    Testkit.check_true "monotone" (p >= !prev);
+    prev := p
+  done
+
+let test_bucketq_sliding_window () =
+  (* monotone push/pop interleaving slides the circular window far past
+     its first slots *)
+  let q = F.create ~nodes:1024 in
+  let popped = ref [] in
+  for p = 0 to 999 do
+    bq_push q p p;
+    if p mod 2 = 1 then popped := fst (bq_pop q) :: !popped
+  done;
+  while not (bq_empty q) do
+    popped := fst (bq_pop q) :: !popped
+  done;
+  Testkit.check_true "all popped in order"
+    (List.rev !popped |> List.sort Int.compare
+    = List.init 1000 (fun i -> i))
+
+let test_bucketq_negative_and_reanchor () =
+  let q = F.create ~nodes:1024 in
+  bq_push q 10 1;
+  bq_push q (-5) 2;
+  bq_push q 0 3;
+  Testkit.check_true "negative min" (bq_pop q = (-5, 2));
+  Testkit.check_true "then zero" (bq_pop q = (0, 3));
+  Testkit.check_true "then ten" (bq_pop q = (10, 1))
+
+let test_bucketq_clear () =
+  let q = F.create ~nodes:1024 in
+  bq_push q 7 7;
+  F.clear q;
+  Testkit.check_true "cleared" (bq_empty q);
+  bq_push q 3 3;
+  Testkit.check_true "reusable" (bq_pop q = (3, 3))
+
+let prop_bucketq_matches_pqueue =
+  Testkit.qcheck "bucketq pops same priorities as pqueue"
+    QCheck2.Gen.(list_size (int_range 0 200) (int_range (-100) 100))
+    (fun priorities ->
+      let bq = F.create ~nodes:1024 in
+      let pq = Util.Pqueue.create () in
+      List.iteri
+        (fun i p ->
+          bq_push bq p i;
+          Util.Pqueue.push pq p i)
+        priorities;
+      let n = List.length priorities in
+      List.for_all Fun.id
+        (List.init n (fun _ -> fst (bq_pop bq) = fst (pq_pop pq)))
+      && bq_empty bq)
+
+(* A random push/pop/clear sequence drawn from a seed (so that a failure
+   shrinks to a seed, not through a long list).  The payload of the
+   [i]th op is [i * 677 mod 1024], distinct over a sequence and not
+   monotone, so equal pops mean the same entry and a tie broken by
+   payload shows.  Priorities span -40..200, so the bucket window
+   re-anchors below its base and grows past its first slots. *)
+let frontier_ops seed =
+  let prng = Util.Prng.create seed in
+  List.init (Util.Prng.int prng 400) (fun _ ->
+      match Util.Prng.int prng 10 with
+      | 0 -> `Clear
+      | 1 | 2 | 3 -> `Pop
+      | _ -> `Push (Util.Prng.int_in prng (-40) 200))
+
+(* Run the ops of [seed] on the frontier and on a model; every pop, and
+   the drain at the end, must agree. *)
+let same_pops kernel seed ~push ~pop ~is_empty ~clear =
+  let f = F.create ~nodes:1024 in
+  let agree = ref true in
+  let pop_both () =
+    if is_empty () then agree := F.is_empty kernel f && !agree
+    else agree := frontier_pop kernel f = pop () && !agree
+  in
+  List.iteri
+    (fun i op ->
+      match op with
+      | `Push p ->
+          let x = i * 677 mod 1024 in
+          F.push kernel f p x;
+          push p x
+      | `Pop -> pop_both ()
+      | `Clear ->
+          F.clear f;
+          clear ())
+    (frontier_ops seed);
+  while not (is_empty ()) do
+    pop_both ()
+  done;
+  !agree && F.is_empty kernel f
+
+let prop_heap_pops_as_pqueue =
+  Testkit.qcheck ~count:300 "heap frontier pops exactly as Util.Pqueue"
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let q = Util.Pqueue.create () in
+      same_pops Maze.Search.Binary_heap seed
+        ~push:(fun p x -> Util.Pqueue.push q p x)
+        ~pop:(fun () -> pq_pop q)
+        ~is_empty:(fun () -> Util.Pqueue.is_empty q)
+        ~clear:(fun () -> Util.Pqueue.clear q))
+
+module Int_map = Map.Make (Int)
+
+let prop_buckets_pop_lifo_per_priority =
+  Testkit.qcheck ~count:300 "bucket frontier pops as a LIFO stack per priority"
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      (* the model: one stack per priority, the least priority first *)
+      let model = ref Int_map.empty in
+      same_pops Maze.Search.Buckets seed
+        ~push:(fun p x ->
+          let stack = Option.value ~default:[] (Int_map.find_opt p !model) in
+          model := Int_map.add p (x :: stack) !model)
+        ~pop:(fun () ->
+          match Int_map.min_binding !model with
+          | p, [ x ] ->
+              model := Int_map.remove p !model;
+              (p, x)
+          | p, x :: rest ->
+              model := Int_map.add p rest !model;
+              (p, x)
+          | _, [] -> assert false)
+        ~is_empty:(fun () -> Int_map.is_empty !model)
+        ~clear:(fun () -> model := Int_map.empty))
+
+let test_heap_priority_range () =
+  let f = F.create ~nodes:1024 in
+  Alcotest.check_raises "a priority above the node bits"
+    (Invalid_argument "Search.Frontier: priority out of range") (fun () ->
+      F.push Binary_heap f (max_int / 512) 1);
+  F.push Binary_heap f ((max_int / 1024) - 1) 1023;
+  Testkit.check_true "the largest priority that fits"
+    (frontier_pop Binary_heap f = ((max_int / 1024) - 1, 1023))
+
+(* [Own] and [Foreign] are the engine's two closures turned into data:
+   on random grids with obstacles, other nets' wiring, protected cells
+   and rip counts, each search must equal the one its closure runs. *)
+let prop_data_rules_match_closures =
+  Testkit.qcheck ~count:200 "Own and Foreign price as their closures"
+    QCheck2.Gen.(quad (int_range 0 100_000) bool bool bool)
+    (fun (seed, buckets, astar, flood) ->
+      let prng = Util.Prng.create seed in
+      let w = Util.Prng.int_in prng 6 14 and h = Util.Prng.int_in prng 5 12 in
+      let layers = Util.Prng.int_in prng 2 3 in
+      let g = Grid.create ~layers ~width:w ~height:h () in
+      let nets = 4 in
+      let protected = Bytes.make (Grid.node_count g) '\000' in
+      Grid.iter_nodes g (fun n ->
+          let r = Util.Prng.int prng 10 in
+          if r = 0 then
+            Grid.set_obstacle g ~layer:(Grid.node_layer g n)
+              ~x:(Grid.node_x g n) ~y:(Grid.node_y g n)
+          else if r <= 4 then begin
+            Grid.occupy g ~net:(1 + Util.Prng.int prng nets) n;
+            if Util.Prng.chance prng 0.2 then Bytes.set protected n '\001'
+          end);
+      let rips = Array.init nets (fun _ -> Util.Prng.int prng 4) in
+      let penalty = Util.Prng.int_in prng 1 6 in
+      let net = 1 + Util.Prng.int prng nets in
+      let open_cell () =
+        let rec go tries =
+          let n = Util.Prng.int prng (Grid.node_count g) in
+          let v = Grid.occ g n in
+          if v = Grid.free || v = net || tries > 200 then n else go (tries + 1)
+        in
+        go 0
+      in
+      let sources = [ open_cell () ]
+      and targets = [ open_cell (); open_cell () ] in
+      let own n =
+        let v = Grid.occ g n in
+        if v = Grid.free || v = net then Some 0 else None
+      in
+      let foreign n =
+        let v = Grid.occ g n in
+        if v = Grid.free || v = net then Some 0
+        else if v = Grid.obstacle || Bytes.get protected n <> '\000' then None
+        else Some (penalty * (1 + rips.(v - 1)))
+      in
+      let ws = Maze.Workspace.create g in
+      let kernel = if buckets then Maze.Search.Buckets else Binary_heap in
+      let heuristic = if astar then Maze.Search.L1 else Zero in
+      let search passable =
+        let work = { Maze.Search.settled = 0; flooded = 0 } in
+        let r =
+          Maze.Search.run ~kernel ~heuristic ~flood ~work g ws
+            ~cost:Maze.Cost.default ~passable ~sources ~targets ()
+        in
+        (r, work.settled, work.flooded)
+      in
+      search (Own net) = search (Custom own)
+      && search (Foreign { net; protected; rips; penalty })
+         = search (Custom foreign))
 
 let test_cost_model () =
   Testkit.check_int "preferred horizontal on L0" 1
@@ -857,6 +1145,28 @@ let () =
           prop_windowed_matches_full;
           prop_l1_exact;
           prop_flood_is_invisible;
+        ] );
+      ( "bucketq",
+        [
+          Alcotest.test_case "basic order" `Quick test_bucketq_basic;
+          Alcotest.test_case "empty raises" `Quick test_bucketq_empty_raises;
+          Alcotest.test_case "duplicates lifo" `Quick
+            test_bucketq_duplicates_lifo;
+          Alcotest.test_case "window growth" `Quick test_bucketq_window_growth;
+          Alcotest.test_case "sliding window" `Quick
+            test_bucketq_sliding_window;
+          Alcotest.test_case "negative re-anchor" `Quick
+            test_bucketq_negative_and_reanchor;
+          Alcotest.test_case "clear" `Quick test_bucketq_clear;
+          prop_bucketq_matches_pqueue;
+        ] );
+      ( "queues",
+        [
+          prop_heap_pops_as_pqueue;
+          prop_buckets_pop_lifo_per_priority;
+          Alcotest.test_case "heap priority range" `Quick
+            test_heap_priority_range;
+          prop_data_rules_match_closures;
         ] );
       ( "touched",
         [

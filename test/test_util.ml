@@ -90,10 +90,6 @@ let pq_pop q =
   let p = Util.Pqueue.min_priority q in
   (p, Util.Pqueue.pop q)
 
-let bq_pop q =
-  let p = Util.Bucketq.min_priority q in
-  (p, Util.Bucketq.pop q)
-
 let test_pqueue_basic () =
   let q = Util.Pqueue.create () in
   Testkit.check_true "fresh empty" (Util.Pqueue.is_empty q);
@@ -160,104 +156,6 @@ let prop_pqueue_heapsort =
         List.init (List.length priorities) (fun _ -> fst (pq_pop q))
       in
       out = List.sort Int.compare priorities)
-
-(* --- bucket queue --- *)
-
-let test_bucketq_basic () =
-  let q = Util.Bucketq.create () in
-  Testkit.check_true "fresh empty" (Util.Bucketq.is_empty q);
-  Util.Bucketq.push q 5 50;
-  Util.Bucketq.push q 1 10;
-  Util.Bucketq.push q 3 30;
-  Testkit.check_int "length" 3 (Util.Bucketq.length q);
-  Testkit.check_int "min priority" 1 (Util.Bucketq.min_priority q);
-  Testkit.check_true "pop 1" (bq_pop q = (1, 10));
-  Testkit.check_true "pop 3" (bq_pop q = (3, 30));
-  Testkit.check_true "pop 5" (bq_pop q = (5, 50));
-  Testkit.check_true "drained" (Util.Bucketq.is_empty q)
-
-let test_bucketq_empty_raises () =
-  let q = Util.Bucketq.create () in
-  Alcotest.check_raises "pop on empty"
-    (Invalid_argument "Bucketq.pop: empty") (fun () ->
-      ignore (Util.Bucketq.pop q));
-  Alcotest.check_raises "min_priority on empty"
-    (Invalid_argument "Bucketq.min_priority: empty") (fun () ->
-      ignore (Util.Bucketq.min_priority q))
-
-let test_bucketq_duplicates_lifo () =
-  let q = Util.Bucketq.create () in
-  List.iter (fun (p, x) -> Util.Bucketq.push q p x)
-    [ (2, 1); (2, 2); (1, 3); (2, 4) ];
-  Testkit.check_true "min first" (bq_pop q = (1, 3));
-  (* equal priorities pop LIFO *)
-  Testkit.check_true "lifo 4" (bq_pop q = (2, 4));
-  Testkit.check_true "lifo 2" (bq_pop q = (2, 2));
-  Testkit.check_true "lifo 1" (bq_pop q = (2, 1))
-
-let test_bucketq_window_growth () =
-  (* span 2 forces repeated rebucketing *)
-  let q = Util.Bucketq.create ~span:2 () in
-  for i = 500 downto 1 do
-    Util.Bucketq.push q (i * 3) i
-  done;
-  Testkit.check_int "grew" 500 (Util.Bucketq.length q);
-  let prev = ref min_int in
-  for _ = 1 to 500 do
-    let p, _ = bq_pop q in
-    Testkit.check_true "monotone" (p >= !prev);
-    prev := p
-  done
-
-let test_bucketq_sliding_window () =
-  (* monotone push/pop interleaving slides the circular window far past the
-     bucket count without growing it *)
-  let q = Util.Bucketq.create ~span:8 () in
-  let popped = ref [] in
-  for p = 0 to 999 do
-    Util.Bucketq.push q p p;
-    if p mod 2 = 1 then popped := fst (bq_pop q) :: !popped
-  done;
-  while not (Util.Bucketq.is_empty q) do
-    popped := fst (bq_pop q) :: !popped
-  done;
-  Testkit.check_true "all popped in order"
-    (List.rev !popped |> List.sort Int.compare
-    = List.init 1000 (fun i -> i))
-
-let test_bucketq_negative_and_reanchor () =
-  let q = Util.Bucketq.create () in
-  Util.Bucketq.push q 10 1;
-  Util.Bucketq.push q (-5) 2;
-  Util.Bucketq.push q 0 3;
-  Testkit.check_true "negative min" (bq_pop q = (-5, 2));
-  Testkit.check_true "then zero" (bq_pop q = (0, 3));
-  Testkit.check_true "then ten" (bq_pop q = (10, 1))
-
-let test_bucketq_clear () =
-  let q = Util.Bucketq.create () in
-  Util.Bucketq.push q 7 7;
-  Util.Bucketq.clear q;
-  Testkit.check_true "cleared" (Util.Bucketq.is_empty q);
-  Util.Bucketq.push q 3 3;
-  Testkit.check_true "reusable" (bq_pop q = (3, 3))
-
-let prop_bucketq_matches_pqueue =
-  Testkit.qcheck "bucketq pops same priorities as pqueue"
-    QCheck2.Gen.(list_size (int_range 0 200) (int_range (-100) 100))
-    (fun priorities ->
-      let bq = Util.Bucketq.create ~span:4 () in
-      let pq = Util.Pqueue.create () in
-      List.iteri
-        (fun i p ->
-          Util.Bucketq.push bq p i;
-          Util.Pqueue.push pq p i)
-        priorities;
-      let n = List.length priorities in
-      List.for_all Fun.id
-        (List.init n (fun _ ->
-             fst (bq_pop bq) = fst (pq_pop pq)))
-      && Util.Bucketq.is_empty bq)
 
 (* --- parallel --- *)
 
@@ -675,17 +573,6 @@ let () =
           Alcotest.test_case "duplicates" `Quick test_pqueue_duplicates;
           Alcotest.test_case "growth and order" `Quick test_pqueue_growth;
           prop_pqueue_heapsort;
-        ] );
-      ( "bucketq",
-        [
-          Alcotest.test_case "basic order" `Quick test_bucketq_basic;
-          Alcotest.test_case "empty raises" `Quick test_bucketq_empty_raises;
-          Alcotest.test_case "duplicates lifo" `Quick test_bucketq_duplicates_lifo;
-          Alcotest.test_case "window growth" `Quick test_bucketq_window_growth;
-          Alcotest.test_case "sliding window" `Quick test_bucketq_sliding_window;
-          Alcotest.test_case "negative re-anchor" `Quick test_bucketq_negative_and_reanchor;
-          Alcotest.test_case "clear" `Quick test_bucketq_clear;
-          prop_bucketq_matches_pqueue;
         ] );
       ( "parallel",
         [
