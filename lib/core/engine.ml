@@ -306,8 +306,7 @@ let connect st ~net ~sources ~targets =
    otherwise linger as floating metal.  Protected cells (pins, fixed
    pre-wiring) are never released, and every other cell the net owns is
    in its route list, so the flood and the candidates cost the net's own
-   cells, never the grid.  Orphans are released in ascending node order,
-   which fixes the dirty journal whatever the list order. *)
+   cells, never the grid. *)
 let prune_orphans st id =
   match (Netlist.Problem.net st.problem id).Netlist.Net.pins with
   | [] -> ()
@@ -317,9 +316,7 @@ let prune_orphans st id =
       in
       let orphaned n = not (Hashtbl.mem reached n || is_protected st n) in
       let i = id - 1 in
-      match
-        List.sort_uniq Int.compare (List.filter orphaned st.route_nodes.(i))
-      with
+      match List.filter orphaned st.route_nodes.(i) with
       | [] -> ()
       | orphans ->
           List.iter (Grid.release st.g) orphans;

@@ -145,21 +145,9 @@ let refine ?(max_passes = 3) ?(cost = Maze.Cost.default) ?(incremental = true)
     List.iter
       (fun (path, _) -> ignore (Maze.Route.occupy_path g ~net path))
       segs;
-    (* The committed cell set is exactly pins ∪ path nodes, listed in
-       path order (segments first, then pins, each cell once): the next
-       commit of this net releases its cells in this order, so the
-       releases of one segment coalesce into few journal rectangles. *)
-    let seen = Hashtbl.create 64 in
-    let acc = ref [] in
-    let add n =
-      if not (Hashtbl.mem seen n) then begin
-        Hashtbl.replace seen n ();
-        acc := n :: !acc
-      end
-    in
-    List.iter (fun (path, _) -> List.iter add path) segs;
-    List.iter add pins;
-    cells.(net) <- List.rev !acc
+    (* The committed cell set is exactly pins ∪ path nodes, each cell
+       once: the [owned] guard of refine's certificates counts it. *)
+    cells.(net) <- List.sort_uniq Int.compare (pins @ List.concat_map fst segs)
   in
   (* Per-layer bounding boxes of the net's current wiring.  Every skip
      verdict reads the net's own cells (through [net_cost] and the

@@ -7,15 +7,15 @@
     (wirelength + via cost × vias).  Planning is read-only ([plan_net]'s
     free ≡ self-owned equivalence makes the searches exact replicas of a
     rip-then-reroute), so a rejected replan leaves the grid — and its
-    dirty journal — completely untouched.  The pass is strictly monotone —
+    freed stamps — completely untouched.  The pass is strictly monotone —
     total cost never increases and completeness is preserved — and it
     iterates until a pass makes no further improvement (or [max_passes]
     is reached).
 
     With [incremental] (the default, DESIGN.md §11) a per-net
     {!Maze.Cache} carries read-region certificates across passes (and,
-    via [cache], across refine calls): a net whose certificate region is
-    untouched by any freeing dirty rectangle is skipped outright, and a
+    via [cache], across refine calls): a net whose certificate region
+    has had no cell freed since it was recorded is skipped outright, and a
     net already at the closed-form floor of its pins (half-perimeter
     wire plus one via per layer gap) is skipped without searching.
     Every other net is planned.  Both skips replay decisions that a full
@@ -43,7 +43,7 @@ type stats = {
   skipped_bound : int;
       (** visits skipped because the net is at its pins' closed-form
           floor *)
-  cache_stale : int;  (** certificates invalidated by dirty rectangles *)
+  cache_stale : int;  (** certificates invalidated by freed cells *)
 }
 
 val refine :

@@ -1,24 +1,11 @@
-(* Dirty-region journal of one layer.  It records only freeing writes
-   (releases and via clears): an occupy, a via placement or an obstacle
-   can remove routes but never create a cheaper one, so its one consumer,
-   refine's "cannot improve" verdicts, never needs to see them.  Writes
-   accumulate into a pending rectangle that grows while they stay near
-   each other (a net being released) and is flushed into a bounded ring
-   of recent rectangles when writes jump elsewhere or a consumer queries.
-   Consumers hold a [mark] (the ring sequence number at some instant) and
-   ask whether a region was written since; once the ring has wrapped past
-   a mark the answer is a conservative "yes". *)
-type dirt = {
-  ring : Geom.Rect.t array;
-  mutable seq : int; (* rectangles ever flushed; ring.(i mod cap) = rect i *)
-  (* pending rectangle; px0 > px1 encodes empty *)
-  mutable px0 : int;
-  mutable py0 : int;
-  mutable px1 : int;
-  mutable py1 : int;
-}
-
-type mark = int array (* per-layer ring sequence numbers *)
+(* Freed stamps: the grid keeps a clock that every freeing write (a
+   release, a via clear) advances, and stamps the node it freed with the
+   new value.  Occupies, via placements and obstacles are not stamped:
+   they can remove routes but never create a cheaper one, so the stamps'
+   one consumer, refine's "cannot improve" verdicts, never needs them.
+   A [mark] is the clock at some instant; a node was freed since the
+   mark exactly when its stamp is above it. *)
+type mark = int
 
 type t = {
   w : int;
@@ -28,65 +15,15 @@ type t = {
   occ : int array; (* nlayers*w*h cells: 0 free, -1 obstacle, net id > 0 *)
   via : Bytes.t; (* (nlayers-1)*w*h pair flags; pair l joins layers l,l+1 *)
   mutable n_vias : int;
-  dirt : dirt array; (* one journal per layer *)
+  freed : int array; (* per node: clock of its last freeing write, 0 never *)
+  mutable clock : int;
 }
 
 let default_layers = 2
 
-(* Sized so that a handful of rip-up/reroute cycles between refinement
-   passes does not wrap the ring: a wrap forgets history and makes every
-   refine certificate older than it stale.  512 rects × layers is still
-   tiny, and validation scans only the entries written since the queried
-   mark; a larger ring costs more in those scans than it saves in plans
-   (DESIGN.md §11). *)
-let dirt_cap = 512
-
-let dirt_capacity = dirt_cap
-
-let make_dirt () =
-  {
-    ring = Array.make dirt_cap (Geom.Rect.make 0 0 0 0);
-    seq = 0;
-    px0 = 1;
-    py0 = 1;
-    px1 = 0;
-    py1 = 0;
-  }
-
-let dirt_flush d =
-  if d.px0 <= d.px1 then begin
-    d.ring.(d.seq mod dirt_cap) <- Geom.Rect.make d.px0 d.py0 d.px1 d.py1;
-    d.seq <- d.seq + 1;
-    d.px0 <- 1;
-    d.px1 <- 0
-  end
-
-(* Coalesce writes within two cells of the pending rectangle (consecutive
-   cells of a released path segment, a via stack); farther writes flush
-   the pending rectangle so the journal keeps per-segment granularity
-   instead of hulling distant releases together. *)
-let dirt_touch d x y =
-  if d.px0 > d.px1 then begin
-    d.px0 <- x;
-    d.py0 <- y;
-    d.px1 <- x;
-    d.py1 <- y
-  end
-  else if
-    x >= d.px0 - 2 && x <= d.px1 + 2 && y >= d.py0 - 2 && y <= d.py1 + 2
-  then begin
-    if x < d.px0 then d.px0 <- x;
-    if x > d.px1 then d.px1 <- x;
-    if y < d.py0 then d.py0 <- y;
-    if y > d.py1 then d.py1 <- y
-  end
-  else begin
-    dirt_flush d;
-    d.px0 <- x;
-    d.py0 <- y;
-    d.px1 <- x;
-    d.py1 <- y
-  end
+let stamp_freed g n =
+  g.clock <- g.clock + 1;
+  g.freed.(n) <- g.clock
 
 let obstacle = -1
 
@@ -112,7 +49,8 @@ let create ?(layers = default_layers) ?dirs ~width ~height () =
     occ = Array.make (layers * width * height) free;
     via = Bytes.make ((layers - 1) * width * height) '\000';
     n_vias = 0;
-    dirt = Array.init layers (fun _ -> make_dirt ());
+    freed = Array.make (layers * width * height) 0;
+    clock = 0;
   }
 
 let copy g =
@@ -120,7 +58,7 @@ let copy g =
     g with
     occ = Array.copy g.occ;
     via = Bytes.copy g.via;
-    dirt = Array.map (fun d -> { d with ring = Array.copy d.ring }) g.dirt;
+    freed = Array.copy g.freed;
   }
 
 (* n_vias is derived from the via bytes, so comparing occupancy and via
@@ -217,8 +155,9 @@ let clear_via ?(layer = 0) g ~x ~y =
   if Bytes.get g.via p <> '\000' then begin
     Bytes.set g.via p '\000';
     g.n_vias <- g.n_vias - 1;
-    dirt_touch g.dirt.(layer) x y;
-    dirt_touch g.dirt.(layer + 1) x y
+    (* A pair's index is the node of its lower cell. *)
+    stamp_freed g p;
+    stamp_freed g (node_above g p)
   end
 
 let set_via ?(layer = 0) g ~x ~y =
@@ -238,8 +177,8 @@ let release g n =
   if v = obstacle then invalid_arg "Surface.release: cell is an obstacle";
   if v > 0 then begin
     g.occ.(n) <- free;
+    stamp_freed g n;
     let x = node_x g n and y = node_y g n and l = node_layer g n in
-    dirt_touch g.dirt.(l) x y;
     (* A freed cell can no longer anchor either adjacent via pair. *)
     if l + 1 < g.nlayers && has_via_pair g ~layer:l ~x ~y then
       clear_via ~layer:l g ~x ~y;
@@ -275,23 +214,23 @@ let block_rect g ?layer (r : Geom.Rect.t) =
         | Some l -> set_obstacle g ~layer:l ~x ~y
         | None -> set_obstacle_all g ~x ~y)
 
-let mark g =
-  Array.iter dirt_flush g.dirt;
-  Array.map (fun d -> d.seq) g.dirt
+let mark g = g.clock
 
+(* Is any stamp of freed.(i..stop) above [since]? *)
+let rec freed_after freed ~since i stop =
+  i <= stop && (freed.(i) > since || freed_after freed ~since (i + 1) stop)
+
+(* Scans the rectangle clipped to the grid, one row at a time, and stops
+   at the first node freed after the mark. *)
 let dirtied_in_freeing g ~since ~layer (r : Geom.Rect.t) =
-  let d = g.dirt.(layer) in
-  dirt_flush d;
-  let s = since.(layer) in
-  if d.seq - s > dirt_cap then true (* ring wrapped: be conservative *)
-  else begin
-    let hit = ref false in
-    for i = s to d.seq - 1 do
-      if (not !hit) && Geom.Rect.overlap d.ring.(i mod dirt_cap) r then
-        hit := true
-    done;
-    !hit
-  end
+  let x0 = max 0 r.x0 and x1 = min (g.w - 1) r.x1 in
+  let y1 = min (g.h - 1) r.y1 in
+  let rec rows y =
+    y <= y1
+    && (let row = (layer * g.w * g.h) + (y * g.w) in
+        freed_after g.freed ~since (row + x0) (row + x1) || rows (y + 1))
+  in
+  since < g.clock && x0 <= x1 && rows (max 0 r.y0)
 
 let via_count g = g.n_vias
 

@@ -101,7 +101,7 @@ val occupancy : t -> int array
 (** The live occupancy array itself, indexed by packed node: {!free},
     {!obstacle} or the owning net id.  It is a read-only view: every
     write must go through {!occupy}, {!release} and the obstacle
-    setters, which keep the via flags and the dirty journal in step.
+    setters, which keep the via flags and the freed stamps in step.
     The maze search binds it once per search and reads cells without a
     call per cell. *)
 
@@ -174,36 +174,29 @@ val clear_via : ?layer:int -> t -> x:int -> y:int -> unit
 
 val via_count : t -> int
 
-(** {1 Dirty-region journal}
+(** {1 Freed stamps}
 
     Every {e freeing} write — a {!release} of an owned cell, a
-    {!clear_via} of a placed pair — is recorded, per layer, in a bounded
-    journal of dirty rectangles (nearby writes coalesce, so a released
-    path segment becomes one rectangle).  Occupies, via placements and
-    obstacles are not recorded: they can remove routes but never create a
-    cheaper one, so the journal's one consumer — refinement's "cannot
-    improve" certificates — never needs them.  Consumers take a {!mark} and
-    later ask whether a region of a layer has been freed since; once the
-    journal's ring has wrapped past a mark the answer degrades to a
-    conservative "yes".  This is what lets refinement skip certified nets
-    without rescanning the grid. *)
+    {!clear_via} of a placed pair (both of its cells) — advances the
+    grid's clock and stamps the node it freed with the new value.
+    Occupies, via placements and obstacles are not stamped: they can
+    remove routes but never create a cheaper one, so the stamps' one
+    consumer — refinement's "cannot improve" certificates — never needs
+    them.  Consumers take a {!mark} and later ask whether a region of a
+    layer has been freed since; the answer is exact.  This is what lets
+    refinement skip certified nets without rescanning the grid. *)
 
 type mark
-(** A point in the journal's history (one sequence number per layer). *)
-
-val dirt_capacity : int
-(** Entries the per-layer ring holds before wrapping (and degrading to
-    the conservative answers below). *)
+(** A point in the grid's history: the clock at some instant. *)
 
 val mark : t -> mark
-(** Flush pending coalescing and capture the current journal position. *)
+(** The current clock. *)
 
 val dirtied_in_freeing : t -> since:mark -> layer:int -> Geom.Rect.t -> bool
-(** [dirtied_in_freeing g ~since ~layer r] is [false] only if no cell of
-    layer [layer] inside [r] was released (or lost a via) after [since]
-    was taken.  Never returns a false "clean"; may return a false
-    "dirty" after ring wrap-around or because of rectangle
-    coalescing. *)
+(** [dirtied_in_freeing g ~since ~layer r] is [true] exactly when some
+    cell of layer [layer] inside [r] (clipped to the grid) was released,
+    or lost a via, after [since] was taken.  Costs at most one read per
+    cell of the clipped rectangle. *)
 
 (** {1 Iteration and statistics} *)
 

@@ -2,12 +2,12 @@
 
    Each net owns one read-region certificate: the per-layer bounding
    rectangles of everything the net's last planning searches read, plus
-   the journal mark taken when they finished.  While no release lands
+   the grid's mark taken when they finished.  While no release lands
    inside the certificate, a replan provably reaches the same verdict as
    the last one, so the whole net visit can be skipped.
 
    The cache is bound to one physical grid value: [matches] compares by
-   physical identity, because marks and journal history are meaningless
+   physical identity, because marks and freed stamps are meaningless
    across re-instantiated grids. *)
 
 type cert = {
@@ -63,7 +63,7 @@ let read_certs ws =
    a freeing write (which may open a better corridor, or ripped the
    net's own wiring — own cells release inside the recorded own-wiring
    boxes) can flip the verdict.  The [owned] count guards the one
-   mutation freeing rectangles cannot see: a net whose wiring grew with
+   mutation freed stamps cannot see: a net whose wiring grew with
    no release at all. *)
 let verdict_clean g ~since certs =
   let nl = Array.length certs in

@@ -1,9 +1,9 @@
-(** Per-net incremental-search cache with dirty-rectangle invalidation.
+(** Per-net incremental-search cache with freed-stamp invalidation.
 
     Persists one {e read-region certificate} per net across
     rip-up/improve iterations (DESIGN.md §11): the per-layer rectangles
     everything the net's last improvement verdict read (planning
-    searches, the net's own wiring), with the journal mark taken when it
+    searches, the net's own wiring), with the grid's mark taken when it
     was reached.  While no {e freeing} write lands inside the
     certificate and the net's cell count is unchanged, revisiting the
     net provably reproduces the same no-commit verdict — blocking writes
@@ -11,7 +11,7 @@
     visit is skipped outright.
 
     A cache is bound to one physical grid value ({!matches} compares by
-    identity): journal marks do not survive grid re-instantiation. *)
+    identity): marks do not survive grid re-instantiation. *)
 
 type t
 
@@ -29,21 +29,21 @@ val read_certs : Workspace.t -> Geom.Rect.t option array
 
 val verdict_clean :
   Grid.t -> since:Grid.mark -> Geom.Rect.t option array -> bool
-(** No journal write since [since] intersects any layer's certificate.
-    The journal records only {e freeing} writes, so this is the
-    verdict-replay validity test: "replanning cannot improve this net"
-    survives the blocking writes the journal never sees. *)
+(** No cell of any layer's certificate was freed since [since].  Only
+    {e freeing} writes are stamped, so this is the verdict-replay
+    validity test: "replanning cannot improve this net" survives the
+    blocking writes the stamps never see. *)
 
 val cert_status : t -> net:int -> owned:int -> [ `Hit | `Miss ]
 (** Validate the net's certificate: {!verdict_clean} plus an unchanged
     cell count [owned] (the guard against wiring that grew without any
-    release, the one mutation freeing rectangles cannot witness).
+    release, the one mutation freed stamps cannot witness).
     [`Hit] counts a hit; a stale certificate is dropped and counted
     exactly once, then reported [`Miss]. *)
 
 val record_cert :
   t -> net:int -> certs:Geom.Rect.t option array -> owned:int -> unit
-(** Store a certificate with the journal mark taken now.  [owned] is
+(** Store a certificate with the grid's mark taken now.  [owned] is
     the net's cell count at verdict time; the certificates must cover
     everything the verdict read, including the net's own wiring. *)
 
@@ -55,7 +55,7 @@ val hits : t -> int
 (** Certificate validations that allowed skipping a net visit. *)
 
 val stale : t -> int
-(** Certificates invalidated by an intersecting dirty rectangle. *)
+(** Certificates invalidated by a cell freed inside them. *)
 
 val bound_skips : t -> int
 (** Net visits skipped because the net is at its pins' closed-form

@@ -129,14 +129,19 @@ let apply_op session (op : Proto.op) =
                 Router.Session.install session ~problem:realized
                   ~grid:(Netlist.Problem.instantiate realized)))
   | Proto.Flow_run { seed; tile; slo_ms = _ } -> (
-      (* Committed flows replay un-budgeted, like [Route]: the live
-         request only commits non-degraded results, and the pipeline is
-         deterministic given (problem, config, seed). *)
+      (* Committed flows replay with an explicitly unlimited budget, like
+         [Route]: the live request only commits non-degraded results, and
+         the pipeline is deterministic given (problem, config, seed).
+         Without a budget the engine would build one from the router
+         config, which the live request's own budget replaced. *)
       let config = Router.Session.config session in
       let seed =
         match seed with Some s -> s | None -> config.Router.Config.seed
       in
-      match Flow.run ~config ~seed ?tile (Router.Session.problem session) with
+      match
+        Flow.run ~config ~budget:(Router.Budget.unlimited ()) ~seed ?tile
+          (Router.Session.problem session)
+      with
       | Error e -> Error e
       | exception Invalid_argument msg -> Error msg
       | Ok f ->

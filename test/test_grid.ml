@@ -291,9 +291,9 @@ let prop_random_ops_keep_invariants =
       done;
       !ok && !count = Grid.via_count g)
 
-(* --- dirty-region journal --- *)
+(* --- freed stamps (the dirty journal) --- *)
 
-(* The journal records freeing writes only: releases and via clears. *)
+(* Only freeing writes are stamped: releases and via clears. *)
 
 let rect_at x y = Geom.Rect.make x y x y
 
@@ -326,7 +326,7 @@ let test_dirty_idempotent_writes_are_clean () =
   (* releasing a free cell and clearing an absent via are no-ops *)
   Grid.release g (Grid.node g ~layer:1 ~x:4 ~y:4);
   Grid.clear_via g ~x:1 ~y:1;
-  Testkit.check_false "no-op writes leave the journal alone"
+  Testkit.check_false "no-op writes leave the stamps alone"
     (dirty g ~since:m ~layer:0 (Geom.Rect.make 0 0 7 5)
     || dirty g ~since:m ~layer:1 (Geom.Rect.make 0 0 7 5))
 
@@ -361,8 +361,7 @@ let test_dirty_coalescing_is_conservative () =
     Grid.occupy g ~net:2 (Grid.node g ~layer:0 ~x ~y:2)
   done;
   let m = Grid.mark g in
-  (* releasing a straight wire: nearby releases coalesce into one
-     rectangle that still covers every released cell *)
+  (* releasing a straight wire stamps every cell of it *)
   for x = 0 to 7 do
     Grid.release g (Grid.node g ~layer:0 ~x ~y:2)
   done;
@@ -371,27 +370,33 @@ let test_dirty_coalescing_is_conservative () =
       (dirty g ~since:m ~layer:0 (rect_at x 2))
   done
 
-let test_dirty_ring_wrap_degrades_safely () =
+(* Many far-apart releases forget nothing and blame nothing: the cell
+   between them that no release touched stays clean, however many
+   releases land elsewhere, and each released cell stays dirty. *)
+let test_dirty_far_releases_exact () =
   let g = Grid.create ~width:32 ~height:32 () in
   let m = Grid.mark g in
-  (* far-apart alternating releases defeat coalescing and wrap the ring *)
-  for i = 0 to (2 * Grid.dirt_capacity) + 15 do
+  for i = 0 to (2 * 512) + 15 do
     let x = if i land 1 = 0 then 0 else 31 in
     let y = (7 * i) mod 32 in
     let n = Grid.node g ~layer:0 ~x ~y in
     Grid.occupy g ~net:1 n;
     Grid.release g n
   done;
-  Testkit.check_true "wrapped journal reports everything dirty"
-    (dirty g ~since:m ~layer:0 (rect_at 16 16))
+  Testkit.check_false "a cell no release touched is clean"
+    (dirty g ~since:m ~layer:0 (rect_at 16 16));
+  Testkit.check_false "so is the band between the two columns"
+    (dirty g ~since:m ~layer:0 (Geom.Rect.make 1 0 30 31));
+  Testkit.check_true "the first release is still seen"
+    (dirty g ~since:m ~layer:0 (rect_at 0 0))
 
-(* Blocking writes never reach the journal: twice its capacity of
-   far-apart occupies, a via and an obstacle leave a region no release
-   touched clean, and the one release stays visible. *)
+(* Blocking writes are never stamped: a thousand far-apart occupies, a
+   via and an obstacle leave a region no release touched clean, and the
+   one release stays visible. *)
 let test_dirty_blocking_writes_not_journaled () =
   let g = Grid.create ~width:64 ~height:64 () in
   let m = Grid.mark g in
-  for i = 0 to (2 * Grid.dirt_capacity) + 15 do
+  for i = 0 to (2 * 512) + 15 do
     let k = i / 2 in
     let x = (if i land 1 = 0 then 0 else 40) + (k mod 20) in
     let y = 2 * (k / 20) in
@@ -409,6 +414,99 @@ let test_dirty_blocking_writes_not_journaled () =
     (dirty g ~since:m ~layer:1 untouched);
   Testkit.check_true "the release is still seen"
     (dirty g ~since:m ~layer:0 (rect_at 0 0))
+
+(* The stamps answer exactly.  Random writes on a small stack of 2-4
+   layers, marks taken at random points, and every query compared with
+   a brute-force oracle: the log of each node that a release or a via
+   clear actually freed, read from the grid before the write.  A query
+   rectangle may stick out of the grid by one cell, as a dilated
+   certificate does. *)
+let prop_dirty_matches_freed_log =
+  Testkit.qcheck ~count:200 ~print:string_of_int
+    "freed stamps answer exactly as a freed-node log"
+    QCheck2.Gen.(int_range 0 100000)
+    (fun seed ->
+      let prng = Util.Prng.create seed in
+      let layers = Util.Prng.int_in prng 2 4 in
+      let w = Util.Prng.int_in prng 3 8 and h = Util.Prng.int_in prng 3 7 in
+      let g = Grid.create ~layers ~width:w ~height:h () in
+      let log = ref [] and logged = ref 0 in
+      let note n =
+        log := n :: !log;
+        incr logged
+      in
+      let free_pair ~layer ~x ~y =
+        if Grid.has_via_pair g ~layer ~x ~y then begin
+          note (Grid.node g ~layer ~x ~y);
+          note (Grid.node g ~layer:(layer + 1) ~x ~y)
+        end
+      in
+      (* (mark, log length when it was taken) *)
+      let marks = ref [ (Grid.mark g, 0) ] in
+      let ok = ref true in
+      for _ = 1 to 200 do
+        let layer = Util.Prng.int prng layers in
+        let x = Util.Prng.int prng w and y = Util.Prng.int prng h in
+        let n = Grid.node g ~layer ~x ~y in
+        match Util.Prng.int prng 7 with
+        | 0 | 1 ->
+            let net = Util.Prng.int_in prng 1 3 in
+            let v = Grid.occ g n in
+            if v = Grid.free || v = net then Grid.occupy g ~net n
+        | 2 ->
+            if not (Grid.is_obstacle g n) then begin
+              if Grid.occ g n > 0 then begin
+                note n;
+                if layer + 1 < layers then free_pair ~layer ~x ~y;
+                if layer > 0 then free_pair ~layer:(layer - 1) ~x ~y
+              end;
+              Grid.release g n
+            end
+        | 3 ->
+            let pair = Util.Prng.int prng (layers - 1) in
+            let a = Grid.occ_at g ~layer:pair ~x ~y
+            and b = Grid.occ_at g ~layer:(pair + 1) ~x ~y in
+            if a > 0 && a = b then Grid.set_via ~layer:pair g ~x ~y
+        | 4 ->
+            let pair = Util.Prng.int prng (layers - 1) in
+            free_pair ~layer:pair ~x ~y;
+            Grid.clear_via ~layer:pair g ~x ~y
+        | 5 ->
+            if Util.Prng.int prng 4 = 0 && Grid.occ g n <= 0 then
+              Grid.set_obstacle g ~layer ~x ~y
+            else marks := (Grid.mark g, !logged) :: !marks
+        | _ ->
+            let m, at =
+              List.nth !marks (Util.Prng.int prng (List.length !marks))
+            in
+            let coord bound = Util.Prng.int_in prng (-1) bound in
+            let r = Geom.Rect.make (coord w) (coord h) (coord w) (coord h) in
+            let since_mark = List.filteri (fun i _ -> i < !logged - at) !log in
+            let expected =
+              List.exists
+                (fun f ->
+                  Grid.node_layer g f = layer
+                  && Geom.Rect.mem r (Grid.node_x g f) (Grid.node_y g f))
+                since_mark
+            in
+            if Grid.dirtied_in_freeing g ~since:m ~layer r <> expected then
+              ok := false
+      done;
+      !ok)
+
+(* A grid holds no boxed array of more than 256 words (Max_young_wosize):
+   [Array.make] of such an array with a freshly allocated block forces a
+   minor collection, one per layer of every grid, and on a sharded server
+   each one pauses every domain. *)
+let test_create_forces_no_minor_collection () =
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Grid.create ~width:16 ~height:12 ()))
+  done;
+  let collections = (Gc.quick_stat ()).Gc.minor_collections - before in
+  Testkit.check_true
+    (Printf.sprintf "%d minor collections for 1000 creates" collections)
+    (collections < 100)
 
 let () =
   Alcotest.run "grid"
@@ -438,10 +536,13 @@ let () =
           Alcotest.test_case "release and via" `Quick test_dirty_release_and_via;
           Alcotest.test_case "coalescing conservative" `Quick
             test_dirty_coalescing_is_conservative;
-          Alcotest.test_case "ring wrap conservative" `Quick
-            test_dirty_ring_wrap_degrades_safely;
+          Alcotest.test_case "far releases exact" `Quick
+            test_dirty_far_releases_exact;
           Alcotest.test_case "blocking writes not journaled" `Quick
             test_dirty_blocking_writes_not_journaled;
+          prop_dirty_matches_freed_log;
+          Alcotest.test_case "create forces no minor collection" `Quick
+            test_create_forces_no_minor_collection;
         ] );
       ( "path",
         [

@@ -80,13 +80,13 @@ let fast_config =
 
 (* fsync off: these tests simulate process death in-process, so OS
    buffers survive by construction and the suite stays fast. *)
-let durable_server ?(chaos = Router.Chaos.none) ?(snapshot_every = 3)
-    ?(idle_ticks = 10_000) ~dir () =
+let durable_server ?(router = fast_config) ?(chaos = Router.Chaos.none)
+    ?(snapshot_every = 3) ?(idle_ticks = 10_000) ~dir () =
   Service.Server.create
     ~config:
       {
         Service.Server.default_config with
-        Service.Server.router = fast_config;
+        Service.Server.router;
         chaos;
         idle_ticks;
         data_dir = Some dir;
@@ -421,6 +421,30 @@ let test_flow_replay () =
   let s2 = durable_server ~dir () in
   Testkit.check_true "flow state survives replay"
     (String.equal before (fingerprint s2 "f"))
+
+(* A committed flow replays un-budgeted, whatever budget the server's
+   router config sets: the live request ran under its own [slo_ms]
+   deadline, which replaces the config's expansion cap, so a replay
+   under that cap would bring back a degraded layout as if it were the
+   committed one. *)
+let test_flow_replay_ignores_server_budget () =
+  with_dirs 1 @@ fun dirs ->
+  let dir = List.hd dirs in
+  let router = { fast_config with Router.Config.max_expanded = Some 200 } in
+  let s1 = durable_server ~router ~dir ~snapshot_every:100 () in
+  Testkit.check_true "open"
+    (ok_of_reply
+       (one_reply s1
+          (open_line ~session:"m" (Testkit.instance "macro_48x40"))));
+  let flow =
+    one_reply s1 {|{"id":2,"op":"flow","session":"m","slo_ms":60000}|}
+  in
+  Testkit.check_true "flow commits under its own budget" (ok_of_reply flow);
+  Testkit.check_true "generation 1" (gen_of_reply flow = Some 1);
+  let before = fingerprint s1 "m" in
+  let s2 = durable_server ~router ~dir () in
+  Testkit.check_true "replayed flow equals the live one"
+    (String.equal before (fingerprint s2 "m"))
 
 let test_duplicate_resubmission () =
   with_dirs 1 @@ fun dirs ->
@@ -805,6 +829,8 @@ let () =
           Alcotest.test_case "duplicate resubmission" `Quick
             test_duplicate_resubmission;
           Alcotest.test_case "flow replay" `Quick test_flow_replay;
+          Alcotest.test_case "flow replay ignores server budget" `Quick
+            test_flow_replay_ignores_server_budget;
         ] );
       ( "lifecycle",
         [
